@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark: compiled extension vs pure NumPy kernels.
 
-Run after building the extension in place:
+Also times a cold build of the wave profile table, which has a single NumPy
+(FFT) path, next to the direct phase sum it replaced.  Run after building
+the extension in place:
 
     python setup.py build_ext --inplace
     python benchmarks/bench_kernels.py
@@ -11,7 +13,7 @@ import time
 
 import numpy as np
 
-from fracsmooth import _pykernels, sets
+from fracsmooth import _pykernels, sets, wave
 
 try:
     from fracsmooth import _ckernels
@@ -37,6 +39,11 @@ def bench(name, args, repeat=3):
     print(f"{name:<18} python {t_py*1e3:9.2f} ms   compiled {t_c*1e3:9.2f} ms   speedup {t_py/t_c:5.1f}x")
 
 
+def cold_profile_table(d):
+    wave._profile_cache.clear()
+    wave._profile_table(d, wave.BumpSpec())
+
+
 def main():
     rng = np.random.default_rng(0)
 
@@ -48,6 +55,9 @@ def main():
     nodes = rng.uniform(0.5, 2.0, 4096)
     amp = rng.normal(size=4096)
     bench("oscillatory_sum", (omegas, nodes, amp))
+    for d in (2, 3):
+        t = timeit(cold_profile_table, d)
+        print(f"{f'profile_table d={d}':<18} numpy  {t*1e3:9.2f} ms   (cold build)")
 
     j = 12
     delta = 2.0**-j

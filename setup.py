@@ -3,7 +3,7 @@
     python setup.py build_ext --inplace
 
 The package works without it (pure NumPy fallback); the extension speeds up
-the covering sweeps and oscillatory sums several-fold.
+the covering sweeps and Bessel arrays several-fold.
 """
 
 from setuptools import setup

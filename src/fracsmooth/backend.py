@@ -1,8 +1,10 @@
 """Kernel backend selection.
 
-The hot kernels (Bessel arrays, oscillatory phase sums, batched greedy
-covering counts) exist twice: a Cython extension ``_ckernels`` built via
-``setup.py build_ext --inplace`` and a pure NumPy fallback ``_pykernels``.
+The hot kernels (Bessel arrays, batched greedy covering counts) exist twice:
+a Cython extension ``_ckernels`` built via ``setup.py build_ext --inplace``
+and a pure NumPy fallback ``_pykernels``.  Both also carry the direct
+oscillatory phase sum, which the tests use as the independent oracle for the
+FFT-built wave profile table.
 The compiled extension is preferred when importable; set
 ``FRACSMOOTH_BACKEND=python`` to force the fallback.
 """

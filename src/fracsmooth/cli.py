@@ -2,7 +2,8 @@
 
 Subcommands: set-info, covering, spectrum, nu-sharp, legendre, exponents,
 wave-sim, verify-duality, verify-sharpness, verify-bookkeeping.
-Exit codes: 0 pass, 1 check failure, 2 usage error.
+Exit codes: 0 pass, 1 check failure, 2 usage error, 3 runtime failure
+(a refinement that exhausted its budget, or a degenerate window).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import exponents, harness, legendre, sets, spectra, wave
-from .errors import FracsmoothError
+from .errors import DegenerateWindowError, FracsmoothError, RefineFailureError
 from .sampled import SampledFunction
 
 
@@ -303,6 +304,9 @@ def cli(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         return _COMMANDS[args.command](args)
+    except (RefineFailureError, DegenerateWindowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except FracsmoothError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exponents, legendre, sets, spectra, wave
-from .errors import DegenerateWindowError, UnsupportedSetError
+from .errors import DegenerateWindowError, OutOfRangeError, UnsupportedSetError
 
 
 @dataclass
@@ -289,12 +289,12 @@ def run_exponent_table(config: ExperimentConfig, p_list=None, q_list=None) -> st
             try:
                 seq_e = exponents.s_E_q(d, q, nu_emp)
                 seq_a = exponents.s_E_q(d, q, nu_ana) if nu_ana is not None else ""
-            except Exception:
+            except OutOfRangeError:
                 seq_e = seq_a = ""
             try:
                 spq_e = exponents.s_E_pq(d, p, q, nu_emp)
                 spq_a = exponents.s_E_pq(d, p, q, nu_ana) if nu_ana is not None else ""
-            except Exception:
+            except OutOfRangeError:
                 spq_e = spq_a = ""
             row = [
                 d, p, q, sp, sig, ls_e, ls_a, seq_e, seq_a, spq_e, spq_a,

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from fracsmooth import cli, sets
+from fracsmooth import cli, sets, wave
+from fracsmooth.errors import RefineFailureError
 
 
 @pytest.fixture
@@ -94,6 +95,15 @@ def test_wave_sim(set_files, tmp_path):
     rc = cli.cli(["wave-sim", "--d", "3", "--j", "7", "--times", "1.4", "--format", "json", "--out", str(hdr)])
     assert rc == 0
     assert json.loads(hdr.read_text())["j"] == 7
+
+
+def test_wave_sim_runtime_failure_exit_code(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RefineFailureError("profile table did not converge", 1e-3)
+
+    monkeypatch.setattr(wave, "_profile_table", fail)
+    assert cli.cli(["wave-sim", "--d", "3", "--j", "7", "--times", "1.4"]) == 3
+    assert "did not converge" in capsys.readouterr().err
 
 
 def test_verify_duality_exit_codes(set_files, tmp_path):

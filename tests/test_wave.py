@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fracsmooth import wave
+from fracsmooth import backend, wave
 from fracsmooth.errors import OutOfRangeError, RefineFailureError
 
 from oracles import trapezoid_norm
@@ -79,6 +79,52 @@ def test_propagate_rejects_negative_radius():
     params = wave.WaveParams(d=3, j=8)
     with pytest.raises(OutOfRangeError):
         wave.propagate(params, 1.5, np.array([-0.1]))
+
+
+# ---------------------------------------------------------------------------
+# profile table
+# ---------------------------------------------------------------------------
+
+def _direct_profile(d, bump, ys, y_max):
+    """F(y) by composite Gauss-Legendre: the independent oracle for the FFT table."""
+    lo, hi = bump.support
+    nodes, weights = wave.composite_rule(lo, hi, 16 * math.ceil(1.0 + y_max))
+    amp = weights * bump(nodes) * nodes ** (0.5 * (d - 1))
+    return backend.oscillatory_sum(ys, nodes, amp)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_profile_table_matches_direct_sum(d):
+    step, vals = wave._profile_table(d, wave.BumpSpec())
+    assert step == 1.0 / 64.0 and len(vals) == 32769
+    ys = step * np.arange(len(vals))[::64]
+    ref = _direct_profile(d, wave.BumpSpec(), ys, ys[-1])
+    assert np.abs(vals[::64] - ref).max() <= 1e-12 * np.abs(vals).max()
+
+
+def test_profile_table_narrow_bump_extends_range():
+    # a narrow bump decays slowly in y: the table must reach y_max = 2048
+    bump = wave.BumpSpec(1.25, 0.25)
+    step, vals = wave._profile_table(3, bump)
+    y_max = step * (len(vals) - 1)
+    assert y_max >= 2048.0
+    assert np.abs(vals[-256:]).max() <= wave._PROFILE_TAIL * np.abs(vals).max()
+    idx = np.arange(0, len(vals), 512)
+    ref = _direct_profile(3, bump, step * idx, y_max)
+    assert np.abs(vals[idx] - ref).max() <= 1e-12 * np.abs(vals).max()
+
+
+def test_profile_table_refinement_is_bounded(monkeypatch):
+    # FFT lengths far too short to resolve the profile, with a cap after two
+    # doublings: the builder must give up with a typed error
+    monkeypatch.setattr(wave, "_profile_cache", {})
+    monkeypatch.setattr(wave, "_PROFILE_FFT_MIN", 2**10)
+    monkeypatch.setattr(wave, "_PROFILE_FFT_MAX", 2**12)
+    with pytest.raises(RefineFailureError) as info:
+        wave._profile_table(3, wave.BumpSpec())
+    err = info.value.achieved_error
+    assert math.isfinite(err) and err > wave._PROFILE_RTOL
+    assert wave._profile_cache == {}
 
 
 # ---------------------------------------------------------------------------
