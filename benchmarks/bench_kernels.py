@@ -2,8 +2,9 @@
 """Benchmark: compiled extension vs pure NumPy kernels.
 
 Also times a cold build of the wave profile table, which has a single NumPy
-(FFT) path, next to the direct phase sum it replaced.  Run after building
-the extension in place:
+(FFT) path, next to the direct phase sum it replaced, and a cold d = 2 data
+norm, whose Bessel remainder is mostly Hankel-term profile lookups.  Run
+after building the extension in place:
 
     python setup.py build_ext --inplace
     python benchmarks/bench_kernels.py
@@ -44,6 +45,12 @@ def cold_profile_table(d):
     wave._profile_table(d, wave.BumpSpec())
 
 
+def cold_data_norm(d, j, p):
+    wave._profile_cache.clear()
+    wave._hankel_series.cache_clear()
+    wave.data_norm(wave.WaveParams(d=d, j=j, t_ref=1.0), p)
+
+
 def main():
     rng = np.random.default_rng(0)
 
@@ -58,6 +65,8 @@ def main():
     for d in (2, 3):
         t = timeit(cold_profile_table, d)
         print(f"{f'profile_table d={d}':<18} numpy  {t*1e3:9.2f} ms   (cold build)")
+    t = timeit(cold_data_norm, 2, 6, 2.0)
+    print(f"{'data_norm d=2 j=6':<18} numpy  {t*1e3:9.2f} ms   (cold tables, p=2)")
 
     j = 12
     delta = 2.0**-j

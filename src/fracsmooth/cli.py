@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: set-info, covering, spectrum, nu-sharp, legendre, exponents,
-wave-sim, verify-duality, verify-sharpness, verify-bookkeeping.
+wave-sim, verify-duality, verify-sharpness, verify-bookkeeping.  Run as the
+``fracsmooth`` script, ``python -m fracsmooth`` or ``python -m fracsmooth.cli``.
 Exit codes: 0 pass, 1 check failure, 2 usage error, 3 runtime failure
 (a refinement that exhausted its budget, or a degenerate window).
 """
@@ -317,3 +318,7 @@ def cli(argv=None) -> int:
 
 def main(argv=None) -> None:
     sys.exit(cli(argv))
+
+
+if __name__ == "__main__":
+    main()

@@ -9,17 +9,21 @@ where t0 is the reference time carried by the data.  ``propagate`` evaluates
 this directly with composite Gauss-Legendre panels sized to the fastest
 phase.  ``main_terms`` splits the Bessel kernel into its two principal
 exponentials plus remainder, which turns the field into lookups of the fixed
-profile  F(y) = Integral e^(i y sigma) bump(sigma) sigma^((d-1)/2) dsigma
-and makes large parameter sweeps cheap.  The profile is tabulated on a
-uniform y grid by the trapezoid rule in sigma, which for this smooth,
-compactly supported integrand converges faster than any power of the step;
-on that grid the rule is a single inverse FFT, checked by doubling the FFT
-length.  Both paths are validated against each other, ``propagate`` by node
-doubling.
+profiles  F_m(y) = Integral e^(i y sigma) bump(sigma) sigma^((d-1)/2 - m) dsigma
+and makes large parameter sweeps cheap: F_0 carries the two exponentials,
+and F_1 .. F_K the terms of the Hankel expansion of the remainder (DLMF
+10.17) wherever 2^j r sigma >= 12 over the whole bump, so that the remainder
+too is a sum of lookups; nearer radii integrate it directly.  Each profile
+is tabulated on a uniform y grid by the trapezoid rule in sigma, which for
+this smooth, compactly supported integrand converges faster than any power
+of the step; on that grid the rule is a single FFT, checked by doubling the
+FFT length.  Both paths are validated against each other, ``propagate`` by
+node doubling.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -27,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import bessel
-from .errors import OutOfRangeError, RefineFailureError
+from . import _pykernels, bessel
+from .errors import OutOfRangeError, RefineFailureError, UnsupportedOrderError
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,6 +52,15 @@ _PROFILE_TAIL_SPAN = 4.0
 # so the first length gives y_max = 512
 _PROFILE_FFT_MIN = 2**17
 _PROFILE_FFT_MAX = 2**21
+
+# Hankel expansion of the Bessel remainder: above this u the series replaces
+# direct quadrature (the same cutoff at which J0/J1 switch to it), and it
+# keeps terms until the first omitted ones fall below a tenth of the
+# quadrature tolerance, relative to the leading term there
+_HANKEL_CUTOFF = _pykernels._SERIES_CUTOFF
+_HANKEL_RTOL = 0.1 * QUAD_RTOL
+# radius x node elements per block of the direct remainder quadrature
+_REMAINDER_BLOCK = 2**14
 
 
 def smooth_bump(x):
@@ -70,6 +83,8 @@ class BumpSpec:
     def __post_init__(self):
         if not self.half_width > 0:
             raise OutOfRangeError("half_width must be positive")
+        if not self.center - self.half_width > 0:
+            raise OutOfRangeError("bump support must lie in sigma > 0")
 
     @property
     def support(self):
@@ -88,8 +103,9 @@ class WaveParams:
     nodes_per_unit: int = NODES_PER_UNIT
 
     def __post_init__(self):
-        if self.d < 2:
-            raise OutOfRangeError("need d >= 2")
+        # the dimensions bessel.radial_kernel, and so propagate, can check
+        if not 2 <= self.d <= 5:
+            raise OutOfRangeError("need 2 <= d <= 5")
         if self.j < 2:
             raise OutOfRangeError("need j >= 2")
         if not 1.0 <= self.t_ref <= 2.0:
@@ -224,60 +240,70 @@ def propagate(params: WaveParams, t: float, r_grid) -> WaveFieldRow:
 
 
 # ---------------------------------------------------------------------------
-# Principal-term profile F(y) and the two-exponential decomposition
+# Profiles F_m(y) and the decomposition into exponentials and remainder
 # ---------------------------------------------------------------------------
 
 _profile_cache: dict = {}
 
 
-def _profile_fft(d: int, bump: BumpSpec, n: int):
-    """Trapezoid-rule values of F(m dy), m = 0 .. n/4, from one inverse FFT.
+def _profile_fft(power: float, bump: BumpSpec, n: int, shift: float = 0.0):
+    """Trapezoid-rule values of F(m dy), m = 0 .. n/4, from one real FFT.
 
-    With sigma_k = k h and h = 2 pi / (n dy) the phase e^(i m dy sigma_k) is
-    the DFT kernel e^(2 pi i m k / n), so placing h g(sigma_k) at index
-    k mod n, ifft(buf) * n gives every m at once.  By Poisson summation the
-    error at y is the sum of the aliases F(y + l n dy), l != 0; on the kept
-    range y <= n dy / 4 the nearest lies at least 3 n dy / 4 away.
+    F(y) = Integral e^(i y sigma) bump(sigma) sigma^power dsigma.  With
+    sigma_k = (k + shift) h and h = 2 pi / (n dy) the phase e^(i m dy sigma_k)
+    is e^(2 pi i m shift / n) times the inverse DFT kernel e^(2 pi i m k / n);
+    the samples h g(sigma_k), placed at index k mod n, are real, so that
+    transform is the conjugate of their forward real FFT.  By Poisson
+    summation the error at y is the sum of the aliases F(y + l n dy), l != 0;
+    on the kept range y <= n dy / 4 the nearest lies at least 3 n dy / 4
+    away.  shift = 1/2 gives the midpoint rule.
     """
     lo, hi = bump.support
     h = TWO_PI / (n * _PROFILE_STEP)
-    k = np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
-    sigma = k * h
-    buf = np.zeros(n, dtype=np.complex128)
-    buf[k % n] = h * bump(sigma) * sigma ** (0.5 * (d - 1))
+    k = np.arange(math.ceil(lo / h - shift), math.floor(hi / h - shift) + 1)
+    sigma = (k + shift) * h
+    buf = np.zeros(n)
+    buf[k % n] = h * bump(sigma) * sigma**power
     # numpy.fft loads lazily; reaching it here keeps it out of the import.
-    # Scaling the kept slice copies it, so the full transform is freed.
-    return np.fft.ifft(buf)[: n // 4 + 1] * n
+    # Conjugating the kept slice copies it, so the full transform is freed.
+    vals = np.conj(np.fft.rfft(buf)[: n // 4 + 1])
+    if shift:
+        vals *= np.exp(TWO_PI * 1j * shift / n * np.arange(len(vals)))
+    return vals
 
 
-def _profile_table(d: int, bump: BumpSpec):
-    """Table (step, values) of F(y) on y = 0, step, ..., y_max; cached per (d, bump).
+def _profile_table(d: int, bump: BumpSpec, m: int = 0):
+    """Table (step, values) of F_m(y) on y = 0, step, ..., y_max.
 
-    Starting from length _PROFILE_FFT_MIN, the FFT length doubles until the
-    table at length n agrees with the one at 2n on their shared y grid within
-    _PROFILE_RTOL of the peak, and |F| over the last _PROFILE_TAIL_SPAN units
-    of y is below _PROFILE_TAIL of the peak, so lookups beyond y_max may read
-    zero.  Raises RefineFailureError, with the worse of the two relative
-    errors, when the length _PROFILE_FFT_MAX is reached first.
+    F_m is the profile of bump(sigma) sigma^((d-1)/2 - m): m = 0 carries the
+    two principal exponentials, m >= 1 the Hankel terms of the remainder.
+    Tables are cached per (sigma power, bump), so dimensions share them.
+    Starting from length _PROFILE_FFT_MIN, the FFT length n doubles until
+    |F| over the last _PROFILE_TAIL_SPAN units of y is below _PROFILE_TAIL of
+    the peak, so lookups beyond y_max may read zero, and the table agrees
+    within _PROFILE_RTOL of the peak with the rule of half the step (the mean
+    of the table and the midpoint rule, so no transform of length 2n is
+    needed).  Raises RefineFailureError, with the relative error of the
+    failing test, when no length up to _PROFILE_FFT_MAX passes both.
     """
-    key = (d, bump)
+    power = 0.5 * (d - 1) - m
+    key = (power, bump)
     cached = _profile_cache.get(key)
     if cached is not None:
         return cached
     n_tail = round(_PROFILE_TAIL_SPAN / _PROFILE_STEP)
     n = _PROFILE_FFT_MIN
-    vals = _profile_fft(d, bump, n)
     err = math.inf
-    while n < _PROFILE_FFT_MAX:
-        fine = _profile_fft(d, bump, 2 * n)
+    while n <= _PROFILE_FFT_MAX:
+        vals = _profile_fft(power, bump, n)
         peak = float(np.abs(vals).max())
-        diff = float(np.abs(fine[: len(vals)] - vals).max()) / peak
-        tail = float(np.abs(vals[-n_tail:]).max()) / peak
-        if diff <= _PROFILE_RTOL and tail <= _PROFILE_TAIL:
-            _profile_cache[key] = (_PROFILE_STEP, vals)
-            return _profile_cache[key]
-        err = max(diff, tail)
-        n, vals = 2 * n, fine
+        err = float(np.abs(vals[-n_tail:]).max()) / peak
+        if err <= _PROFILE_TAIL:
+            err = 0.5 * float(np.abs(_profile_fft(power, bump, n, 0.5) - vals).max()) / peak
+            if err <= _PROFILE_RTOL:
+                _profile_cache[key] = (_PROFILE_STEP, vals)
+                return _profile_cache[key]
+        n *= 2
     raise RefineFailureError("profile table did not converge", err)
 
 
@@ -309,7 +335,8 @@ def main_terms_grid(params: WaveParams, t: float, r_grid):
     T_pm(r) = (2 pi)^(-(d+1)/2) e^(-+ i pi (d-1)/4) r^(-(d-1)/2) 2^(j(d+1)/2)
               * F(2^j (t - t0 +- r)),
     the exact two-exponential split of the Bessel kernel; T_rem integrates
-    the remainder of the kernel asymptotics and vanishes identically in d = 3.
+    the remainder of the kernel asymptotics (see ``_remainder_term``) and
+    vanishes identically in d = 3.
     """
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=np.float64))
     if np.any(r_grid < params.min_asymptotic_r):
@@ -336,29 +363,119 @@ def main_terms(params: WaveParams, t: float, r: float):
     return complex(tm[0]), complex(tp[0]), complex(tr[0])
 
 
+@functools.lru_cache(maxsize=None)
+def _hankel_series(order: float):
+    """(a_1 .. a_K, (|a_K+1|, |a_K+2|), u_cut) for the Bessel remainder.
+
+    R(u) = J_order(u) - leading term has the Hankel expansion (DLMF 10.17.3)
+        R(u) ~ sqrt(2/pi)/2 sum_{m>=1} a_m u^(-m-1/2) [i^m e^(i(u-chi)) + (-i)^m e^(-i(u-chi))],
+    chi = (order/2 + 1/4) pi.  Cut after K terms, the parts omitted from the
+    even and the odd sums are each at most their first term for real u and
+    order <= 1 (DLMF 10.17(iii)), so the error is at most
+    sqrt(2/(pi u)) (|a_K+1| u^-(K+1) + |a_K+2| u^-(K+2)).  K is the least
+    count that puts this below _HANKEL_RTOL sqrt(2/(pi u)) at u_cut =
+    _HANKEL_CUTOFF.  For half-integer orders the series terminates and is
+    exact at every u, so u_cut is 0.  Cached per order; callers must not
+    modify the returned arrays.
+    """
+    a = _pykernels._hankel_coeffs(order, _pykernels._NTERMS_ASYMPT)
+    u = _HANKEL_CUTOFF
+    for k in range(len(a) - 2):
+        tail = np.abs(a[k + 1:k + 3])
+        if not tail.any():
+            return a[1:k + 1], tail, 0.0
+        if tail[0] * u ** -(k + 1) + tail[1] * u ** -(k + 2) <= _HANKEL_RTOL:
+            return a[1:k + 1], tail, u
+    raise UnsupportedOrderError(f"no Hankel truncation reaches the tolerance for order {order}")
+
+
+def _remainder_pref(params: WaveParams, r_grid):
+    d, j = params.d, params.j
+    return TWO_PI ** (-0.5 * d) * 2.0 ** (j * 0.5 * (d + 2)) * r_grid ** (-0.5 * (d - 2))
+
+
 def _remainder_term(params: WaveParams, t: float, r_grid):
+    """T_rem(r) = pref(r) Integral e^(i 2^j omega sigma) bump(sigma) sigma^(d/2) R(2^j r sigma) dsigma.
+
+    Here omega = t - t0, pref(r) = (2 pi)^(-d/2) 2^(j(d+2)/2) r^(-(d-2)/2)
+    and R is the Bessel remainder of order nu = (d-2)/2.  Where 2^j r sigma
+    >= u_cut over the whole bump support, the K-term Hankel expansion of R
+    (``_hankel_series``) turns T_rem into profile lookups:
+        T_rem(r) = pref(r) sqrt(2/pi)/2 sum_{m=1..K} a_m (2^j r)^(-m-1/2)
+                   * [i^m e^(-i chi) F_m(2^j (omega + r)) + (-i)^m e^(i chi) F_m(2^j (omega - r))].
+    Nearer radii integrate R directly on composite Gauss-Legendre nodes
+    sized to the fastest phase among them, in blocks of radii.  T_rem is 0
+    in d = 3 (K = 0), and exact lookups at every radius in d = 5 (K = 1).
+    """
     d, j = params.d, params.j
     order = 0.5 * (d - 2)
-    if order == 0.5:
-        return np.zeros(len(r_grid), dtype=np.complex128)
+    coeffs, _, u_cut = _hankel_series(order)
+    out = np.zeros(len(r_grid), dtype=np.complex128)
+    if len(coeffs) == 0:
+        return out
     omega = t - params.t_ref
     scale = 2.0**j
     lo, hi = params.bump.support
-    freq = scale * (abs(omega) + float(r_grid.max()))
-    nodes, weights = composite_rule(lo, hi, _node_budget(params, freq))
-    base = weights * params.bump(nodes) * nodes ** (0.5 * d)
-    phase = np.exp(1j * scale * omega * nodes) * base
-    pref = TWO_PI ** (-0.5 * d) * 2.0 ** (j * 0.5 * (d + 2)) * r_grid ** (-0.5 * (d - 2))
-    out = np.empty(len(r_grid), dtype=np.complex128)
-    for i, r in enumerate(r_grid):
-        out[i] = pref[i] * np.dot(bessel.bessel_remainder(order, scale * r * nodes), phase)
+    pref = _remainder_pref(params, r_grid)
+    far = scale * r_grid * lo >= u_cut
+    if np.any(far):
+        r = r_grid[far]
+        y_plus, y_minus = scale * (omega + r), scale * (omega - r)
+        rot = np.exp(-1j * (0.5 * order + 0.25) * math.pi)
+        acc = np.zeros(len(r), dtype=np.complex128)
+        for m, a in enumerate(coeffs, start=1):
+            table = _profile_table(d, params.bump, m)
+            i_m = (1, 1j, -1, -1j)[m % 4]
+            acc += a * (scale * r) ** (-m - 0.5) * (
+                i_m * rot * _profile_eval(table, y_plus)
+                + np.conj(i_m * rot) * _profile_eval(table, y_minus)
+            )
+        out[far] = math.sqrt(0.5 / math.pi) * pref[far] * acc
+    if not np.all(far):
+        r = r_grid[~far]
+        freq = scale * (abs(omega) + float(r.max()))
+        nodes, weights = composite_rule(lo, hi, _node_budget(params, freq))
+        base = weights * params.bump(nodes) * nodes ** (0.5 * d)
+        phase = np.exp(1j * scale * omega * nodes) * base
+        near = np.empty(len(r), dtype=np.complex128)
+        rows = max(1, _REMAINDER_BLOCK // len(nodes))
+        for s in range(0, len(r), rows):
+            u = np.multiply.outer(scale * r[s:s + rows], nodes)
+            near[s:s + rows] = bessel.bessel_remainder(order, u.ravel()).reshape(u.shape) @ phase
+        out[~far] = pref[~far] * near
     return out
 
 
+def _truncation_bound(params: WaveParams, r_grid):
+    """Per-radius bound on the Hankel truncation error of T_rem; 0 off the lookup path."""
+    d, j = params.d, params.j
+    coeffs, tail, u_cut = _hankel_series(0.5 * (d - 2))
+    if not tail.any():
+        return np.zeros(len(r_grid))
+    scale = 2.0**j
+    lo, hi = params.bump.support
+    nodes, weights = composite_rule(lo, hi, _MIN_NODES)
+    mass = weights * params.bump(nodes)
+    bound = np.zeros(len(r_grid))
+    for m, a in enumerate(tail, start=len(coeffs) + 1):
+        moment = float(np.dot(mass, nodes ** (0.5 * (d - 1) - m)))
+        bound += a * (scale * r_grid) ** (-m - 0.5) * moment
+    far = scale * r_grid * lo >= u_cut
+    return np.where(far, math.sqrt(2.0 / math.pi) * _remainder_pref(params, r_grid) * bound, 0.0)
+
+
 def field_row_fast(params: WaveParams, t: float, r_grid) -> WaveFieldRow:
-    """Field row through the decomposition path (table lookups for T_pm)."""
+    """Field row through the decomposition path (table lookups for T_pm and far T_rem).
+
+    ``err_rel`` is the Hankel truncation bound of T_rem relative to the row
+    maximum: 0 in d = 3 and d = 5, where the expansion is exact.
+    """
+    r_grid = np.atleast_1d(np.asarray(r_grid, dtype=np.float64))
     tm, tp, tr = main_terms_grid(params, t, r_grid)
-    return WaveFieldRow(t, np.atleast_1d(np.asarray(r_grid, float)), tm + tp + tr, QUAD_RTOL, params)
+    values = tm + tp + tr
+    bound = float(_truncation_bound(params, r_grid).max(initial=0.0))
+    err = bound / max(float(np.abs(values).max(initial=0.0)), 1e-300)
+    return WaveFieldRow(t, r_grid, values, err, params)
 
 
 # ---------------------------------------------------------------------------

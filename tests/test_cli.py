@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fracsmooth
 from fracsmooth import cli, sets, wave
 from fracsmooth.errors import RefineFailureError
 
@@ -28,6 +32,19 @@ def test_usage_errors(set_files):
     assert cli.cli(["covering", "--set", set_files["cantor"], "--bogus"]) == 2
     assert cli.cli(["covering", "--set", set_files["cantor"]]) == 2  # missing --j/--delta
     assert cli.cli(["set-info", "--set", "/nonexistent/x.json"]) == 2
+
+
+def test_module_entry_point(set_files):
+    # python -m fracsmooth.cli runs the same commands as the console script
+    src = str(Path(fracsmooth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracsmooth.cli", "exponents", "--set", set_files["cantor"], "--j", "8"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("d,p,q,")
+    assert len(proc.stdout.splitlines()) > 1
 
 
 def test_set_info(set_files, tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fracsmooth import backend, wave
+from fracsmooth import backend, bessel, wave
 from fracsmooth.errors import OutOfRangeError, RefineFailureError
 
 from oracles import trapezoid_norm
@@ -21,9 +21,20 @@ def test_bump_profile_shape():
     assert np.all(bump(x) >= 0.0)
 
 
+def test_bump_support_must_stay_positive():
+    # the remainder profiles carry negative powers of sigma
+    with pytest.raises(OutOfRangeError):
+        wave.BumpSpec(0.5, 0.75)
+    with pytest.raises(OutOfRangeError):
+        wave.BumpSpec(0.75, 0.75)
+    assert wave.BumpSpec(0.76, 0.75).support[0] > 0.0
+
+
 def test_wave_params_validation():
     with pytest.raises(OutOfRangeError):
         wave.WaveParams(d=1, j=8)
+    with pytest.raises(OutOfRangeError):
+        wave.WaveParams(d=6, j=8)
     with pytest.raises(OutOfRangeError):
         wave.WaveParams(d=3, j=1)
     with pytest.raises(OutOfRangeError):
@@ -100,6 +111,21 @@ def test_profile_table_matches_direct_sum(d):
     ys = step * np.arange(len(vals))[::64]
     ref = _direct_profile(d, wave.BumpSpec(), ys, ys[-1])
     assert np.abs(vals[::64] - ref).max() <= 1e-12 * np.abs(vals).max()
+
+
+@pytest.mark.parametrize("m", [1, 6])
+def test_hankel_profile_tables_match_direct_sum(m):
+    # F_m of d = 2 has the sigma power of F_0 in dimension 2 - 2m
+    step, vals = wave._profile_table(2, wave.BumpSpec(), m)
+    ys = step * np.arange(len(vals))[::64]
+    ref = _direct_profile(2 - 2 * m, wave.BumpSpec(), ys, ys[-1])
+    assert np.abs(vals[::64] - ref).max() <= 1e-12 * np.abs(vals).max()
+
+
+def test_profile_tables_shared_across_dimensions():
+    # sigma^(3/2 - 1) in d = 4 is the principal power of d = 2
+    bump = wave.BumpSpec()
+    assert wave._profile_table(4, bump, 1) is wave._profile_table(2, bump)
 
 
 def test_profile_table_narrow_bump_extends_range():
@@ -201,6 +227,75 @@ def test_decomposition_identity_d2_with_remainder():
     assert abs(row.values[0] - (tm + tp + tr)) <= 1e-5 * abs(row.values[0])
 
 
+def _hankel_cut_radius(params):
+    return wave._HANKEL_CUTOFF / (2.0**params.j * params.bump.support[0])
+
+
+def _direct_remainder(params, t, r_grid):
+    """T_rem by direct Gauss-Legendre quadrature at every radius: the oracle."""
+    d, j = params.d, params.j
+    scale = 2.0**j
+    omega = t - params.t_ref
+    lo, hi = params.bump.support
+    nodes, weights = wave.composite_rule(lo, hi, 16 * math.ceil(8 * (1 + scale * (abs(omega) + r_grid.max()))))
+    phase = np.exp(1j * scale * omega * nodes) * weights * params.bump(nodes) * nodes ** (0.5 * d)
+    pref = (2 * math.pi) ** (-0.5 * d) * 2.0 ** (j * 0.5 * (d + 2)) * r_grid ** (-0.5 * (d - 2))
+    return np.array([
+        pref[i] * np.dot(bessel.bessel_remainder(0.5 * (d - 2), scale * r * nodes), phase)
+        for i, r in enumerate(r_grid)
+    ])
+
+
+@pytest.mark.parametrize("d", [2, 4, 5])
+def test_decomposition_identity_across_hankel_cutoff(d):
+    # radii on the light cone, below and above the radius where the remainder
+    # switches from direct quadrature to Hankel-term lookups
+    params = wave.WaveParams(d=d, j=7, t_ref=1.0)
+    r_cut = _hankel_cut_radius(params)
+    for r in (0.6 * r_cut, 0.95 * r_cut, r_cut, 1.1 * r_cut, 3.0 * r_cut):
+        t = 1.0 + r
+        row = wave.propagate(params, t, np.array([r]))
+        tm, tp, tr = wave.main_terms(params, t, r)
+        assert abs(tr) > 0.0
+        assert abs(row.values[0] - (tm + tp + tr)) <= 1e-5 * abs(row.values[0])
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_remainder_continuous_across_hankel_cutoff(d):
+    params = wave.WaveParams(d=d, j=7, t_ref=1.0)
+    r_cut = _hankel_cut_radius(params)
+    below, at = wave._remainder_term(params, 1.0 + r_cut, np.array([r_cut * (1 - 1e-12), r_cut]))
+    assert abs(below - at) <= 1e-6 * abs(at)
+
+
+@pytest.mark.parametrize("d", [2, 4, 5])
+def test_remainder_lookups_within_truncation_bound(d):
+    params = wave.WaveParams(d=d, j=7, t_ref=1.0)
+    r_cut = _hankel_cut_radius(params) if d != 5 else params.min_asymptotic_r
+    grid = r_cut * np.array([1.0, 1.05, 1.5, 2.0, 4.0])
+    got = wave._remainder_term(params, 1.0 + 1.2 * r_cut, grid)
+    ref = _direct_remainder(params, 1.0 + 1.2 * r_cut, grid)
+    bound = wave._truncation_bound(params, grid)
+    # table lookups add their own error of order 1e-9 of the largest term
+    assert np.all(np.abs(got - ref) <= bound + 1e-7 * np.abs(ref).max())
+    if d == 5:
+        assert np.all(bound == 0.0)
+    else:
+        assert np.all(bound > 0.0) and bound[0] <= 1e-6 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_field_row_fast_reports_truncation_bound(d):
+    params = wave.WaveParams(d=d, j=7, t_ref=1.0)
+    row = wave.field_row_fast(params, 1.35, np.linspace(0.1, 0.6, 33))
+    if d in (3, 5):
+        assert row.err_rel == 0.0
+    else:
+        assert 0.0 < row.err_rel <= 1e-6
+    header = json.loads(wave.WaveField(params, [row]).header_json())
+    assert header["err_rel"] == [row.err_rel]
+
+
 # ---------------------------------------------------------------------------
 # shell_lp_norm
 # ---------------------------------------------------------------------------
@@ -258,7 +353,7 @@ def test_shell_scaling_matches_cone_profile():
 # ---------------------------------------------------------------------------
 
 def test_plancherel_oracle():
-    for d, j in [(3, 8), (3, 10), (2, 8)]:
+    for d, j in [(3, 8), (3, 10), (2, 8), (2, 6), (4, 8)]:
         params = wave.WaveParams(d=d, j=j, t_ref=1.3)
         num = wave.data_norm(params, 2.0)
         ref = wave.data_norm_plancherel(params)
