@@ -5,6 +5,9 @@ wave-sim, verify-duality, verify-sharpness, verify-bookkeeping.  Run as the
 ``fracsmooth`` script, ``python -m fracsmooth`` or ``python -m fracsmooth.cli``.
 Exit codes: 0 pass, 1 check failure, 2 usage error, 3 runtime failure
 (a refinement that exhausted its budget, or a degenerate window).
+verify-duality and verify-bookkeeping are deterministic: they accept
+``--seed`` like verify-sharpness, so a script can pass it to every verify-*
+command, and ignore it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ import numpy as np
 from . import exponents, harness, legendre, sets, spectra, wave
 from .errors import DegenerateWindowError, FracsmoothError, RefineFailureError
 from .sampled import SampledFunction
+
+
+_UNUSED_SEED = "accepted and ignored: this check is deterministic"
 
 
 def _write(path, text):
@@ -95,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jmin", type=int, default=10)
     p.add_argument("--jmax", type=int, default=14)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_UNUSED_SEED)
 
     p = sub.add_parser("verify-sharpness", help="growth-exponent check for shell sums")
     _add_common(p)
@@ -113,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=4.0)
     p.add_argument("--j", type=int, default=12)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_UNUSED_SEED)
 
     return ap
 

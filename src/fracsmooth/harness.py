@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import exponents, legendre, sets, spectra, wave
+from . import backend, exponents, legendre, sets, spectra, wave
 from .errors import DegenerateWindowError, OutOfRangeError, UnsupportedSetError
 
 
@@ -181,16 +181,13 @@ def choose_window(descriptor, j: int, alpha: float, min_factor: int):
     best = max(scores)
     m_star = max(m for m, s in enumerate(scores) if s >= best - 1e-12)
     length = 2.0**-m_star
-    delta = 2.0**-j
-    best_lo, best_count = None, -1
-    for shift in (0.0, 0.5 * length):
-        lo = 1.0 + shift
-        while lo + length <= 2.0 + 1e-12:
-            count = sets.covering_number(descriptor, (lo, lo + length), delta)
-            if count > best_count:
-                best_lo, best_count = lo, count
-            lo += length
-    return (best_lo, best_lo + length), best_count
+    # family windows inside [1, 2]: shift 0, then shift 1/2, each ascending
+    w_lo = spectra.family_starts(1.0, 2.0, length)
+    w_lo = w_lo[(w_lo >= 1.0) & (w_lo + length <= 2.0)]
+    flat = sets.flatten(descriptor)
+    counts = backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_lo + length, 2.0**-j)
+    best = int(np.argmax(counts))
+    return (float(w_lo[best]), float(w_lo[best] + length)), int(counts[best])
 
 
 def _window_q(descriptor, params: wave.WaveParams, p: float, window, rng, config):

@@ -161,7 +161,8 @@ def load_file(path):
 
 
 # ---------------------------------------------------------------------------
-# Flattened primitive form shared with the compiled kernels.
+# Flattened primitive form: tuples of plain Python numbers, which the point
+# queries below index far faster than NumPy arrays.
 #
 # type codes: 0 interval (lo, hi), 1 cantor (lo, hi, m, c),
 #             2 polyseq (a), 3 points (pool offset, count)
@@ -173,13 +174,13 @@ def flatten(s):
     def add(node):
         if isinstance(node, FullInterval):
             types.append(0)
-            params.append((node.lo, node.hi, 0.0, 0.0))
+            params.append((float(node.lo), float(node.hi), 0.0, 0.0))
         elif isinstance(node, CantorLike):
             types.append(1)
-            params.append((node.lo, node.hi, float(node.branches), node.contraction))
+            params.append((float(node.lo), float(node.hi), float(node.branches), float(node.contraction)))
         elif isinstance(node, PolySequence):
             types.append(2)
-            params.append((node.exponent, 0.0, 0.0, 0.0))
+            params.append((float(node.exponent), 0.0, 0.0, 0.0))
         elif isinstance(node, FinitePoints):
             types.append(3)
             params.append((float(len(pool)), float(len(node.points)), 0.0, 0.0))
@@ -191,11 +192,7 @@ def flatten(s):
             raise InvalidSetError(f"not a set descriptor: {node!r}")
 
     add(s)
-    return (
-        np.asarray(types, dtype=np.int64),
-        np.asarray(params, dtype=np.float64).reshape(len(types), 4),
-        np.asarray(pool, dtype=np.float64),
-    )
+    return tuple(types), tuple(params), tuple(pool)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +213,9 @@ def _cantor_first_geq(lo, hi, m, c, x):
         descended = False
         for k in range(m):
             u = lo + k * gap_step
-            v = u + child_len
+            # the last child ends at its parent's end: u + child_len can round
+            # below it, and the parent's end would drop out of the set
+            v = u + child_len if k < m - 1 else hi
             if x <= u:
                 return u
             if x <= v:
@@ -241,7 +240,7 @@ def _cantor_last_leq(lo, hi, m, c, x):
         descended = False
         for k in range(m - 1, -1, -1):
             u = lo + k * gap_step
-            v = u + child_len
+            v = u + child_len if k < m - 1 else hi
             if x >= v:
                 return v
             if x >= u:

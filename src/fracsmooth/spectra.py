@@ -29,25 +29,42 @@ def default_tolerance(j: int) -> float:
     return TOL_COEFF / j
 
 
+def family_starts(lo: float, hi: float, length: float, shifts: int = 2) -> np.ndarray:
+    """Starts of the family windows of one length around [lo, hi].
+
+    Shift i has the grid off + k * length with off = i * length / shifts and
+    k from one window left of lo to one window right of hi.  The grids come
+    in shift order, each ascending.
+    """
+    grids = []
+    for i in range(shifts):
+        off = i * length / shifts
+        k_lo = math.floor((lo - off) / length) - 1
+        k_hi = math.ceil((hi - off) / length) + 1
+        grids.append(off + np.arange(k_lo, k_hi + 1) * length)
+    return np.concatenate(grids)
+
+
 @lru_cache(maxsize=128)
 def _window_maxima_cached(descriptor, j: int, shifts: int):
+    """Count maxima over the family windows of length 2^-m, m = 0..j.
+
+    One ``backend.cover_counts`` call counts every level, each level's
+    windows sorted by start.  That call relies on two invariants: greedy
+    steps are exact in [1, 2] (so a single interval is counted in closed
+    form), and sweeps from different window starts merge at every gap wider
+    than 2^-j (so one step cache serves all windows and levels).  The counts
+    are those of ``sets._greedy_count`` in each window.
+    """
     flat = sets.flatten(descriptor)
     smin = sets.first_point_geq(flat, -math.inf)
     smax = sets.last_point_leq(flat, math.inf)
-    delta = 2.0 ** (-j)
-    out = np.zeros(j + 1, dtype=np.int64)
-    for m in range(j + 1):
-        length = 2.0 ** (-m)
-        lows = []
-        for i in range(shifts):
-            off = i * length / shifts
-            k_lo = math.floor((smin - off) / length) - 1
-            k_hi = math.ceil((smax - off) / length) + 1
-            lows.extend(off + k * length for k in range(k_lo, k_hi + 1))
-        w_lo = np.asarray(lows, dtype=np.float64)
-        counts = backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_lo + length, delta)
-        out[m] = counts.max()
-    return out
+    lengths = [2.0 ** (-m) for m in range(j + 1)]
+    starts = [np.sort(family_starts(smin, smax, length, shifts)) for length in lengths]
+    w_lo = np.concatenate(starts)
+    w_hi = np.concatenate([s + length for s, length in zip(starts, lengths)])
+    counts = backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_hi, 2.0 ** (-j))
+    return np.maximum.reduceat(counts, np.cumsum([0] + [len(s) for s in starts[:-1]]))
 
 
 def window_count_maxima(descriptor, j: int, shifts: int = 2) -> np.ndarray:
@@ -62,16 +79,9 @@ def best_window(descriptor, j: int, m: int, shifts: int = 2):
     flat = sets.flatten(descriptor)
     smin = sets.first_point_geq(flat, -math.inf)
     smax = sets.last_point_leq(flat, math.inf)
-    delta = 2.0 ** (-j)
     length = 2.0 ** (-m)
-    lows = []
-    for i in range(shifts):
-        off = i * length / shifts
-        k_lo = math.floor((smin - off) / length) - 1
-        k_hi = math.ceil((smax - off) / length) + 1
-        lows.extend(off + k * length for k in range(k_lo, k_hi + 1))
-    w_lo = np.asarray(sorted(lows), dtype=np.float64)
-    counts = backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_lo + length, delta)
+    w_lo = np.sort(family_starts(smin, smax, length, shifts))
+    counts = backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_lo + length, 2.0 ** (-j))
     best = int(np.argmax(counts))
     return (float(w_lo[best]), float(w_lo[best] + length)), int(counts[best])
 

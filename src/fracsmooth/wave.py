@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import _pykernels, bessel
+from . import backend, bessel
 from .errors import OutOfRangeError, RefineFailureError, UnsupportedOrderError
 
 TWO_PI = 2.0 * math.pi
@@ -57,7 +57,7 @@ _PROFILE_FFT_MAX = 2**21
 # direct quadrature (the same cutoff at which J0/J1 switch to it), and it
 # keeps terms until the first omitted ones fall below a tenth of the
 # quadrature tolerance, relative to the leading term there
-_HANKEL_CUTOFF = _pykernels._SERIES_CUTOFF
+_HANKEL_CUTOFF = backend._SERIES_CUTOFF
 _HANKEL_RTOL = 0.1 * QUAD_RTOL
 # radius x node elements per block of the direct remainder quadrature
 _REMAINDER_BLOCK = 2**14
@@ -378,7 +378,7 @@ def _hankel_series(order: float):
     exact at every u, so u_cut is 0.  Cached per order; callers must not
     modify the returned arrays.
     """
-    a = _pykernels._hankel_coeffs(order, _pykernels._NTERMS_ASYMPT)
+    a = backend._hankel_coeffs(order, backend._NTERMS_ASYMPT)
     u = _HANKEL_CUTOFF
     for k in range(len(a) - 2):
         tail = np.abs(a[k + 1:k + 3])

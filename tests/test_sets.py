@@ -242,3 +242,12 @@ def test_separated_vs_cover_comparability(cantor_thirds):
 def test_meets(cantor_thirds):
     assert sets.meets(cantor_thirds, 1.0, 1.1)
     assert not sets.meets(cantor_thirds, 1.4, 1.6)
+
+
+def test_cantor_right_end_is_a_set_point():
+    # u + child_len of the last child rounds below the parent's end here
+    s = sets.CantorLike(1.0, 1.8440445353154278, 2, 0.234375)
+    flat = sets.flatten(s)
+    assert sets.first_point_geq(flat, s.hi) == s.hi
+    assert sets.last_point_leq(flat, math.inf) == s.hi
+    assert sets.covering_number(s, (s.hi, 2.0), 2.0**-10) == 1
