@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
-"""Benchmark: cold window-count tables, the wave profile table and a d = 2
-data norm.
+"""Benchmark: cold window-count tables, the wave profile table, data norms
+and the inner-disc direct quadrature.
 
 Each window-count table is one batched covering sweep over every level;
 the interval is counted in closed form, the other sets by the greedy sweep
 with a shared step cache.  The profile table is one FFT, and the d = 2 data
-norm mostly Hankel-term profile lookups.  Best of three cold runs each:
+norm mostly Hankel-term profile lookups.  The d = 3, j = 13 data norm is the
+heaviest call of the sharpness slopes; its inner disc r <= 2^(-j+2), 49
+radii through ``propagate``, sums the kernel's power series as sigma-moments
+instead of evaluating the kernel per radius and node.  Best of three cold
+runs each:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
 import time
+
+import numpy as np
 
 from fracsmooth import sets, spectra, wave
 
@@ -34,10 +40,17 @@ def cold_profile_table(d):
     wave._profile_table(d, wave.BumpSpec())
 
 
-def cold_data_norm(d, j, p):
+def cold_data_norm(d, j, p, t_ref=1.0):
     wave._profile_cache.clear()
     wave._hankel_series.cache_clear()
-    wave.data_norm(wave.WaveParams(d=d, j=j, t_ref=1.0), p)
+    wave._kernel_series.cache_clear()
+    wave.data_norm(wave.WaveParams(d=d, j=j, t_ref=t_ref), p)
+
+
+def cold_inner_disc(d, j, t_ref):
+    wave._kernel_series.cache_clear()
+    params = wave.WaveParams(d=d, j=j, t_ref=t_ref)
+    wave.propagate(params, 0.0, np.linspace(0.0, params.min_asymptotic_r, 49))
 
 
 def main():
@@ -56,6 +69,10 @@ def main():
         print(f"{f'profile_table d={d}':<32} {t*1e3:9.2f} ms")
     t = timeit(cold_data_norm, 2, 6, 2.0)
     print(f"{'data_norm d=2 j=6 p=2':<32} {t*1e3:9.2f} ms")
+    t = timeit(cold_data_norm, 3, 13, 3.0, 1.5)
+    print(f"{'data_norm d=3 j=13 p=3':<32} {t*1e3:9.2f} ms")
+    t = timeit(cold_inner_disc, 3, 13, 1.5)
+    print(f"{'inner disc d=3 j=13, 49 radii':<32} {t*1e3:9.2f} ms")
 
 
 if __name__ == "__main__":

@@ -94,7 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-ref", type=float, default=1.0)
     p.add_argument("--times", default="1.5", help="comma-separated times")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="csv: the field samples; json: the header only (parameters, "
+                        "times, grid sizes, err_rel), without the samples")
 
     p = sub.add_parser("verify-duality", help="duality check against the closed form")
     _add_common(p)

@@ -190,9 +190,10 @@ def choose_window(descriptor, j: int, alpha: float, min_factor: int):
     return (float(w_lo[best]), float(w_lo[best] + length)), int(counts[best])
 
 
-def _window_q(descriptor, params: wave.WaveParams, p: float, window, rng, config):
-    """Sum of shell norms over discretization times in the fuller half of the
-    window, normalized by the data norm."""
+def _window_q(descriptor, params: wave.WaveParams, p: float, window, points, rng, config):
+    """Sum of shell norms over the discretization times ``points`` (of
+    ``descriptor`` at scale 2^-j) in the fuller half of the window,
+    normalized by the data norm."""
     j = params.j
     delta = 2.0**-j
     lo, hi = window
@@ -203,8 +204,7 @@ def _window_q(descriptor, params: wave.WaveParams, p: float, window, rng, config
         half, t_ref = (mid, hi), lo
     else:
         half, t_ref = (lo, mid), hi
-    pts = sets.discretize(descriptor, j).points
-    pts = pts[(pts >= half[0]) & (pts <= half[1])]
+    pts = points[(points >= half[0]) & (points <= half[1])]
     pts = pts[np.abs(pts - t_ref) >= 0.25 * (hi - lo) - 1e-12]
     if len(pts) == 0:
         raise DegenerateWindowError(f"no discretization points in half window {half}")
@@ -234,13 +234,14 @@ def run_sharpness_slope(config: ExperimentConfig) -> SlopeReport:
     for j in config.j_list:
         params = wave.WaveParams(d=d, j=j, t_ref=1.0)
         window, _ = choose_window(config.descriptor, j, alpha, config.min_window_factor)
-        q_val = _window_q(config.descriptor, params, p, window, rng, config)
+        points = sets.discretize(config.descriptor, j).points
+        q_val = _window_q(config.descriptor, params, p, window, points, rng, config)
         log2_q.append(math.log2(q_val))
         windows.append(window)
         if window == (1.0, 2.0):
             log2_q_full.append(log2_q[-1])
         else:
-            q_full = _window_q(config.descriptor, params, p, (1.0, 2.0), rng, config)
+            q_full = _window_q(config.descriptor, params, p, (1.0, 2.0), points, rng, config)
             log2_q_full.append(math.log2(q_full))
     slope, intercept = _fit_line(config.j_list, log2_q)
     slope_full, _ = _fit_line(config.j_list, log2_q_full)

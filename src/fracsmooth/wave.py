@@ -7,7 +7,11 @@ The field with frequency-localized radial data is
 
 where t0 is the reference time carried by the data.  ``propagate`` evaluates
 this directly with composite Gauss-Legendre panels sized to the fastest
-phase.  ``main_terms`` splits the Bessel kernel into its two principal
+phase.  At near radii, where 2^j r sigma <= 12 over the whole bump, the
+kernel is its power series sum_k c_k (s r)^(2k), so the sum over nodes
+factors into K ~ 30 sigma-moments shared by all near radii and one Horner
+evaluation in (2^j r)^2; farther radii evaluate the kernel per radius.
+``main_terms`` splits the Bessel kernel into its two principal
 exponentials plus remainder, which turns the field into lookups of the fixed
 profiles  F_m(y) = Integral e^(i y sigma) bump(sigma) sigma^((d-1)/2 - m) dsigma
 and makes large parameter sweeps cheap: F_0 carries the two exponentials,
@@ -188,13 +192,48 @@ def composite_rule(a: float, b: float, n_min: int):
 
 _MIN_NODES = 64  # resolves the bump profile itself at zero frequency
 
+# power series of the radial kernel: at or below this u_max the direct
+# quadrature sums it as sigma-moments (the cutoff at which J0/J1 switch to
+# their series), keeping terms until the first omitted one at the cutoff is
+# below _KERNEL_SERIES_ATOL
+_KERNEL_SERIES_CUTOFF = backend._SERIES_CUTOFF
+_KERNEL_SERIES_ATOL = 1e-17
+
 
 def _node_budget(params: WaveParams, freq: float) -> int:
     return max(_MIN_NODES, math.ceil(params.nodes_per_unit * (1.0 + freq)))
 
 
+@functools.lru_cache(maxsize=None)
+def _kernel_series(d: int):
+    """Coefficients c_0 .. c_(K-1) of G(u) = J_nu(u) / u^nu = sum_k c_k u^(2k).
+
+    c_k = (-1)^k / (2^(2k+nu) k! Gamma(k+nu+1)), nu = (d-2)/2: one formula
+    for every supported d.  K is the least count whose first omitted term
+    at u = _KERNEL_SERIES_CUTOFF is below _KERNEL_SERIES_ATOL (K = 28..30).
+    Cached per d; callers must not modify the returned array.
+    """
+    nu = 0.5 * (d - 2)
+    u2 = _KERNEL_SERIES_CUTOFF**2
+    c = [1.0 / (2.0**nu * math.gamma(nu + 1.0))]
+    for k in range(1, backend._NTERMS_SERIES):
+        c.append(-c[-1] / (4.0 * k * (k + nu)))
+        if abs(c[-1]) * u2**k < _KERNEL_SERIES_ATOL:
+            return np.asarray(c[:-1])
+    raise UnsupportedOrderError(f"no kernel series truncation reaches the tolerance for d = {d}")
+
+
 def _field_quadrature(params: WaveParams, t: float, r_grid, n_min: int):
     """Direct evaluation of the field integral at every radius in r_grid.
+
+    The sum over nodes sigma_n with weights phase_n (quadrature weight,
+    bump, sigma^(d-1) and the time phase) runs two ways.  Near radii, with
+    u_max = 2^j r sigma_hi <= _KERNEL_SERIES_CUTOFF, expand the kernel as
+    ``_kernel_series``: the sum factors into the moments
+    M_k = sum_n phase_n sigma_n^(2k), and u(r) = pref sum_k c_k M_k x^k with
+    x = (2^j r)^2, one Horner evaluation for all near radii.  The moments
+    come from one running product, so memory stays O(nodes).  Far radii
+    evaluate ``bessel.radial_kernel`` on the nodes, one radius at a time.
 
     Returns the values and the triangle-inequality bound on |u|, which sets
     the scale below which differences are quadrature noise.
@@ -208,8 +247,22 @@ def _field_quadrature(params: WaveParams, t: float, r_grid, n_min: int):
     phase = np.exp(1j * scale * omega * nodes) * base
     pref = TWO_PI ** (-0.5 * d) * 2.0 ** (j * d)
     out = np.empty(len(r_grid), dtype=np.complex128)
-    for i, r in enumerate(r_grid):
-        out[i] = pref * np.dot(bessel.radial_kernel(d, scale * r * nodes), phase)
+    near = scale * r_grid * hi <= _KERNEL_SERIES_CUTOFF
+    if np.any(near):
+        coeffs = _kernel_series(d)
+        moments = np.empty(len(coeffs), dtype=np.complex128)
+        sq = nodes * nodes
+        power = phase.copy()
+        for k in range(len(coeffs)):
+            moments[k] = power.sum()
+            power *= sq
+        x = (scale * r_grid[near]) ** 2
+        acc = np.zeros(len(x), dtype=np.complex128)
+        for a in (coeffs * moments)[::-1]:
+            acc = acc * x + a
+        out[near] = pref * acc
+    for i in np.flatnonzero(~near):
+        out[i] = pref * np.dot(bessel.radial_kernel(d, scale * r_grid[i] * nodes), phase)
     # |radial_kernel| <= 1 in every supported dimension
     return out, pref * float(np.abs(base).sum())
 
@@ -218,6 +271,9 @@ def propagate(params: WaveParams, t: float, r_grid) -> WaveFieldRow:
     """Field values u(r, t) on a radius grid, with a node-doubling check.
 
     Node count resolves the fastest phase: >= K (1 + 2^j (|t - t0| + r)).
+    Each node count runs ``_field_quadrature``: near radii (2^j r sigma_hi
+    <= 12) as sigma-moments of the kernel's power series, far radii with the
+    kernel evaluated per radius.
     Raises RefineFailureError when doubling twice still moves the result by
     more than QUAD_RTOL relative to the row magnitude.
     """

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsmooth import legendre
 from fracsmooth.errors import AdmissibilityError, InvalidSpectrumError
@@ -169,6 +171,22 @@ def test_nu_sharp_postconditions():
 )
 def test_involution(fn):
     f = sampled(fn)
+    once = legendre.legendre_transform(f)
+    theta_back = np.linspace(0.0, 1.0, 257)
+    twice = legendre.legendre_transform(once, theta_back)
+    thrice = legendre.legendre_transform(twice, once.grid)
+    slack = once.step + twice.step * float(np.abs(once.grid).max()) + 1e-12
+    assert np.abs(thrice.values - once.values).max() <= slack
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-3.0, 6.0), st.floats(-1.0, 1.0)), min_size=1, max_size=8),
+    st.integers(5, 300),
+)
+def test_involution_on_random_convex_samples(pieces, n):
+    # the upper envelope of affine pieces, sampled on a grid of its own size
+    f = sampled(lambda t: max(a * t + b for a, b in pieces), n=n)
     once = legendre.legendre_transform(f)
     theta_back = np.linspace(0.0, 1.0, 257)
     twice = legendre.legendre_transform(once, theta_back)

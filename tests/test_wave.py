@@ -92,6 +92,51 @@ def test_propagate_rejects_negative_radius():
         wave.propagate(params, 1.5, np.array([-0.1]))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_kernel_series_matches_radial_kernel(d):
+    coeffs = wave._kernel_series(d)
+    assert 25 <= len(coeffs) <= 32
+    u = np.linspace(0.0, wave._KERNEL_SERIES_CUTOFF, 2001)
+    x = u * u
+    acc = np.zeros_like(u)
+    for c in coeffs[::-1]:
+        acc = acc * x + c
+    assert np.abs(acc - bessel.radial_kernel(d, u)).max() <= 1e-11
+
+
+def _kernel_cut_radius(params):
+    return wave._KERNEL_SERIES_CUTOFF / (2.0**params.j * params.bump.support[1])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("t", [0.0, 1.301])
+def test_propagate_moment_series_matches_per_radius_kernel(d, t):
+    # radii on both sides of the cutoff, and exactly at it; t = 0 or just
+    # after t_ref
+    params = wave.WaveParams(d=d, j=8, t_ref=1.3)
+    r_cut = _kernel_cut_radius(params)
+    grid = np.sort(np.append(np.linspace(0.0, 3.0 * r_cut, 31), r_cut))
+    assert 0 < np.sum(grid <= r_cut) < len(grid)
+    row = wave.propagate(params, t, grid)
+    # the nodes propagate returns its values on: one doubling of the budget
+    freq = 2.0**params.j * (abs(t - params.t_ref) + grid.max())
+    n = 2 * wave._node_budget(params, freq)
+    _, bound = wave._field_quadrature(params, t, grid, n)
+    nodes, weights = wave.composite_rule(*params.bump.support, n)
+    phase = np.exp(1j * 2.0**params.j * (t - params.t_ref) * nodes) * weights * params.bump(nodes) * nodes ** (d - 1)
+    pref = (2 * math.pi) ** (-0.5 * d) * 2.0 ** (params.j * d)
+    oracle = np.array([pref * (bessel.radial_kernel(d, 2.0**params.j * r * nodes) @ phase) for r in grid])
+    assert np.abs(row.values - oracle).max() <= 1e-10 * bound
+
+
+def test_propagate_inner_disc_evaluates_no_kernel(monkeypatch):
+    params = wave.WaveParams(d=2, j=10, t_ref=1.0)
+    calls = []
+    monkeypatch.setattr(bessel, "radial_kernel", lambda d, u: calls.append(d))
+    wave.propagate(params, 0.0, np.linspace(0.0, params.min_asymptotic_r, 49))
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # profile table
 # ---------------------------------------------------------------------------
