@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Benchmark: cold window-count tables, the wave profile table, data norms
-and the inner-disc direct quadrature.
+and the direct field quadrature at inner-disc and at far radii.
 
 Each window-count table is one batched covering sweep over every level;
 the interval is counted in closed form, the other sets by the greedy sweep
@@ -8,8 +8,10 @@ with a shared step cache.  The profile table is one FFT, and the d = 2 data
 norm mostly Hankel-term profile lookups.  The d = 3, j = 13 data norm is the
 heaviest call of the sharpness slopes; its inner disc r <= 2^(-j+2), 49
 radii through ``propagate``, sums the kernel's power series as sigma-moments
-instead of evaluating the kernel per radius and node.  Best of three cold
-runs each:
+instead of evaluating the kernel per radius and node.  Far radii (33 in
+[0.45, 0.55] at j = 10, t = 1.5) evaluate the radial kernel on blocks of
+radii x nodes through the one Bessel evaluator.  Best of three cold runs
+each:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -53,6 +55,11 @@ def cold_inner_disc(d, j, t_ref):
     wave.propagate(params, 0.0, np.linspace(0.0, params.min_asymptotic_r, 49))
 
 
+def cold_far_radii(d, j, t):
+    wave._kernel_series.cache_clear()
+    wave.propagate(wave.WaveParams(d=d, j=j), t, np.linspace(0.45, 0.55, 33))
+
+
 def main():
     for label, s in [
         ("interval", sets.FullInterval(1.0, 2.0)),
@@ -73,6 +80,9 @@ def main():
     print(f"{'data_norm d=3 j=13 p=3':<32} {t*1e3:9.2f} ms")
     t = timeit(cold_inner_disc, 3, 13, 1.5)
     print(f"{'inner disc d=3 j=13, 49 radii':<32} {t*1e3:9.2f} ms")
+    for d in (2, 3, 4, 5):
+        t = timeit(cold_far_radii, d, 10, 1.5)
+        print(f"{f'far radii d={d} j=10, 33 radii':<32} {t*1e3:9.2f} ms")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,6 @@
 """Finite-scale fractal dimension spectra, Legendre duality checks, and
 radial half-wave sharpness experiments."""
 
-from .backend import BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

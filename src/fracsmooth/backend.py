@@ -1,9 +1,12 @@
-"""The array kernels: Bessel J0/J1 arrays, batched greedy covering counts,
-and the direct oscillatory phase sum.
+"""The array kernels: Bessel functions of the first kind, batched greedy
+covering counts, and the direct oscillatory phase sum.
 
-All are NumPy or plain Python.  The package no longer calls the phase sum;
-the tests use it as the independent oracle for the FFT-built wave profile
-table.
+``j_array`` is the one Bessel evaluator: J_nu(u), or J_nu(u) / u^nu, for
+nu in {0, 1/2, 1, 3/2}, from the power series below a switch point and the
+Hankel expansion above it; ``j0_array`` and ``j1_array`` are its order-0
+and order-1 entry points.  All are NumPy or plain Python.  The package no
+longer calls the phase sum; the tests use it as the independent oracle for
+the FFT-built wave profile table.
 """
 
 from __future__ import annotations
@@ -14,74 +17,91 @@ import numpy as np
 
 from .sets import first_point_geq
 
+# the benchmark records this name in each run's environment
 BACKEND = "python"
 
 # spacing of the doubles in [1, 2)
 _ULP = 2.0**-52
 
-_SERIES_CUTOFF = 12.0
-_NTERMS_SERIES = 48
+# Integer orders switch from the power series to the asymptotic Hankel
+# expansion at u = 12.  For half-integer orders the expansion terminates
+# after nu + 1/2 terms and is exact, so it takes over early, before the
+# series loses digits to cancellation.
+SERIES_CUTOFF = 12.0
+_HALF_ORDER_CUTOFF = 2.0
+NTERMS_SERIES = 48
 _NTERMS_ASYMPT = 21  # a_0 .. a_20, optimal truncation near the cutoff
 
 
-def _hankel_coeffs(nu: float, n: int):
+def hankel_coeffs(nu: float):
+    """a_0 .. a_20 of the Hankel expansion of J_nu (DLMF 10.17.1).
+
+    For half-integer nu every a_k with k > nu is exactly zero.
+    """
     a = [1.0]
-    for k in range(1, n):
+    for k in range(1, _NTERMS_ASYMPT):
         a.append(a[-1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k))
     return np.asarray(a)
 
 
-_A0 = _hankel_coeffs(0.0, _NTERMS_ASYMPT)
-_A1 = _hankel_coeffs(1.0, _NTERMS_ASYMPT)
-
-
-def _j_series(u, order: int):
+def _j_series(u, nu: float, scaled: bool):
+    # J_nu(u) / u^nu = sum_k (-u^2/4)^k / (2^nu k! Gamma(k + nu + 1))
     q = 0.25 * u * u
     term = np.ones_like(u)
     total = np.ones_like(u)
-    for k in range(1, _NTERMS_SERIES):
-        term = term * (-q) / (k * (k + order))
+    for k in range(1, NTERMS_SERIES):
+        term = term * (-q) / (k * (k + nu))
         total = total + term
-    if order == 0:
-        return total
-    return 0.5 * u * total
+    if nu:
+        total = total * (1.0 / (2.0**nu * math.gamma(nu + 1.0)))
+        if not scaled:
+            total = total * u**nu
+    return total
 
 
-def _j_asymptotic(u, order: int):
-    a = _A0 if order == 0 else _A1
+def _j_hankel(u, nu: float, scaled: bool):
+    # J_nu(u) = sqrt(2/(pi u)) (P cos w - Q sin w), w = u - (nu/2 + 1/4) pi
+    a = np.trim_zeros(hankel_coeffs(nu), "b")
     inv = 1.0 / u
     inv2 = inv * inv
     p = np.zeros_like(u)
     q = np.zeros_like(u)
     sign = 1.0
-    for i in range(0, _NTERMS_ASYMPT, 2):
+    for i in range(0, len(a), 2):
         p = p + sign * a[i] * inv2 ** (i // 2)
-        if i + 1 < _NTERMS_ASYMPT:
+        if i + 1 < len(a):
             q = q + sign * a[i + 1] * inv * inv2 ** (i // 2)
         sign = -sign
-    omega = u - (0.25 + 0.5 * order) * math.pi
-    return np.sqrt(2.0 / (math.pi * u)) * (p * np.cos(omega) - q * np.sin(omega))
+    omega = u - (0.25 + 0.5 * nu) * math.pi
+    out = np.sqrt(2.0 / (math.pi * u)) * (p * np.cos(omega) - q * np.sin(omega))
+    return out / u**nu if scaled and nu else out
 
 
-def _j_any(u, order: int):
+def j_array(nu: float, u, scaled: bool = False):
+    """J_nu(u), or J_nu(u) / u^nu when ``scaled``, on a float array u >= 0.
+
+    For nu in {0, 1/2, 1, 3/2}: the power series up to SERIES_CUTOFF (integer
+    nu) or _HALF_ORDER_CUTOFF (half-integer nu), the Hankel expansion beyond.
+    The scaled form is the series itself near u = 0, so it is stable there.
+    """
     u = np.asarray(u, dtype=np.float64)
     out = np.empty_like(u)
-    small = u <= _SERIES_CUTOFF
+    small = u <= (SERIES_CUTOFF if nu == int(nu) else _HALF_ORDER_CUTOFF)
     if np.any(small):
-        out[small] = _j_series(u[small], order)
+        out[small] = _j_series(u[small], nu, scaled)
     if np.any(~small):
-        out[~small] = _j_asymptotic(u[~small], order)
+        out[~small] = _j_hankel(u[~small], nu, scaled)
     return out
 
 
 def j0_array(u):
     """Bessel J0 on a float array; series for u <= 12, Hankel expansion beyond."""
-    return _j_any(u, 0)
+    return j_array(0.0, u)
 
 
 def j1_array(u):
     """Bessel J1 on a float array."""
-    return _j_any(u, 1)
+    return j_array(1.0, u)
 
 
 def oscillatory_sum(omegas, nodes, amp):

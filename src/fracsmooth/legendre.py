@@ -22,10 +22,6 @@ ALPHA_MAX = 4.0
 CONVEXITY_SLACK = 1e-9
 
 
-def default_theta_grid() -> np.ndarray:
-    return np.linspace(0.0, 1.0, int(round(1.0 / THETA_STEP)) + 1)
-
-
 def default_alpha_grid(alpha_max: float = ALPHA_MAX) -> np.ndarray:
     return np.linspace(0.0, alpha_max, int(round(alpha_max / ALPHA_STEP)) + 1)
 

@@ -10,7 +10,8 @@ this directly with composite Gauss-Legendre panels sized to the fastest
 phase.  At near radii, where 2^j r sigma <= 12 over the whole bump, the
 kernel is its power series sum_k c_k (s r)^(2k), so the sum over nodes
 factors into K ~ 30 sigma-moments shared by all near radii and one Horner
-evaluation in (2^j r)^2; farther radii evaluate the kernel per radius.
+evaluation in (2^j r)^2; farther radii evaluate the kernel on blocks of
+radii.
 ``main_terms`` splits the Bessel kernel into its two principal
 exponentials plus remainder, which turns the field into lookups of the fixed
 profiles  F_m(y) = Integral e^(i y sigma) bump(sigma) sigma^((d-1)/2 - m) dsigma
@@ -61,10 +62,10 @@ _PROFILE_FFT_MAX = 2**21
 # direct quadrature (the same cutoff at which J0/J1 switch to it), and it
 # keeps terms until the first omitted ones fall below a tenth of the
 # quadrature tolerance, relative to the leading term there
-_HANKEL_CUTOFF = backend._SERIES_CUTOFF
+_HANKEL_CUTOFF = backend.SERIES_CUTOFF
 _HANKEL_RTOL = 0.1 * QUAD_RTOL
-# radius x node elements per block of the direct remainder quadrature
-_REMAINDER_BLOCK = 2**14
+# radius x node elements per block of the direct kernel quadratures
+_KERNEL_BLOCK = 2**14
 
 
 def smooth_bump(x):
@@ -196,7 +197,7 @@ _MIN_NODES = 64  # resolves the bump profile itself at zero frequency
 # quadrature sums it as sigma-moments (the cutoff at which J0/J1 switch to
 # their series), keeping terms until the first omitted one at the cutoff is
 # below _KERNEL_SERIES_ATOL
-_KERNEL_SERIES_CUTOFF = backend._SERIES_CUTOFF
+_KERNEL_SERIES_CUTOFF = backend.SERIES_CUTOFF
 _KERNEL_SERIES_ATOL = 1e-17
 
 
@@ -216,11 +217,22 @@ def _kernel_series(d: int):
     nu = 0.5 * (d - 2)
     u2 = _KERNEL_SERIES_CUTOFF**2
     c = [1.0 / (2.0**nu * math.gamma(nu + 1.0))]
-    for k in range(1, backend._NTERMS_SERIES):
+    for k in range(1, backend.NTERMS_SERIES):
         c.append(-c[-1] / (4.0 * k * (k + nu)))
         if abs(c[-1]) * u2**k < _KERNEL_SERIES_ATOL:
             return np.asarray(c[:-1])
     raise UnsupportedOrderError(f"no kernel series truncation reaches the tolerance for d = {d}")
+
+
+def _kernel_sums(kernel, x, nodes, phase):
+    """sum_n kernel(x_i sigma_n) phase_n for every x_i, on blocks of about
+    _KERNEL_BLOCK (x_i, sigma_n) elements (at least one x_i per block)."""
+    out = np.empty(len(x), dtype=np.complex128)
+    rows = max(1, _KERNEL_BLOCK // len(nodes))
+    for s in range(0, len(x), rows):
+        u = np.multiply.outer(x[s:s + rows], nodes)
+        out[s:s + rows] = kernel(u.ravel()).reshape(u.shape) @ phase
+    return out
 
 
 def _field_quadrature(params: WaveParams, t: float, r_grid, n_min: int):
@@ -233,7 +245,8 @@ def _field_quadrature(params: WaveParams, t: float, r_grid, n_min: int):
     M_k = sum_n phase_n sigma_n^(2k), and u(r) = pref sum_k c_k M_k x^k with
     x = (2^j r)^2, one Horner evaluation for all near radii.  The moments
     come from one running product, so memory stays O(nodes).  Far radii
-    evaluate ``bessel.radial_kernel`` on the nodes, one radius at a time.
+    evaluate ``bessel.radial_kernel`` on the nodes, in blocks of radii
+    (``_kernel_sums``).
 
     Returns the values and the triangle-inequality bound on |u|, which sets
     the scale below which differences are quadrature noise.
@@ -261,8 +274,9 @@ def _field_quadrature(params: WaveParams, t: float, r_grid, n_min: int):
         for a in (coeffs * moments)[::-1]:
             acc = acc * x + a
         out[near] = pref * acc
-    for i in np.flatnonzero(~near):
-        out[i] = pref * np.dot(bessel.radial_kernel(d, scale * r_grid[i] * nodes), phase)
+    if not np.all(near):
+        kernel = functools.partial(bessel.radial_kernel, d)
+        out[~near] = pref * _kernel_sums(kernel, scale * r_grid[~near], nodes, phase)
     # |radial_kernel| <= 1 in every supported dimension
     return out, pref * float(np.abs(base).sum())
 
@@ -273,7 +287,7 @@ def propagate(params: WaveParams, t: float, r_grid) -> WaveFieldRow:
     Node count resolves the fastest phase: >= K (1 + 2^j (|t - t0| + r)).
     Each node count runs ``_field_quadrature``: near radii (2^j r sigma_hi
     <= 12) as sigma-moments of the kernel's power series, far radii with the
-    kernel evaluated per radius.
+    kernel evaluated on blocks of radii.
     Raises RefineFailureError when doubling twice still moves the result by
     more than QUAD_RTOL relative to the row magnitude.
     """
@@ -434,7 +448,7 @@ def _hankel_series(order: float):
     exact at every u, so u_cut is 0.  Cached per order; callers must not
     modify the returned arrays.
     """
-    a = backend._hankel_coeffs(order, backend._NTERMS_ASYMPT)
+    a = backend.hankel_coeffs(order)
     u = _HANKEL_CUTOFF
     for k in range(len(a) - 2):
         tail = np.abs(a[k + 1:k + 3])
@@ -493,12 +507,8 @@ def _remainder_term(params: WaveParams, t: float, r_grid):
         nodes, weights = composite_rule(lo, hi, _node_budget(params, freq))
         base = weights * params.bump(nodes) * nodes ** (0.5 * d)
         phase = np.exp(1j * scale * omega * nodes) * base
-        near = np.empty(len(r), dtype=np.complex128)
-        rows = max(1, _REMAINDER_BLOCK // len(nodes))
-        for s in range(0, len(r), rows):
-            u = np.multiply.outer(scale * r[s:s + rows], nodes)
-            near[s:s + rows] = bessel.bessel_remainder(order, u.ravel()).reshape(u.shape) @ phase
-        out[~far] = pref[~far] * near
+        kernel = functools.partial(bessel.bessel_remainder, order)
+        out[~far] = pref[~far] * _kernel_sums(kernel, scale * r, nodes, phase)
     return out
 
 
@@ -538,6 +548,12 @@ def field_row_fast(params: WaveParams, t: float, r_grid) -> WaveFieldRow:
 # Norms
 # ---------------------------------------------------------------------------
 
+# norm_lp grid: fine within this many units 2^-j of the light cone, with
+# this many steps per unit there
+_BAND_HALFWIDTH_UNITS = 128.0
+_FINE_STEP_DIVISOR = 64.0
+
+
 def shell_lp_norm(row: WaveFieldRow, p: float, r_range) -> float:
     """(Integral over r_range of |u|^p r^(d-1) dr)^(1/p) by the trapezoid rule.
 
@@ -559,12 +575,12 @@ def shell_lp_norm(row: WaveFieldRow, p: float, r_range) -> float:
     return float(np.trapezoid(vals**p * r ** (d - 1), r) ** (1.0 / p))
 
 
-def norm_lp(params: WaveParams, t: float, p: float, r_max: float | None = None,
-            band_halfwidth_units: float = 128.0, fine_step_divisor: float = 64.0) -> float:
+def norm_lp(params: WaveParams, t: float, p: float, r_max: float | None = None) -> float:
     """Lp norm (radial convention) of the field at time t over [0, r_max].
 
-    The grid is fine near the light cone |r - |t - t0|| <~ 2^-j and coarse
-    elsewhere; radii below 2^(-j+2) go through the direct quadrature path.
+    The grid is fine (step 2^-j / _FINE_STEP_DIVISOR) within
+    _BAND_HALFWIDTH_UNITS * 2^-j of the light cone r = |t - t0| and has step
+    2^-j elsewhere; radii below 2^(-j+2) go through the direct quadrature path.
     """
     d, j = params.d, params.j
     rho = abs(t - params.t_ref)
@@ -572,26 +588,16 @@ def norm_lp(params: WaveParams, t: float, p: float, r_max: float | None = None,
         r_max = params.t_ref + 4.0
     h = 2.0**-j
     r_switch = params.min_asymptotic_r
-    band_lo = max(r_switch, rho - band_halfwidth_units * h)
-    band_hi = min(r_max, rho + band_halfwidth_units * h)
+    band_lo = max(r_switch, rho - _BAND_HALFWIDTH_UNITS * h)
+    band_hi = min(r_max, rho + _BAND_HALFWIDTH_UNITS * h)
 
-    pieces = []
     inner_grid = np.linspace(0.0, r_switch, 49)
-    inner = propagate(params, t, inner_grid)
-    pieces.append((inner_grid, np.abs(inner.values)))
-
-    if band_lo > r_switch:
-        n = max(2, int(math.ceil((band_lo - r_switch) / h)) + 1)
-        g = np.linspace(r_switch, band_lo, n)
-        pieces.append((g, np.abs(field_row_fast(params, t, g).values)))
-    if band_hi > band_lo:
-        n = max(2, int(math.ceil((band_hi - band_lo) / (h / fine_step_divisor))) + 1)
-        g = np.linspace(band_lo, band_hi, n)
-        pieces.append((g, np.abs(field_row_fast(params, t, g).values)))
-    if r_max > band_hi:
-        n = max(2, int(math.ceil((r_max - band_hi) / h)) + 1)
-        g = np.linspace(band_hi, r_max, n)
-        pieces.append((g, np.abs(field_row_fast(params, t, g).values)))
+    pieces = [(inner_grid, np.abs(propagate(params, t, inner_grid).values))]
+    for lo, hi, step in ((r_switch, band_lo, h), (band_lo, band_hi, h / _FINE_STEP_DIVISOR),
+                         (band_hi, r_max, h)):
+        if hi > lo:
+            g = np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / step)) + 1))
+            pieces.append((g, np.abs(field_row_fast(params, t, g).values)))
 
     if math.isinf(p):
         return max(float(v.max()) for _, v in pieces)

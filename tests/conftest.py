@@ -8,6 +8,23 @@ sys.path.insert(0, str(Path(__file__).parent))
 from fracsmooth import sets
 
 
+def _fail_skip(report):
+    # no test may skip silently: a skipped test or module fails the run
+    if report.skipped and not hasattr(report, "wasxfail"):
+        report.outcome = "failed"
+        report.longrepr = f"skipped, and no tier-1 test may skip: {report.longrepr}"
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    _fail_skip((yield).get_result())
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_make_collect_report(collector):
+    _fail_skip((yield).get_result())
+
+
 @pytest.fixture
 def cantor_thirds():
     return sets.CantorLike(1.0, 2.0, 2, 1.0 / 3.0)

@@ -11,33 +11,64 @@ from decimal import Decimal, getcontext
 import numpy as np
 
 
-def j0_series_decimal(u: float, digits: int | None = None) -> float:
-    """J0(u) from its power series in high-precision decimal arithmetic.
+def _pi_decimal() -> Decimal:
+    """pi to the current Decimal precision, by Machin's formula."""
+    getcontext().prec += 5
 
-    The largest term is ~10^(0.87 u), so precision scales with u.
+    def arctan_inv(x: int) -> Decimal:
+        # arctan(1/x) = sum_k (-1)^k / ((2k + 1) x^(2k + 1))
+        power = total = Decimal(1) / x
+        k, eps = 0, Decimal(10) ** -(getcontext().prec + 2)
+        while power > eps:
+            k += 1
+            power /= x * x
+            total += (-1) ** k * power / (2 * k + 1)
+        return total
+
+    pi = 16 * arctan_inv(5) - 4 * arctan_inv(239)
+    getcontext().prec -= 5
+    return +pi
+
+
+def j_series_decimal(nu: float, u: float, digits: int | None = None) -> float:
+    """J_nu(u) for nu in {0, 1/2, 1, 3/2} from its power series in Decimal.
+
+    J_nu(u) = (u/2)^nu sum_k (-u^2/4)^k / (k! Gamma(k + nu + 1)), with
+    Gamma(3/2) = sqrt(pi)/2.  The largest term is ~10^(0.87 u), so precision
+    scales with u.
     """
+    if nu not in (0, 0.5, 1, 1.5):
+        raise ValueError(f"order {nu} not covered")
     if digits is None:
         digits = 60 + int(0.9 * abs(u))
     getcontext().prec = digits
-    q = Decimal(repr(u)) ** 2 / 4
+    half = Decimal(repr(u)) / 2
+    # (u/2)^nu / Gamma(nu + 1)
+    lead = half ** int(nu)
+    gamma = Decimal(1)
+    if nu != int(nu):
+        lead *= half.sqrt()
+        gamma = _pi_decimal().sqrt() / 2 * (Decimal(3) / 2 if nu == 1.5 else 1)
+    q = half**2
+    nu_dec = Decimal(repr(nu))
     term = Decimal(1)
     total = Decimal(1)
     k = 0
     while True:
         k += 1
-        term = -term * q / (k * k)
+        term = -term * q / (k * (k + nu_dec))
         total += term
         if abs(term) < Decimal(10) ** (-(digits - 5)) and k > abs(u):
             break
-    return float(total)
+    return float(lead / gamma * total)
 
 
 def j0_zero_bisect(lo: float, hi: float, tol: float = 1e-13) -> float:
     """Root of J0 in [lo, hi] by bisection on the Decimal series."""
-    flo = j0_series_decimal(lo)
+    flo = j_series_decimal(0, lo)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        fmid = j0_series_decimal(mid)
+        fmid = j_series_decimal(0, mid)
         if (flo < 0) == (fmid < 0):
             lo, flo = mid, fmid
         else:

@@ -6,7 +6,7 @@ import pytest
 from fracsmooth import bessel
 from fracsmooth.errors import OutOfRangeError, UnsupportedOrderError
 
-from oracles import j0_series_decimal, j0_zero_bisect
+from oracles import j0_zero_bisect, j_series_decimal
 
 
 def envelope(u):
@@ -32,7 +32,7 @@ def test_j0_first_zero_against_series_oracle():
 
 @pytest.mark.parametrize("u", [0.1, 1.0, 5.0, 11.9, 12.1, 40.0, 137.0, 1000.0])
 def test_j0_against_decimal_series(u):
-    ref = j0_series_decimal(u)
+    ref = j_series_decimal(0, u)
     err = abs(bessel.bessel_j(0, u) - ref)
     assert err <= 1e-10 * max(abs(ref), float(envelope(u)))
 
@@ -41,7 +41,7 @@ def test_j0_dense_grid_against_series_oracle():
     us = np.logspace(-2, 3, 40)
     vals = bessel.bessel_j(0, us)
     for u, v in zip(us, vals):
-        ref = j0_series_decimal(float(u))
+        ref = j_series_decimal(0, float(u))
         assert abs(v - ref) <= 1e-10 * max(abs(ref), float(envelope(u)))
 
 
@@ -52,6 +52,8 @@ def test_unsupported_orders():
         bessel.bessel_j(-0.5, 1.0)
     with pytest.raises(UnsupportedOrderError):
         bessel.bessel_j(2, 1.0)
+    with pytest.raises(UnsupportedOrderError):
+        bessel.bessel_j(2.5, 1.0)
     with pytest.raises(OutOfRangeError):
         bessel.bessel_j(0, -1.0)
 
@@ -66,7 +68,7 @@ def test_remainder_half_order_vanishes():
 
 def test_remainder_order_zero_at_ten():
     got = bessel.bessel_remainder(0.0, 10.0)
-    ref = j0_series_decimal(10.0) - math.sqrt(2.0 / (math.pi * 10.0)) * math.cos(10.0 - math.pi / 4.0)
+    ref = j_series_decimal(0, 10.0) - math.sqrt(2.0 / (math.pi * 10.0)) * math.cos(10.0 - math.pi / 4.0)
     assert got == pytest.approx(ref, abs=1e-12)
     assert abs(got) <= 0.15 * 10.0**-1.5
 
@@ -106,3 +108,21 @@ def test_radial_kernel_matches_bessel_j():
         nu = 0.5 * (d - 2)
         ref = bessel.bessel_j(nu, u) / u**nu
         assert np.abs(bessel.radial_kernel(d, u) - ref).max() < 1e-11
+
+
+# u in (0, 100], with both sides of the old small-argument switches (1e-4,
+# 0.5), of the half-order switch (2) and of the integer-order switch (12)
+_KERNEL_U = np.unique(np.concatenate([
+    np.logspace(-6.0, 2.0, 97),
+    [1e-4 * (1 - 1e-9), 1e-4, 0.499, 0.5, 0.501, 1.999, 2.0, 2.001, 11.99, 12.0, 12.01],
+]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_radial_kernel_against_decimal_series(d):
+    nu = 0.5 * (d - 2)
+    ref = np.array([j_series_decimal(nu, float(u)) for u in _KERNEL_U]) / _KERNEL_U**nu
+    # the oscillation envelope of J_nu(u) / u^nu
+    env = math.sqrt(2.0 / math.pi) * np.maximum(_KERNEL_U, 1.0) ** (-nu - 0.5)
+    err = np.abs(bessel.radial_kernel(d, _KERNEL_U) - ref) / np.maximum(np.abs(ref), env)
+    assert err.max() <= (1e-14 if d % 2 else 1e-10)
