@@ -10,8 +10,12 @@ heaviest call of the sharpness slopes; its inner disc r <= 2^(-j+2), 49
 radii through ``propagate``, sums the kernel's power series as sigma-moments
 instead of evaluating the kernel per radius and node.  Far radii (33 in
 [0.45, 0.55] at j = 10, t = 1.5) evaluate the radial kernel on blocks of
-radii x nodes through the one Bessel evaluator.  Best of three cold runs
-each:
+radii x nodes through the one Bessel evaluator.  One window of the
+sharpness slopes (512 shells of 17 radii, d = 3, j = 13) is one
+``field_row_fast`` lookup over the (times x radii) grid and one
+``shell_lp_norm`` reduction; its profile table is built before the timing,
+so the case times the lookups.  Best of three cold runs each (the data
+norms with their cache cleared):
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -43,6 +47,7 @@ def cold_profile_table(d):
 
 
 def cold_data_norm(d, j, p, t_ref=1.0):
+    wave.data_norm.cache_clear()
     wave._profile_cache.clear()
     wave._hankel_series.cache_clear()
     wave._kernel_series.cache_clear()
@@ -58,6 +63,11 @@ def cold_inner_disc(d, j, t_ref):
 def cold_far_radii(d, j, t):
     wave._kernel_series.cache_clear()
     wave.propagate(wave.WaveParams(d=d, j=j), t, np.linspace(0.45, 0.55, 33))
+
+
+def window_shells(params, times, grid, p):
+    rows = wave.field_row_fast(params, times, grid)
+    wave.shell_lp_norm(rows, p, (grid[:, 0], grid[:, -1]))
 
 
 def main():
@@ -78,6 +88,14 @@ def main():
     print(f"{'data_norm d=2 j=6 p=2':<32} {t*1e3:9.2f} ms")
     t = timeit(cold_data_norm, 3, 13, 3.0, 1.5)
     print(f"{'data_norm d=3 j=13 p=3':<32} {t*1e3:9.2f} ms")
+    params = wave.WaveParams(d=3, j=13, t_ref=1.0)
+    times = np.sort(np.random.default_rng(0).uniform(1.25, 1.5, 512))
+    rho = times - params.t_ref
+    half = 2.0 ** (-params.j - 5)
+    grid = np.linspace(rho - half, rho + half, 17, axis=1)
+    wave._profile_table(params.d, params.bump)
+    t = timeit(window_shells, params, times, grid, 2.5)
+    print(f"{'window d=3 j=13, 512 shells':<32} {t*1e3:9.2f} ms")
     t = timeit(cold_inner_disc, 3, 13, 1.5)
     print(f"{'inner disc d=3 j=13, 49 radii':<32} {t*1e3:9.2f} ms")
     for d in (2, 3, 4, 5):

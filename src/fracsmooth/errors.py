@@ -22,7 +22,7 @@ class InvalidSpectrumError(FracsmoothError, ValueError):
 
 
 class UnsupportedOrderError(FracsmoothError, ValueError):
-    """Bessel order outside the supported set {0, 1/2, 1, 3/2, ...}."""
+    """Bessel order outside the supported set {0, 1/2, 1, 3/2}."""
 
 
 class OutOfRangeError(FracsmoothError, ValueError):

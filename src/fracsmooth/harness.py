@@ -193,7 +193,11 @@ def choose_window(descriptor, j: int, alpha: float, min_factor: int):
 def _window_q(descriptor, params: wave.WaveParams, p: float, window, points, rng, config):
     """Sum of shell norms over the discretization times ``points`` (of
     ``descriptor`` at scale 2^-j) in the fuller half of the window,
-    normalized by the data norm."""
+    normalized by the data norm.
+
+    The shells of all (at most ``max_times``) times form one (times x radii)
+    grid: one ``field_row_fast`` lookup and one ``shell_lp_norm`` reduction
+    per window, summed as p-th powers in time order."""
     j = params.j
     delta = 2.0**-j
     lo, hi = window
@@ -215,13 +219,13 @@ def _window_q(descriptor, params: wave.WaveParams, p: float, window, points, rng
         pts = np.sort(pts[idx])
     params = wave.WaveParams(params.d, j, t_ref, params.bump, params.nodes_per_unit)
     gp = wave.data_norm(params, p) ** p
-    total = 0.0
     half_w = 2.0 ** (-j - 5)
-    for t in pts:
-        rho = abs(t - t_ref)
-        grid = np.linspace(rho - half_w, rho + half_w, config.shell_points)
-        row = wave.field_row_fast(params, t, grid)
-        total += wave.shell_lp_norm(row, p, (rho - half_w, rho + half_w)) ** p
+    rho = np.abs(pts - t_ref)
+    grid = np.linspace(rho - half_w, rho + half_w, config.shell_points, axis=1)
+    rows = wave.field_row_fast(params, pts, grid)
+    total = 0.0
+    for norm in wave.shell_lp_norm(rows, p, (rho - half_w, rho + half_w)).tolist():
+        total += norm**p
     return scale * total / gp
 
 

@@ -15,7 +15,8 @@ radii.
 ``main_terms`` splits the Bessel kernel into its two principal
 exponentials plus remainder, which turns the field into lookups of the fixed
 profiles  F_m(y) = Integral e^(i y sigma) bump(sigma) sigma^((d-1)/2 - m) dsigma
-and makes large parameter sweeps cheap: F_0 carries the two exponentials,
+and makes large parameter sweeps cheap (a whole (times x radii) grid is one
+set of array lookups): F_0 carries the two exponentials,
 and F_1 .. F_K the terms of the Hankel expansion of the remainder (DLMF
 10.17) wherever 2^j r sigma >= 12 over the whole bump, so that the remainder
 too is a sum of lookups; nearer radii integrate it directly.  Each profile
@@ -135,7 +136,8 @@ class RegionSpec:
 
 
 def region(params: WaveParams, t: float) -> RegionSpec:
-    rho = t - params.t_ref
+    """Shell around the cone radius |t - t0|, before and after the reference time."""
+    rho = abs(t - params.t_ref)
     half = 2.0 ** (-params.j - 5)
     return RegionSpec(t, rho - half, rho + half)
 
@@ -399,20 +401,38 @@ def _profile_eval(table, y):
     return out
 
 
-def main_terms_grid(params: WaveParams, t: float, r_grid):
+def _times_grid(params: WaveParams, t, r_grid):
+    """(omega, r_grid) for a time t with a 1-D radius grid, or for a vector
+    of n times with an (n x m) grid whose row i is taken at time t[i].
+
+    omega = t - t0 gets a trailing axis of length 1, so it broadcasts along
+    each row of radii.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    r_grid = np.asarray(r_grid, dtype=np.float64)
+    if t.ndim == 0:
+        r_grid = np.atleast_1d(r_grid)
+    if t.ndim > 1 or r_grid.shape[:-1] != t.shape:
+        raise OutOfRangeError("need one time with a 1-D radius grid, or n times with an (n x m) grid")
+    return (t - params.t_ref)[..., None], r_grid
+
+
+def main_terms_grid(params: WaveParams, t, r_grid):
     """(T_minus, T_plus, T_rem) arrays over a radius grid, r >= 2^(-j+2).
 
     T_pm(r) = (2 pi)^(-(d+1)/2) e^(-+ i pi (d-1)/4) r^(-(d-1)/2) 2^(j(d+1)/2)
               * F(2^j (t - t0 +- r)),
     the exact two-exponential split of the Bessel kernel; T_rem integrates
     the remainder of the kernel asymptotics (see ``_remainder_term``) and
-    vanishes identically in d = 3.
+    vanishes identically in d = 3.  ``t`` is one time with a 1-D grid, or n
+    times with an (n x m) grid whose row i is taken at time t[i]; all rows
+    go through the same array lookups, and each element gets the same bits
+    as in a one-row call.
     """
-    r_grid = np.atleast_1d(np.asarray(r_grid, dtype=np.float64))
+    omega, r_grid = _times_grid(params, t, r_grid)
     if np.any(r_grid < params.min_asymptotic_r):
         raise OutOfRangeError("main terms need r >= 2^(-j+2); use propagate below that")
     d, j = params.d, params.j
-    omega = t - params.t_ref
     scale = 2.0**j
     table = _profile_table(d, params.bump)
     pref = (
@@ -464,7 +484,7 @@ def _remainder_pref(params: WaveParams, r_grid):
     return TWO_PI ** (-0.5 * d) * 2.0 ** (j * 0.5 * (d + 2)) * r_grid ** (-0.5 * (d - 2))
 
 
-def _remainder_term(params: WaveParams, t: float, r_grid):
+def _remainder_term(params: WaveParams, t, r_grid):
     """T_rem(r) = pref(r) Integral e^(i 2^j omega sigma) bump(sigma) sigma^(d/2) R(2^j r sigma) dsigma.
 
     Here omega = t - t0, pref(r) = (2 pi)^(-d/2) 2^(j(d+2)/2) r^(-(d-2)/2)
@@ -474,23 +494,26 @@ def _remainder_term(params: WaveParams, t: float, r_grid):
         T_rem(r) = pref(r) sqrt(2/pi)/2 sum_{m=1..K} a_m (2^j r)^(-m-1/2)
                    * [i^m e^(-i chi) F_m(2^j (omega + r)) + (-i)^m e^(i chi) F_m(2^j (omega - r))].
     Nearer radii integrate R directly on composite Gauss-Legendre nodes
-    sized to the fastest phase among them, in blocks of radii.  T_rem is 0
-    in d = 3 (K = 0), and exact lookups at every radius in d = 5 (K = 1).
+    sized to the fastest phase among them, in blocks of radii, one time at
+    a time.  T_rem is 0 in d = 3 (K = 0), and exact lookups at every radius
+    in d = 5 (K = 1).  ``t`` and ``r_grid`` take the shapes of
+    ``main_terms_grid``.
     """
+    omega, r_grid = _times_grid(params, t, r_grid)
     d, j = params.d, params.j
     order = 0.5 * (d - 2)
     coeffs, _, u_cut = _hankel_series(order)
-    out = np.zeros(len(r_grid), dtype=np.complex128)
+    out = np.zeros(r_grid.shape, dtype=np.complex128)
     if len(coeffs) == 0:
         return out
-    omega = t - params.t_ref
     scale = 2.0**j
     lo, hi = params.bump.support
     pref = _remainder_pref(params, r_grid)
     far = scale * r_grid * lo >= u_cut
     if np.any(far):
         r = r_grid[far]
-        y_plus, y_minus = scale * (omega + r), scale * (omega - r)
+        w = np.broadcast_to(omega, r_grid.shape)[far]
+        y_plus, y_minus = scale * (w + r), scale * (w - r)
         rot = np.exp(-1j * (0.5 * order + 0.25) * math.pi)
         acc = np.zeros(len(r), dtype=np.complex128)
         for m, a in enumerate(coeffs, start=1):
@@ -501,28 +524,38 @@ def _remainder_term(params: WaveParams, t: float, r_grid):
                 + np.conj(i_m * rot) * _profile_eval(table, y_minus)
             )
         out[far] = math.sqrt(0.5 / math.pi) * pref[far] * acc
-    if not np.all(far):
-        r = r_grid[~far]
-        freq = scale * (abs(omega) + float(r.max()))
-        nodes, weights = composite_rule(lo, hi, _node_budget(params, freq))
-        base = weights * params.bump(nodes) * nodes ** (0.5 * d)
-        phase = np.exp(1j * scale * omega * nodes) * base
+    # near radii: one quadrature per time, with nodes sized from its own radii
+    near = ~np.atleast_2d(far)
+    rows = np.flatnonzero(near.any(axis=-1))
+    if len(rows):
         kernel = functools.partial(bessel.bessel_remainder, order)
-        out[~far] = pref[~far] * _kernel_sums(kernel, scale * r, nodes, phase)
+        omegas = np.ravel(omega)
+        radii, prefs, outs = np.atleast_2d(r_grid, pref, out)
+        for i in rows:
+            w, sel = float(omegas[i]), near[i]
+            r = radii[i][sel]
+            freq = scale * (abs(w) + float(r.max()))
+            nodes, weights = composite_rule(lo, hi, _node_budget(params, freq))
+            base = weights * params.bump(nodes) * nodes ** (0.5 * d)
+            phase = np.exp(1j * scale * w * nodes) * base
+            outs[i, sel] = prefs[i][sel] * _kernel_sums(kernel, scale * r, nodes, phase)
     return out
 
 
 def _truncation_bound(params: WaveParams, r_grid):
-    """Per-radius bound on the Hankel truncation error of T_rem; 0 off the lookup path."""
+    """Per-radius bound on the Hankel truncation error of T_rem; 0 off the lookup path.
+
+    ``r_grid`` is a 1-D or an (n x m) grid; the bound has its shape.
+    """
     d, j = params.d, params.j
     coeffs, tail, u_cut = _hankel_series(0.5 * (d - 2))
     if not tail.any():
-        return np.zeros(len(r_grid))
+        return np.zeros(r_grid.shape)
     scale = 2.0**j
     lo, hi = params.bump.support
     nodes, weights = composite_rule(lo, hi, _MIN_NODES)
     mass = weights * params.bump(nodes)
-    bound = np.zeros(len(r_grid))
+    bound = np.zeros(r_grid.shape)
     for m, a in enumerate(tail, start=len(coeffs) + 1):
         moment = float(np.dot(mass, nodes ** (0.5 * (d - 1) - m)))
         bound += a * (scale * r_grid) ** (-m - 0.5) * moment
@@ -530,18 +563,22 @@ def _truncation_bound(params: WaveParams, r_grid):
     return np.where(far, math.sqrt(2.0 / math.pi) * _remainder_pref(params, r_grid) * bound, 0.0)
 
 
-def field_row_fast(params: WaveParams, t: float, r_grid) -> WaveFieldRow:
+def field_row_fast(params: WaveParams, t, r_grid) -> WaveFieldRow:
     """Field row through the decomposition path (table lookups for T_pm and far T_rem).
 
+    ``t`` is one time with a 1-D grid, or n times with an (n x m) grid whose
+    row i is taken at time t[i] (see ``main_terms_grid``); the result then
+    holds all n rows, (n x m) values, in one ``WaveFieldRow``.
     ``err_rel`` is the Hankel truncation bound of T_rem relative to the row
-    maximum: 0 in d = 3 and d = 5, where the expansion is exact.
+    maximum, a float for one row and one per row for n: 0 in d = 3 and
+    d = 5, where the expansion is exact.
     """
-    r_grid = np.atleast_1d(np.asarray(r_grid, dtype=np.float64))
+    _, r_grid = _times_grid(params, t, r_grid)
     tm, tp, tr = main_terms_grid(params, t, r_grid)
     values = tm + tp + tr
-    bound = float(_truncation_bound(params, r_grid).max(initial=0.0))
-    err = bound / max(float(np.abs(values).max(initial=0.0)), 1e-300)
-    return WaveFieldRow(t, r_grid, values, err, params)
+    bound = _truncation_bound(params, r_grid).max(axis=-1, initial=0.0)
+    err = bound / np.maximum(np.abs(values).max(axis=-1, initial=0.0), 1e-300)
+    return WaveFieldRow(t, r_grid, values, err if err.ndim else float(err), params)
 
 
 # ---------------------------------------------------------------------------
@@ -554,25 +591,39 @@ _BAND_HALFWIDTH_UNITS = 128.0
 _FINE_STEP_DIVISOR = 64.0
 
 
-def shell_lp_norm(row: WaveFieldRow, p: float, r_range) -> float:
+def shell_lp_norm(row: WaveFieldRow, p: float, r_range):
     """(Integral over r_range of |u|^p r^(d-1) dr)^(1/p) by the trapezoid rule.
 
     The angular measure is omitted throughout the package; it cancels in all
-    reported ratios.  Requires grid step <= 2^-j / 32 inside r_range.
+    reported ratios.  ``row`` holds one ascending radius row, or n of them
+    (an (n x m) grid); the norm reduces along the radius axis, over the
+    segments whose ends both lie in r_range, and r_range = (lo, hi) holds
+    numbers or one bound per row.  Returns a float for one row and an array
+    of n floats for n rows.  The root is taken on Python floats, one row at
+    a time, so every row gets the bits of a one-row call.  Requires, in
+    every row, at least 3 radii and grid step <= 2^-j / 32 inside r_range.
     """
-    lo, hi = float(r_range[0]), float(r_range[1])
-    mask = (row.r_grid >= lo - 1e-15) & (row.r_grid <= hi + 1e-15)
-    r = row.r_grid[mask]
-    if len(r) < 3:
+    r = row.r_grid
+    lo = np.asarray(r_range[0], dtype=np.float64)[..., None]
+    hi = np.asarray(r_range[1], dtype=np.float64)[..., None]
+    mask = (r >= lo - 1e-15) & (r <= hi + 1e-15)
+    if np.any(mask.sum(axis=-1) < 3):
         raise RefineFailureError("grid under-resolves the shell", math.inf)
-    step = float(np.diff(r).max())
-    if step > 2.0 ** (-row.params.j) / 32.0 * (1.0 + 1e-9):
-        raise RefineFailureError("grid step too coarse for the shell", step)
-    vals = np.abs(row.values[mask])
+    inside = mask[..., 1:] & mask[..., :-1]
+    dr = np.diff(r, axis=-1)
+    step = np.where(inside, dr, 0.0).max(axis=-1)
+    if np.any(step > 2.0 ** (-row.params.j) / 32.0 * (1.0 + 1e-9)):
+        raise RefineFailureError("grid step too coarse for the shell", float(step.max()))
+    vals = np.abs(row.values)
     if math.isinf(p):
-        return float(vals.max())
-    d = row.params.d
-    return float(np.trapezoid(vals**p * r ** (d - 1), r) ** (1.0 / p))
+        norms = np.where(mask, vals, 0.0).max(axis=-1)
+        return norms if norms.ndim else float(norms)
+    f = vals**p * r ** (row.params.d - 1)
+    # the terms and the summation of np.trapezoid over each row's segments
+    areas = np.where(inside, dr * (f[..., 1:] + f[..., :-1]) / 2.0, 0.0).sum(axis=-1)
+    if areas.ndim == 0:
+        return float(areas) ** (1.0 / p)
+    return np.array([a ** (1.0 / p) for a in areas.tolist()])
 
 
 def norm_lp(params: WaveParams, t: float, p: float, r_max: float | None = None) -> float:
@@ -607,8 +658,13 @@ def norm_lp(params: WaveParams, t: float, p: float, r_max: float | None = None) 
     return total ** (1.0 / p)
 
 
+@functools.lru_cache(maxsize=None)
 def data_norm(params: WaveParams, p: float) -> float:
-    """Lp norm of the initial data itself (the field at time t = 0)."""
+    """Lp norm of the initial data itself (the field at time t = 0).
+
+    Cached per (params, p): the sharpness slopes normalize many windows by
+    the same norm.  Errors are not cached.
+    """
     if not (2.0 <= p or math.isinf(p)):
         raise OutOfRangeError("p must be in [2, inf]")
     return norm_lp(params, 0.0, p)

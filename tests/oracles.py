@@ -3,6 +3,8 @@
 Everything here deliberately avoids the package's own evaluation paths:
 high-precision Decimal series for Bessel values, explicit point-list covers,
 dense-grid Legendre transforms, and a chord-construction convex envelope.
+The one exception is ``window_q_per_time``, a per-time loop that pins the
+batched shell lookups of the sharpness slopes to one-row calls.
 """
 
 import math
@@ -124,5 +126,45 @@ def lower_convex_envelope(xs, ys):
 
 
 def trapezoid_norm(r, vals, p: float, d: int) -> float:
-    """(integral |vals|^p r^(d-1) dr)^(1/p) on an explicit grid."""
+    """(integral |vals|^p r^(d-1) dr)^(1/p) on an explicit grid; max |vals| for p = inf."""
+    if math.isinf(p):
+        return float(np.abs(vals).max())
     return float(np.trapezoid(np.abs(vals) ** p * np.asarray(r) ** (d - 1), r) ** (1.0 / p))
+
+
+def window_q_per_time(descriptor, params, p, window, points, rng, config):
+    """``harness._window_q`` as one field row and one shell norm per time.
+
+    A reference for the batched (times x radii) lookup, not for the field
+    values: each row still goes through ``wave.field_row_fast``, one time
+    and a 1-D grid per call, and the norms are added one at a time.
+    """
+    from fracsmooth import sets, wave
+
+    j = params.j
+    delta = 2.0**-j
+    lo, hi = window
+    mid = 0.5 * (lo + hi)
+    n_left = sets.covering_number(descriptor, (lo, mid), delta)
+    n_right = sets.covering_number(descriptor, (mid, hi), delta)
+    if n_right >= n_left:
+        half, t_ref = (mid, hi), lo
+    else:
+        half, t_ref = (lo, mid), hi
+    pts = points[(points >= half[0]) & (points <= half[1])]
+    pts = pts[np.abs(pts - t_ref) >= 0.25 * (hi - lo) - 1e-12]
+    scale = 1.0
+    if config.max_times is not None and len(pts) > config.max_times:
+        idx = rng.choice(len(pts), size=config.max_times, replace=False)
+        scale = len(pts) / config.max_times
+        pts = np.sort(pts[idx])
+    params = wave.WaveParams(params.d, j, t_ref, params.bump, params.nodes_per_unit)
+    gp = wave.data_norm(params, p) ** p
+    total = 0.0
+    half_w = 2.0 ** (-j - 5)
+    for t in pts:
+        rho = abs(t - t_ref)
+        grid = np.linspace(rho - half_w, rho + half_w, config.shell_points)
+        row = wave.field_row_fast(params, t, grid)
+        total += wave.shell_lp_norm(row, p, (rho - half_w, rho + half_w)) ** p
+    return scale * total / gp

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fracsmooth
@@ -112,6 +113,20 @@ def test_wave_sim(set_files, tmp_path):
     rc = cli.cli(["wave-sim", "--d", "3", "--j", "7", "--times", "1.4", "--format", "json", "--out", str(hdr)])
     assert rc == 0
     assert json.loads(hdr.read_text())["j"] == 7
+
+
+def test_wave_sim_before_reference_time(capsys):
+    # rows sit on the shell at the cone radius |t - t0| = 0.3, not near r = 0
+    assert cli.cli(["wave-sim", "--d", "3", "--j", "8", "--t-ref", "1.5", "--times", "1.2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "t,r,re_u,im_u" and len(lines) == 1 + 33
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    half = 2.0**-13
+    assert rows[0, 1] == pytest.approx(0.3 - half, abs=1e-15)
+    assert rows[-1, 1] == pytest.approx(0.3 + half, abs=1e-15)
+    ref = wave.propagate(wave.WaveParams(d=3, j=8, t_ref=1.5), 1.2, rows[:, 1]).values
+    got = rows[:, 2] + 1j * rows[:, 3]
+    assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
 
 
 def test_wave_sim_runtime_failure_exit_code(monkeypatch, capsys):

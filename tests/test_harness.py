@@ -7,6 +7,8 @@ import pytest
 from fracsmooth import exponents, harness, sets, spectra
 from fracsmooth.errors import UnsupportedSetError
 
+import oracles
+
 
 def test_config_from_json_dict():
     cfg = harness.ExperimentConfig.from_json_dict(
@@ -58,6 +60,18 @@ def test_sharpness_point_set(single_point):
         cfg.p * exponents.ls_exponent(cfg.d, cfg.p, nu), abs=1.0 / 64.0
     )
     assert len(report.j_list) == len(report.log2_q) == len(report.windows)
+
+
+@pytest.mark.parametrize("name, d, p", [("cantor_thirds", 3, 2.5), ("cantor_thirds", 2, 2.5),
+                                        ("full_interval", 2, 4.0)])
+def test_sharpness_slope_matches_per_time_loop(request, monkeypatch, name, d, p):
+    # one (times x radii) lookup per window gives the bits of one lookup per
+    # time; the interval's short windows put d = 2 shells inside the radius
+    # where the remainder is integrated directly, one time at a time
+    cfg = harness.ExperimentConfig(request.getfixturevalue(name), d=d, p=p, j_min=8, j_max=11, seed=5)
+    batched = harness.run_sharpness_slope(cfg).to_csv()
+    monkeypatch.setattr(harness, "_window_q", oracles.window_q_per_time)
+    assert harness.run_sharpness_slope(cfg).to_csv() == batched
 
 
 def test_sharpness_report_serialization(single_point):

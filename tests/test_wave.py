@@ -42,10 +42,12 @@ def test_wave_params_validation():
 
 
 def test_region_spec():
-    params = wave.WaveParams(d=3, j=8, t_ref=1.0)
-    reg = wave.region(params, 1.5)
-    assert reg.width == pytest.approx(2.0**-12)
-    assert 0.5 * (reg.r_lo + reg.r_hi) == pytest.approx(0.5)
+    # the cone radius is |t - t0| on both sides of the reference time
+    for t_ref, t, rho in ((1.0, 1.5, 0.5), (1.5, 1.2, 0.3)):
+        params = wave.WaveParams(d=3, j=8, t_ref=t_ref)
+        reg = wave.region(params, t)
+        assert reg.width == pytest.approx(2.0**-12)
+        assert 0.5 * (reg.r_lo + reg.r_hi) == pytest.approx(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +343,47 @@ def test_field_row_fast_reports_truncation_bound(d):
     assert header["err_rel"] == [row.err_rel]
 
 
+def _batched_grid(params):
+    """Times and an (n x 9) radius grid: rows on and off the cone, before and
+    after t0, some inside the radius where d = 2, 4 integrate the remainder
+    directly, one straddling it, and the rest beyond it."""
+    times = np.array([1.05, 1.2, 0.85, 1.45, 1.6, 1.3])
+    bounds = [(0.032, 0.06), (0.1, 0.3), (0.14, 0.16), (0.4, 0.6), (0.55, 0.65), (0.2, 0.25)]
+    grid = np.array([np.linspace(lo, hi, 9) for lo, hi in bounds])
+    assert grid.min() >= params.min_asymptotic_r
+    return times, grid
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_batched_rows_match_per_row_calls(d):
+    params = wave.WaveParams(d=d, j=7, t_ref=1.0)
+    times, grid = _batched_grid(params)
+    near = 2.0**params.j * grid * params.bump.support[0] < wave._HANKEL_CUTOFF
+    assert near.all(axis=1).any() and near.any(axis=1).sum() > near.all(axis=1).sum()
+    batched = wave.main_terms_grid(params, times, grid)
+    row = wave.field_row_fast(params, times, grid)
+    assert row.values.shape == grid.shape and row.err_rel.shape == times.shape
+    for i, t in enumerate(times):
+        for got, want in zip(batched, wave.main_terms_grid(params, t, grid[i])):
+            np.testing.assert_array_equal(got[i], want)
+        one = wave.field_row_fast(params, t, grid[i])
+        np.testing.assert_array_equal(row.values[i], one.values)
+        assert row.err_rel[i] == one.err_rel and isinstance(one.err_rel, float)
+    if d in (2, 4):
+        assert np.all(batched[2][near] != 0.0)
+
+
+def test_batched_grid_shapes_must_match():
+    params = wave.WaveParams(d=3, j=7, t_ref=1.0)
+    times, grid = _batched_grid(params)
+    with pytest.raises(OutOfRangeError):
+        wave.main_terms_grid(params, times, grid[0])
+    with pytest.raises(OutOfRangeError):
+        wave.field_row_fast(params, times[:3], grid)
+    with pytest.raises(OutOfRangeError):
+        wave.main_terms_grid(params, 1.5, grid)
+
+
 # ---------------------------------------------------------------------------
 # shell_lp_norm
 # ---------------------------------------------------------------------------
@@ -360,6 +403,48 @@ def test_shell_norm_grid_requirements():
     row = wave.WaveFieldRow(1.5, coarse, np.ones(65, dtype=complex), 0.0, params)
     with pytest.raises(RefineFailureError):
         wave.shell_lp_norm(row, 2.0, (1.0, 2.0))
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 4.0, math.inf])
+def test_batched_shell_norm_matches_trapezoid_oracle(p):
+    params = wave.WaveParams(d=4, j=8, t_ref=1.0)
+    half = 2.0 ** (-8 - 5)
+    times = np.array([1.3, 1.45, 0.8, 1.7])
+    rho = np.abs(times - 1.0)
+    grid = np.linspace(rho - half, rho + half, 17, axis=1)
+    rows = wave.field_row_fast(params, times, grid)
+    norms = wave.shell_lp_norm(rows, p, (rho - half, rho + half))
+    assert norms.shape == times.shape
+    for i in range(len(times)):
+        assert norms[i] == trapezoid_norm(grid[i], rows.values[i], p, params.d)
+        one = wave.WaveFieldRow(times[i], grid[i], rows.values[i], 0.0, params)
+        assert norms[i] == wave.shell_lp_norm(one, p, (rho[i] - half, rho[i] + half))
+    # a range inside each row keeps the segments whose ends both lie in it
+    inner = wave.shell_lp_norm(rows, p, (rho - 0.5 * half, rho + half))
+    for i in range(len(times)):
+        keep = grid[i] >= rho[i] - 0.5 * half - 1e-15
+        assert keep.sum() == 13
+        assert inner[i] == pytest.approx(trapezoid_norm(grid[i][keep], rows.values[i][keep], p, params.d),
+                                         rel=1e-14)
+
+
+def test_batched_shell_norm_checks_every_row():
+    params = wave.WaveParams(d=3, j=8, t_ref=1.0)
+    half = 2.0 ** (-8 - 5)
+    rho = np.array([0.3, 0.4, 0.5])
+    grid = np.linspace(rho - half, rho + half, 17, axis=1)
+    rows = wave.field_row_fast(params, 1.0 + rho, grid)
+    lo, hi = grid[:, 0].copy(), grid[:, -1].copy()
+    assert np.all(wave.shell_lp_norm(rows, 2.0, (lo, hi)) > 0.0)
+    # the middle row has only two radii inside its range
+    hi[1] = grid[1, 1]
+    with pytest.raises(RefineFailureError, match="under-resolves"):
+        wave.shell_lp_norm(rows, 2.0, (lo, hi))
+    # the last row is 16 times wider: step 2^-j / 16 > 2^-j / 32
+    grid[2] = np.linspace(rho[2] - 16 * half, rho[2] + 16 * half, 17)
+    rows = wave.field_row_fast(params, 1.0 + rho, grid)
+    with pytest.raises(RefineFailureError, match="too coarse"):
+        wave.shell_lp_norm(rows, 2.0, (grid[:, 0], grid[:, -1]))
 
 
 def test_shell_norm_grid_doubling_stability():
@@ -427,6 +512,21 @@ def test_data_norm_domain():
     params = wave.WaveParams(d=3, j=8)
     with pytest.raises(OutOfRangeError):
         wave.data_norm(params, 1.5)
+
+
+def test_data_norm_cached_per_params_and_p():
+    params = wave.WaveParams(d=3, j=7, t_ref=1.4)
+    first = wave.data_norm(params, 3.0)
+    hits = wave.data_norm.cache_info().hits
+    again = wave.data_norm(wave.WaveParams(d=3, j=7, t_ref=1.4), 3.0)
+    assert again is first
+    assert wave.data_norm.cache_info().hits == hits + 1
+    # a failed call is not cached, and raises again
+    size = wave.data_norm.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(OutOfRangeError):
+            wave.data_norm(params, 1.5)
+    assert wave.data_norm.cache_info().currsize == size
 
 
 def test_mass_concentrates_on_cone():
