@@ -7,8 +7,11 @@ the interval is counted in closed form, the other sets by the greedy sweep
 with a shared step cache.  The profile table is one FFT, and the d = 2 data
 norm mostly Hankel-term profile lookups.  The d = 3, j = 13 data norm is the
 heaviest call of the sharpness slopes; its inner disc r <= 2^(-j+2), 49
-radii through ``propagate``, sums the kernel's power series as sigma-moments
-instead of evaluating the kernel per radius and node.  Far radii (33 in
+radii through ``propagate`` at t = 0, sums the kernel's power series as
+sigma-moments by the trapezoid rule in sigma, on nodes sized to the
+frequency 2^j t_ref instead of evaluating the kernel per radius and node.
+The same disc at the focus t = t_ref (d = 2, j = 10) has the fewest nodes.
+Far radii (33 in
 [0.45, 0.55] at j = 10, t = 1.5) evaluate the radial kernel on blocks of
 radii x nodes through the one Bessel evaluator.  One window of the
 sharpness slopes (512 shells of 17 radii, d = 3, j = 13) is one
@@ -54,10 +57,10 @@ def cold_data_norm(d, j, p, t_ref=1.0):
     wave.data_norm(wave.WaveParams(d=d, j=j, t_ref=t_ref), p)
 
 
-def cold_inner_disc(d, j, t_ref):
+def cold_inner_disc(d, j, t_ref, t=0.0):
     wave._kernel_series.cache_clear()
     params = wave.WaveParams(d=d, j=j, t_ref=t_ref)
-    wave.propagate(params, 0.0, np.linspace(0.0, params.min_asymptotic_r, 49))
+    wave.propagate(params, t, np.linspace(0.0, params.min_asymptotic_r, 49))
 
 
 def cold_far_radii(d, j, t):
@@ -98,6 +101,8 @@ def main():
     print(f"{'window d=3 j=13, 512 shells':<32} {t*1e3:9.2f} ms")
     t = timeit(cold_inner_disc, 3, 13, 1.5)
     print(f"{'inner disc d=3 j=13, 49 radii':<32} {t*1e3:9.2f} ms")
+    t = timeit(cold_inner_disc, 2, 10, 1.0, 1.0)
+    print(f"{'inner disc d=2 j=10 at focus':<32} {t*1e3:9.2f} ms")
     for d in (2, 3, 4, 5):
         t = timeit(cold_far_radii, d, 10, 1.5)
         print(f"{f'far radii d={d} j=10, 33 radii':<32} {t*1e3:9.2f} ms")

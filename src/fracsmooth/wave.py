@@ -6,12 +6,14 @@ The field with frequency-localized radial data is
               * J_nu(s r) (s r)^(-nu) s^(d-1) ds,         nu = (d - 2) / 2,
 
 where t0 is the reference time carried by the data.  ``propagate`` evaluates
-this directly with composite Gauss-Legendre panels sized to the fastest
-phase.  At near radii, where 2^j r sigma <= 12 over the whole bump, the
-kernel is its power series sum_k c_k (s r)^(2k), so the sum over nodes
-factors into K ~ 30 sigma-moments shared by all near radii and one Horner
-evaluation in (2^j r)^2; farther radii evaluate the kernel on blocks of
-radii.
+this directly.  At near radii, where 2^j r sigma <= 12 over the whole bump,
+the kernel is its power series sum_k c_k (s r)^(2k), so the integral
+factors into K ~ 30 sigma-moments
+M_k(y) = Integral e^(i y sigma) bump(sigma) sigma^(d-1+2k) dsigma at
+y = 2^j (t - t0), shared by all near radii, and one power series in
+(2^j r)^2; the moments are summed by the trapezoid rule in sigma, as the
+profiles below are.  Farther radii evaluate the kernel on composite
+Gauss-Legendre panels sized to the fastest phase, in blocks of radii.
 ``main_terms`` splits the Bessel kernel into its two principal
 exponentials plus remainder, which turns the field into lookups of the fixed
 profiles  F_m(y) = Integral e^(i y sigma) bump(sigma) sigma^((d-1)/2 - m) dsigma
@@ -24,7 +26,7 @@ is tabulated on a uniform y grid by the trapezoid rule in sigma, which for
 this smooth, compactly supported integrand converges faster than any power
 of the step; on that grid the rule is a single FFT, checked by doubling the
 FFT length.  Both paths are validated against each other, ``propagate`` by
-node doubling.
+halving its steps.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ from .errors import OutOfRangeError, RefineFailureError, UnsupportedOrderError
 
 TWO_PI = 2.0 * math.pi
 
-# nodes per unit of phase frequency; doubling this must not move any output
-# by more than the relative tolerance below
+# Gauss-Legendre nodes per unit of phase frequency (the direct quadrature's
+# far radii); doubling this must not move any output by more than the
+# relative tolerance below
 NODES_PER_UNIT = 8
 QUAD_RTOL = 1e-6
 
@@ -58,6 +61,9 @@ _PROFILE_TAIL_SPAN = 4.0
 # so the first length gives y_max = 512
 _PROFILE_FFT_MIN = 2**17
 _PROFILE_FFT_MAX = 2**21
+# alias distance of the first profile table: its nearest alias lies
+# 3/4 of the FFT's y range from every kept y
+_ALIAS_MARGIN = 0.75 * _PROFILE_FFT_MIN * _PROFILE_STEP
 
 # Hankel expansion of the Bessel remainder: above this u the series replaces
 # direct quadrature (the same cutoff at which J0/J1 switch to it), and it
@@ -65,8 +71,11 @@ _PROFILE_FFT_MAX = 2**21
 # quadrature tolerance, relative to the leading term there
 _HANKEL_CUTOFF = backend.SERIES_CUTOFF
 _HANKEL_RTOL = 0.1 * QUAD_RTOL
-# radius x node elements per block of the direct kernel quadratures
+# radius x node elements per block of the direct kernel quadratures, and
+# moment x node elements per block of the near-radius moments (small enough
+# to stay in cache)
 _KERNEL_BLOCK = 2**14
+_MOMENT_BLOCK = 2**12
 
 
 def smooth_bump(x):
@@ -237,77 +246,143 @@ def _kernel_sums(kernel, x, nodes, phase):
     return out
 
 
-def _field_quadrature(params: WaveParams, t: float, r_grid, n_min: int):
-    """Direct evaluation of the field integral at every radius in r_grid.
+def _trapezoid_indices(bump: BumpSpec, h: float, shift: float = 0.0):
+    """The k with node (k + shift) h inside the closed bump support."""
+    lo, hi = bump.support
+    return np.arange(math.ceil(lo / h - shift), math.floor(hi / h - shift) + 1)
 
-    The sum over nodes sigma_n with weights phase_n (quadrature weight,
-    bump, sigma^(d-1) and the time phase) runs two ways.  Near radii, with
-    u_max = 2^j r sigma_hi <= _KERNEL_SERIES_CUTOFF, expand the kernel as
-    ``_kernel_series``: the sum factors into the moments
-    M_k = sum_n phase_n sigma_n^(2k), and u(r) = pref sum_k c_k M_k x^k with
-    x = (2^j r)^2, one Horner evaluation for all near radii.  The moments
-    come from one running product, so memory stays O(nodes).  Far radii
-    evaluate ``bessel.radial_kernel`` on the nodes, in blocks of radii
-    (``_kernel_sums``).
 
-    Returns the values and the triangle-inequality bound on |u|, which sets
-    the scale below which differences are quadrature noise.
+def _moment_step(y: float, level: int) -> float:
+    """Trapezoid step h of the near-radius moments at frequency y.
+
+    h puts the first alias 2 pi / h at least _ALIAS_MARGIN beyond |y| and
+    halves with each level; rounded down to 8 significant bits it keeps
+    every node m h exact (for m < 2^21).
+    """
+    mant, expo = math.frexp(TWO_PI / ((abs(y) + _ALIAS_MARGIN) * 2**level))
+    return math.ldexp(math.floor(math.ldexp(mant, 8)), expo - 8)
+
+
+def _exact_sums(terms, top):
+    """Sums along the last axis, rounding only parts below 2^-30 of ``top``.
+
+    ``top`` bounds |terms| row by row (it broadcasts against terms[..., :1]).
+    Adding and subtracting big = 1.5 2^(e + 23), where top < 2^e, splits each
+    term into a head on the grid 2^(e - 29) and an exact tail below
+    2^(e - 30).  Fewer than 2^24 heads add without rounding, in any order, so
+    only the small tails round.  The moments of an oscillatory sum cancel to
+    far below their largest term, which a plain sum would blur by its
+    rounding.
+    """
+    big = np.ldexp(1.5, np.frexp(top)[1] + 23)
+    head = terms + big
+    head -= big
+    return head.sum(axis=-1) + (terms - head).sum(axis=-1)
+
+
+def _field_quadrature(params: WaveParams, t: float, r_grid, level: int):
+    """Coarse and fine direct evaluations of the field at every radius in r_grid.
+
+    Near radii (u_max = 2^j r sigma_hi <= _KERNEL_SERIES_CUTOFF) expand the
+    kernel as ``_kernel_series``: u(r) = pref sum_k c_k M_k x^k, x = (2^j r)^2,
+    with the moments M_k of bump(sigma) sigma^(d-1+2k) e^(i y sigma),
+    y = 2^j (t - t0), summed by the trapezoid rule on the nodes m h,
+    h = ``_moment_step(y, level + 1)``: all m for the fine rule, the even m
+    for the coarse one.  Its error is the sum of the aliases at
+    y -+ 2 pi l / h (Poisson summation).  The series amplifies rounding in
+    M_k by up to a few hundred, hence ``_exact_sums`` for the fine rule; the
+    coarse rule, which only checks it, is a plain sum.  Far radii evaluate
+    ``bessel.radial_kernel`` on 2^level and 2^(level+1) times the
+    Gauss-Legendre budget of the fastest phase, in blocks of radii.
+    Returns (coarse, fine, bound), the bound being the fine rule's
+    triangle-inequality bound on |u|.
     """
     d, j = params.d, params.j
     lo, hi = params.bump.support
-    nodes, weights = composite_rule(lo, hi, n_min)
     omega = t - params.t_ref
     scale = 2.0**j
-    base = weights * params.bump(nodes) * nodes ** (d - 1)
-    phase = np.exp(1j * scale * omega * nodes) * base
+    y = scale * omega
     pref = TWO_PI ** (-0.5 * d) * 2.0 ** (j * d)
-    out = np.empty(len(r_grid), dtype=np.complex128)
+    coarse = np.empty(len(r_grid), dtype=np.complex128)
+    fine = np.empty(len(r_grid), dtype=np.complex128)
     near = scale * r_grid * hi <= _KERNEL_SERIES_CUTOFF
     if np.any(near):
-        coeffs = _kernel_series(d)
-        moments = np.empty(len(coeffs), dtype=np.complex128)
-        sq = nodes * nodes
-        power = phase.copy()
-        for k in range(len(coeffs)):
-            moments[k] = power.sum()
-            power *= sq
         x = (scale * r_grid[near]) ** 2
-        acc = np.zeros(len(x), dtype=np.complex128)
-        for a in (coeffs * moments)[::-1]:
-            acc = acc * x + a
-        out[near] = pref * acc
+        # the series terms that reach _KERNEL_SERIES_ATOL at the largest u
+        coeffs = _kernel_series(d)
+        big_terms = np.abs(coeffs) * (x.max() * hi * hi) ** np.arange(len(coeffs))
+        coeffs = coeffs[:np.flatnonzero(big_terms >= _KERNEL_SERIES_ATOL)[-1] + 1]
+        h = _moment_step(y, level + 1)
+        m = _trapezoid_indices(params.bump, h)
+        sigma = m * h
+        even = slice(int(m[0]) % 2, None, 2)
+        base = h * params.bump(sigma) * sigma ** (d - 1)
+        # y_hi = y rounded to single precision makes every y_hi sigma exact,
+        # so the phase is correct to its own rounding, not to that of
+        # |y sigma|, which would swamp the small fields at t = 0
+        y_hi = float(np.float32(y))
+        phase = np.exp(1j * y_hi * sigma) * np.exp(1j * (y - y_hi) * sigma) * base
+        # the terms phase sigma^(2k) of the moments, real and imaginary
+        # parts, from one running product, in blocks of about _MOMENT_BLOCK
+        # (k, sigma_n) elements; the coarse rule only checks the fine one,
+        # so a plain sum serves it
+        sq = sigma * sigma
+        # |phase| sigma_hi^(2k) bounds row k, within a factor 100 in d <= 5
+        top = float(np.abs(phase).max()) * sq[-1] ** np.arange(len(coeffs))
+        coarse_sums, fine_sums = np.empty((2, len(coeffs), 2))
+        block = np.empty((max(1, _MOMENT_BLOCK // len(sigma)), 2, len(sigma)))
+        block[0] = phase.real, phase.imag
+        for k0 in range(0, len(coeffs), len(block)):
+            rows = block[:len(coeffs) - k0]
+            if k0:
+                np.multiply(block[-1], sq, out=rows[0])
+            for i in range(1, len(rows)):
+                np.multiply(rows[i - 1], sq, out=rows[i])
+            coarse_sums[k0:k0 + len(rows)] = 2.0 * rows[..., even].sum(axis=-1)
+            fine_sums[k0:k0 + len(rows)] = _exact_sums(rows, top[k0:k0 + len(rows), None, None])
+        # the coarse and the fine moments, summed against the powers of x
+        # (elementwise: a BLAS product would start its thread buffers)
+        sums = np.stack((coarse_sums, fine_sums))
+        terms = coeffs * (sums[..., 0] + 1j * sums[..., 1])
+        series = (np.vander(x, len(coeffs), increasing=True) * terms[:, None, :]).sum(axis=-1)
+        coarse[near], fine[near] = pref * series
     if not np.all(near):
+        freq = scale * (abs(omega) + float(r_grid.max()))
+        n = _node_budget(params, freq) * 2**level
         kernel = functools.partial(bessel.radial_kernel, d)
-        out[~near] = pref * _kernel_sums(kernel, scale * r_grid[~near], nodes, phase)
+        for out, n_min in ((coarse, n), (fine, 2 * n)):
+            nodes, weights = composite_rule(lo, hi, n_min)
+            base = weights * params.bump(nodes) * nodes ** (d - 1)
+            phase = np.exp(1j * y * nodes) * base
+            out[~near] = pref * _kernel_sums(kernel, scale * r_grid[~near], nodes, phase)
     # |radial_kernel| <= 1 in every supported dimension
-    return out, pref * float(np.abs(base).sum())
+    return coarse, fine, pref * float(np.abs(base).sum())
 
 
 def propagate(params: WaveParams, t: float, r_grid) -> WaveFieldRow:
-    """Field values u(r, t) on a radius grid, with a node-doubling check.
+    """Field values u(r, t) on a radius grid, with a refinement check.
 
-    Node count resolves the fastest phase: >= K (1 + 2^j (|t - t0| + r)).
-    Each node count runs ``_field_quadrature``: near radii (2^j r sigma_hi
-    <= 12) as sigma-moments of the kernel's power series, far radii with the
-    kernel evaluated on blocks of radii.
-    Raises RefineFailureError when doubling twice still moves the result by
-    more than QUAD_RTOL relative to the row magnitude.
+    Each level runs ``_field_quadrature``: near radii (2^j r sigma_hi <= 12)
+    as trapezoid-rule sigma-moments of the kernel's power series, at a step
+    and at half of it; far radii on composite Gauss-Legendre nodes,
+    >= K (1 + 2^j (|t - t0| + r_max)) of them and twice that, with the
+    kernel evaluated on blocks of radii.  Each level halves the trapezoid
+    step and doubles the Gauss-Legendre nodes.
+    Raises RefineFailureError, with the achieved error, when three levels
+    still move the result by more than QUAD_RTOL relative to the row
+    magnitude.
     """
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=np.float64))
-    if np.any(r_grid < 0):
-        raise OutOfRangeError("radii must be nonnegative")
-    freq = 2.0**params.j * (abs(t - params.t_ref) + float(r_grid.max(initial=0.0)))
-    n = _node_budget(params, freq)
-    coarse, _ = _field_quadrature(params, t, r_grid, n)
-    for _ in range(3):
-        fine, bound = _field_quadrature(params, t, r_grid, 2 * n)
+    if r_grid.size == 0 or np.any(r_grid < 0):
+        raise OutOfRangeError("need one or more radii, all nonnegative")
+    for level in range(3):
+        coarse, fine, bound = _field_quadrature(params, t, r_grid, level)
         # where the field is negligible against its a-priori bound, accuracy
         # relative to that bound is what matters
         scale = max(float(np.abs(fine).max()), 1e-4 * bound, 1e-300)
         err = float(np.abs(fine - coarse).max()) / scale
         if err <= QUAD_RTOL:
             return WaveFieldRow(t, r_grid, fine, err, params)
-        n, coarse = 2 * n, fine
     raise RefineFailureError("field quadrature did not converge", err)
 
 
@@ -330,9 +405,8 @@ def _profile_fft(power: float, bump: BumpSpec, n: int, shift: float = 0.0):
     on the kept range y <= n dy / 4 the nearest lies at least 3 n dy / 4
     away.  shift = 1/2 gives the midpoint rule.
     """
-    lo, hi = bump.support
     h = TWO_PI / (n * _PROFILE_STEP)
-    k = np.arange(math.ceil(lo / h - shift), math.floor(hi / h - shift) + 1)
+    k = _trapezoid_indices(bump, h, shift)
     sigma = (k + shift) * h
     buf = np.zeros(n)
     buf[k % n] = h * bump(sigma) * sigma**power
@@ -632,6 +706,7 @@ def norm_lp(params: WaveParams, t: float, p: float, r_max: float | None = None) 
     The grid is fine (step 2^-j / _FINE_STEP_DIVISOR) within
     _BAND_HALFWIDTH_UNITS * 2^-j of the light cone r = |t - t0| and has step
     2^-j elsewhere; radii below 2^(-j+2) go through the direct quadrature path.
+    Every piece, the inner disc included, stops at r_max.
     """
     d, j = params.d, params.j
     rho = abs(t - params.t_ref)
@@ -639,10 +714,10 @@ def norm_lp(params: WaveParams, t: float, p: float, r_max: float | None = None) 
         r_max = params.t_ref + 4.0
     h = 2.0**-j
     r_switch = params.min_asymptotic_r
-    band_lo = max(r_switch, rho - _BAND_HALFWIDTH_UNITS * h)
+    band_lo = min(r_max, max(r_switch, rho - _BAND_HALFWIDTH_UNITS * h))
     band_hi = min(r_max, rho + _BAND_HALFWIDTH_UNITS * h)
 
-    inner_grid = np.linspace(0.0, r_switch, 49)
+    inner_grid = np.linspace(0.0, min(r_switch, r_max), 49)
     pieces = [(inner_grid, np.abs(propagate(params, t, inner_grid).values))]
     for lo, hi, step in ((r_switch, band_lo, h), (band_lo, band_hi, h / _FINE_STEP_DIVISOR),
                          (band_hi, r_max, h)):

@@ -168,3 +168,41 @@ def window_q_per_time(descriptor, params, p, window, points, rng, config):
         row = wave.field_row_fast(params, t, grid)
         total += wave.shell_lp_norm(row, p, (rho - half_w, rho + half_w)) ** p
     return scale * total / gp
+
+
+def field_gauss_legendre(params, t: float, radii, n: int):
+    """The field u(r, t) of ``wave.propagate`` by dense Gauss-Legendre quadrature.
+
+    Composite 16-point panels, a power of two of them with at least n nodes,
+    so that the panel edges are exact; the radial kernel evaluated at every
+    radius and node; and the phase
+    2^j (t - t0) sigma split exactly into its rounded value and the rounding
+    error (Dekker's two-product), so that neither loses digits to the
+    rounding of a large phase.  Returns (values, bound), the bound being the
+    sum of |weights| times the prefactor, the triangle bound on |u|.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    from fracsmooth import bessel
+
+    d, j = params.d, params.j
+    lo, hi = params.bump.support
+    x, w = leggauss(16)
+    panels = 1 << math.ceil(math.log2(n / 16))
+    half = 0.5 * (hi - lo) / panels
+    nodes = (np.linspace(lo, hi, panels + 1)[:-1, None] + half * (x + 1.0)).ravel()
+    weights = np.tile(half * w, panels) * params.bump(nodes) * nodes ** (d - 1)
+    y = 2.0**j * (t - params.t_ref)
+
+    def halves(a):
+        c = 134217729.0 * a  # 2^27 + 1
+        top = c - (c - a)
+        return top, a - top
+
+    prod = y * nodes
+    (yh, yl), (sh, sl) = halves(y), halves(nodes)
+    err = ((yh * sh - prod) + yh * sl + yl * sh) + yl * sl
+    phase = np.exp(1j * prod) * np.exp(1j * err) * weights
+    pref = (2.0 * math.pi) ** (-0.5 * d) * 2.0 ** (j * d)
+    vals = np.array([pref * (bessel.radial_kernel(d, 2.0**j * r * nodes) @ phase) for r in radii])
+    return vals, pref * float(np.abs(weights).sum())

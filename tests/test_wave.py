@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsmooth import backend, bessel, wave
 from fracsmooth.errors import OutOfRangeError, RefineFailureError
 
+import oracles
 from oracles import trapezoid_norm
 
 SQ2PI = math.sqrt(2.0 / math.pi)
@@ -90,8 +93,9 @@ def test_propagate_light_cone_growth():
 
 def test_propagate_rejects_negative_radius():
     params = wave.WaveParams(d=3, j=8)
-    with pytest.raises(OutOfRangeError):
-        wave.propagate(params, 1.5, np.array([-0.1]))
+    for radii in ([-0.1], []):
+        with pytest.raises(OutOfRangeError):
+            wave.propagate(params, 1.5, np.array(radii))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -118,25 +122,78 @@ def test_propagate_moment_series_matches_per_radius_kernel(d, t):
     params = wave.WaveParams(d=d, j=8, t_ref=1.3)
     r_cut = _kernel_cut_radius(params)
     grid = np.sort(np.append(np.linspace(0.0, 3.0 * r_cut, 31), r_cut))
-    assert 0 < np.sum(grid <= r_cut) < len(grid)
+    near = grid <= r_cut
+    assert 0 < np.sum(near) < len(grid)
     row = wave.propagate(params, t, grid)
-    # the nodes propagate returns its values on: one doubling of the budget
-    freq = 2.0**params.j * (abs(t - params.t_ref) + grid.max())
-    n = 2 * wave._node_budget(params, freq)
-    _, bound = wave._field_quadrature(params, t, grid, n)
-    nodes, weights = wave.composite_rule(*params.bump.support, n)
-    phase = np.exp(1j * 2.0**params.j * (t - params.t_ref) * nodes) * weights * params.bump(nodes) * nodes ** (d - 1)
+    # the nodes propagate returns its values on, the fine rules of the first
+    # level: the near radii's trapezoid nodes at the halved step and the far
+    # radii's doubled Gauss-Legendre budget
+    scale = 2.0**params.j
+    y = scale * (t - params.t_ref)
     pref = (2 * math.pi) ** (-0.5 * d) * 2.0 ** (params.j * d)
-    oracle = np.array([pref * (bessel.radial_kernel(d, 2.0**params.j * r * nodes) @ phase) for r in grid])
-    assert np.abs(row.values - oracle).max() <= 1e-10 * bound
+    _, _, bound = wave._field_quadrature(params, t, grid, 0)
+    h = wave._moment_step(y, 1)
+    sigma = h * np.arange(math.ceil(params.bump.support[0] / h), math.floor(params.bump.support[1] / h) + 1)
+    n = 2 * wave._node_budget(params, scale * (abs(t - params.t_ref) + grid.max()))
+    nodes, weights = wave.composite_rule(*params.bump.support, n)
+    for sel, x, w in ((near, sigma, h), (~near, nodes, weights)):
+        phase = np.exp(1j * y * x) * w * params.bump(x) * x ** (d - 1)
+        oracle = np.array([pref * (bessel.radial_kernel(d, scale * r * x) @ phase) for r in grid[sel]])
+        assert np.abs(row.values[sel] - oracle).max() <= 1e-10 * bound
 
 
 def test_propagate_inner_disc_evaluates_no_kernel(monkeypatch):
+    # the inner disc is all near radii: moments on the trapezoid nodes only,
+    # with no Gauss-Legendre rule and no kernel evaluation
     params = wave.WaveParams(d=2, j=10, t_ref=1.0)
     calls = []
     monkeypatch.setattr(bessel, "radial_kernel", lambda d, u: calls.append(d))
+    monkeypatch.setattr(wave, "composite_rule", lambda *args: calls.append(args))
     wave.propagate(params, 0.0, np.linspace(0.0, params.min_asymptotic_r, 49))
     assert calls == []
+
+
+def test_propagate_near_refinement_is_bounded(monkeypatch):
+    # at the focus an alias margin of 4 leaves 1, 2, 4 and 8 trapezoid nodes
+    # on the bump: three halvings of the step cannot converge, and propagate
+    # gives up with the achieved error
+    monkeypatch.setattr(wave, "_ALIAS_MARGIN", 4.0)
+    params = wave.WaveParams(d=3, j=8, t_ref=1.3)
+    with pytest.raises(RefineFailureError) as info:
+        wave.propagate(params, 1.3, np.linspace(0.0, params.min_asymptotic_r, 9))
+    err = info.value.achieved_error
+    assert math.isfinite(err) and err > wave.QUAD_RTOL
+
+
+def _near_error(params, t, radii):
+    """max |propagate - dense Gauss-Legendre| over max(row maximum, 1e-4 bound)."""
+    row = wave.propagate(params, t, radii)
+    y = 2.0**params.j * abs(t - params.t_ref)
+    ref, bound = oracles.field_gauss_legendre(params, t, radii, max(2**16, 16 * math.ceil(1.0 + y)))
+    return float(np.abs(row.values - ref).max()) / max(float(np.abs(ref).max()), 1e-4 * bound)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_propagate_near_radii_match_dense_reference(d):
+    # the inner disc at t = 0, where the field is ~1e-8 of its bound, at the
+    # focus t = t_ref and just after it
+    params = wave.WaveParams(d=d, j=8, t_ref=1.3)
+    radii = np.linspace(0.0, params.min_asymptotic_r, 9)
+    for t in (0.0, params.t_ref, params.t_ref + 0.001):
+        assert _near_error(params, t, radii) <= 1e-12
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    d=st.integers(2, 5),
+    j=st.integers(6, 13),
+    t_ref=st.floats(1.0, 2.0),
+    t=st.floats(0.0, 3.5),
+)
+def test_propagate_near_radii_property(d, j, t_ref, t):
+    params = wave.WaveParams(d=d, j=j, t_ref=t_ref)
+    radii = np.linspace(0.0, params.min_asymptotic_r, 5)
+    assert _near_error(params, t, radii) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +584,30 @@ def test_data_norm_cached_per_params_and_p():
         with pytest.raises(OutOfRangeError):
             wave.data_norm(params, 1.5)
     assert wave.data_norm.cache_info().currsize == size
+
+
+def test_norm_lp_stops_at_r_max():
+    # at t = 0 the cone lies at r = t_ref = 1, its fine band starts at 0.5,
+    # and the inner disc ends at 2^(-j+2); every norm below the band is one
+    # trapezoid over [0, r_max]: the disc's 49 radii (clipped at r_max),
+    # then steps of 2^-j
+    params = wave.WaveParams(d=3, j=8)
+    h, r_switch = 2.0**-params.j, params.min_asymptotic_r
+    norms = []
+    for r_max in (0.01, 0.2, 0.3, 0.45):
+        inner = np.linspace(0.0, min(r_switch, r_max), 49)
+        vals = [wave.propagate(params, 0.0, inner).values]
+        grid = [inner]
+        if r_max > r_switch:
+            outer = np.linspace(r_switch, r_max, math.ceil((r_max - r_switch) / h) + 1)
+            vals.append(wave.field_row_fast(params, 0.0, outer).values[1:])
+            grid.append(outer[1:])
+        oracle = trapezoid_norm(np.concatenate(grid), np.concatenate(vals), 2.0, params.d)
+        norms.append(wave.norm_lp(params, 0.0, 2.0, r_max=r_max))
+        assert norms[-1] == pytest.approx(oracle, rel=1e-12)
+    assert all(a < b for a, b in zip(norms, norms[1:]))
+    # the default r_max lies beyond the band, where clipping changes nothing
+    assert wave.norm_lp(params, 0.0, 2.0) == wave.norm_lp(params, 0.0, 2.0, r_max=params.t_ref + 4.0)
 
 
 def test_mass_concentrates_on_cone():
