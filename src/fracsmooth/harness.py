@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -217,7 +217,7 @@ def _window_q(descriptor, params: wave.WaveParams, p: float, window, points, rng
         idx = rng.choice(len(pts), size=config.max_times, replace=False)
         scale = len(pts) / config.max_times
         pts = np.sort(pts[idx])
-    params = wave.WaveParams(params.d, j, t_ref, params.bump, params.nodes_per_unit)
+    params = replace(params, t_ref=t_ref)
     gp = wave.data_norm(params, p) ** p
     half_w = 2.0 ** (-j - 5)
     rho = np.abs(pts - t_ref)

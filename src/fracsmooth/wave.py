@@ -5,16 +5,19 @@ The field with frequency-localized radial data is
     u(r, t) = (2 pi)^(-d/2) * Integral_0^inf  e^(i (t - t0) s) bump(2^-j s)
               * J_nu(s r) (s r)^(-nu) s^(d-1) ds,         nu = (d - 2) / 2,
 
-where t0 is the reference time carried by the data.  ``propagate`` evaluates
-this directly.  At near radii, where 2^j r sigma <= 12 over the whole bump,
-the kernel is its power series sum_k c_k (s r)^(2k), so the integral
+where t0 is the reference time carried by the data.  Every sigma-integral
+here (s = 2^j sigma) is a trapezoid rule in sigma over the bump support:
+for this smooth, compactly supported integrand the rule converges faster
+than any power of the step, and its error is the sum of the aliases at
+2 pi / step (Poisson summation), so each step is set by the integrand's
+fastest frequency plus a fixed alias margin.  ``propagate`` evaluates the
+field directly.  At near radii, where 2^j r sigma <= 12 over the whole
+bump, the kernel is its power series sum_k c_k (s r)^(2k), so the integral
 factors into K ~ 30 sigma-moments
 M_k(y) = Integral e^(i y sigma) bump(sigma) sigma^(d-1+2k) dsigma at
 y = 2^j (t - t0), shared by all near radii, and one power series in
-(2^j r)^2; the moments are summed by the trapezoid rule in sigma, as the
-profiles below are.  Farther radii evaluate the kernel on composite
-Gauss-Legendre panels sized to the fastest phase, in blocks of radii.
-``main_terms`` splits the Bessel kernel into its two principal
+(2^j r)^2.  Farther radii evaluate the kernel at every node, in blocks of
+radii.  ``main_terms`` splits the Bessel kernel into its two principal
 exponentials plus remainder, which turns the field into lookups of the fixed
 profiles  F_m(y) = Integral e^(i y sigma) bump(sigma) sigma^((d-1)/2 - m) dsigma
 and makes large parameter sweeps cheap (a whole (times x radii) grid is one
@@ -22,11 +25,9 @@ set of array lookups): F_0 carries the two exponentials,
 and F_1 .. F_K the terms of the Hankel expansion of the remainder (DLMF
 10.17) wherever 2^j r sigma >= 12 over the whole bump, so that the remainder
 too is a sum of lookups; nearer radii integrate it directly.  Each profile
-is tabulated on a uniform y grid by the trapezoid rule in sigma, which for
-this smooth, compactly supported integrand converges faster than any power
-of the step; on that grid the rule is a single FFT, checked by doubling the
-FFT length.  Both paths are validated against each other, ``propagate`` by
-halving its steps.
+is tabulated on a uniform y grid, where the trapezoid rule is a single FFT,
+checked by doubling the FFT length.  Both paths are validated against each
+other, ``propagate`` by halving its step.
 """
 
 from __future__ import annotations
@@ -37,21 +38,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import backend, bessel
 from .errors import OutOfRangeError, RefineFailureError, UnsupportedOrderError
 
 TWO_PI = 2.0 * math.pi
 
-# Gauss-Legendre nodes per unit of phase frequency (the direct quadrature's
-# far radii); doubling this must not move any output by more than the
-# relative tolerance below
-NODES_PER_UNIT = 8
+# halving the direct quadrature's step must not move any output by more
+# than this, relative to the row magnitude
 QUAD_RTOL = 1e-6
-
-_PANEL = 16
-_PANEL_X, _PANEL_W = leggauss(_PANEL)
 
 _PROFILE_STEP = 1.0 / 64.0
 _PROFILE_RTOL = 1e-9
@@ -62,7 +57,8 @@ _PROFILE_TAIL_SPAN = 4.0
 _PROFILE_FFT_MIN = 2**17
 _PROFILE_FFT_MAX = 2**21
 # alias distance of the first profile table: its nearest alias lies
-# 3/4 of the FFT's y range from every kept y
+# 3/4 of the FFT's y range from every kept y; every direct trapezoid rule
+# keeps its first alias this far beyond its fastest frequency
 _ALIAS_MARGIN = 0.75 * _PROFILE_FFT_MIN * _PROFILE_STEP
 
 # Hankel expansion of the Bessel remainder: above this u the series replaces
@@ -115,7 +111,6 @@ class WaveParams:
     j: int = 8
     t_ref: float = 1.0
     bump: BumpSpec = field(default_factory=BumpSpec)
-    nodes_per_unit: int = NODES_PER_UNIT
 
     def __post_init__(self):
         # the dimensions bessel.radial_kernel, and so propagate, can check
@@ -180,7 +175,6 @@ class WaveField:
             "t_ref": p.t_ref,
             "bump_center": p.bump.center,
             "bump_half_width": p.bump.half_width,
-            "nodes_per_unit": p.nodes_per_unit,
             "times": [row.t for row in self.rows],
             "grid_sizes": [len(row.r_grid) for row in self.rows],
             "err_rel": [row.err_rel for row in self.rows],
@@ -192,28 +186,12 @@ class WaveField:
 # Quadrature machinery
 # ---------------------------------------------------------------------------
 
-def composite_rule(a: float, b: float, n_min: int):
-    """Composite 16-point Gauss-Legendre rule on [a, b] with >= n_min nodes."""
-    panels = max(1, math.ceil(n_min / _PANEL))
-    edges = np.linspace(a, b, panels + 1)
-    width = (b - a) / panels
-    nodes = (edges[:-1, None] + 0.5 * width * (_PANEL_X[None, :] + 1.0)).ravel()
-    weights = np.tile(0.5 * width * _PANEL_W, panels)
-    return nodes, weights
-
-
-_MIN_NODES = 64  # resolves the bump profile itself at zero frequency
-
 # power series of the radial kernel: at or below this u_max the direct
 # quadrature sums it as sigma-moments (the cutoff at which J0/J1 switch to
 # their series), keeping terms until the first omitted one at the cutoff is
 # below _KERNEL_SERIES_ATOL
 _KERNEL_SERIES_CUTOFF = backend.SERIES_CUTOFF
 _KERNEL_SERIES_ATOL = 1e-17
-
-
-def _node_budget(params: WaveParams, freq: float) -> int:
-    return max(_MIN_NODES, math.ceil(params.nodes_per_unit * (1.0 + freq)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -237,8 +215,12 @@ def _kernel_series(d: int):
 
 def _kernel_sums(kernel, x, nodes, phase):
     """sum_n kernel(x_i sigma_n) phase_n for every x_i, on blocks of about
-    _KERNEL_BLOCK (x_i, sigma_n) elements (at least one x_i per block)."""
-    out = np.empty(len(x), dtype=np.complex128)
+    _KERNEL_BLOCK (x_i, sigma_n) elements (at least one x_i per block).
+
+    ``phase`` is one weight per node, or one column of weights per rule;
+    each kernel value is computed once for all columns.
+    """
+    out = np.empty((len(x),) + phase.shape[1:], dtype=np.complex128)
     rows = max(1, _KERNEL_BLOCK // len(nodes))
     for s in range(0, len(x), rows):
         u = np.multiply.outer(x[s:s + rows], nodes)
@@ -253,7 +235,7 @@ def _trapezoid_indices(bump: BumpSpec, h: float, shift: float = 0.0):
 
 
 def _moment_step(y: float, level: int) -> float:
-    """Trapezoid step h of the near-radius moments at frequency y.
+    """Trapezoid step h in sigma for an integrand of frequency at most |y|.
 
     h puts the first alias 2 pi / h at least _ALIAS_MARGIN beyond |y| and
     halves with each level; rounded down to 8 significant bits it keeps
@@ -283,22 +265,23 @@ def _exact_sums(terms, top):
 def _field_quadrature(params: WaveParams, t: float, r_grid, level: int):
     """Coarse and fine direct evaluations of the field at every radius in r_grid.
 
-    Near radii (u_max = 2^j r sigma_hi <= _KERNEL_SERIES_CUTOFF) expand the
-    kernel as ``_kernel_series``: u(r) = pref sum_k c_k M_k x^k, x = (2^j r)^2,
-    with the moments M_k of bump(sigma) sigma^(d-1+2k) e^(i y sigma),
-    y = 2^j (t - t0), summed by the trapezoid rule on the nodes m h,
-    h = ``_moment_step(y, level + 1)``: all m for the fine rule, the even m
-    for the coarse one.  Its error is the sum of the aliases at
-    y -+ 2 pi l / h (Poisson summation).  The series amplifies rounding in
-    M_k by up to a few hundred, hence ``_exact_sums`` for the fine rule; the
-    coarse rule, which only checks it, is a plain sum.  Far radii evaluate
-    ``bessel.radial_kernel`` on 2^level and 2^(level+1) times the
-    Gauss-Legendre budget of the fastest phase, in blocks of radii.
-    Returns (coarse, fine, bound), the bound being the fine rule's
-    triangle-inequality bound on |u|.
+    Both are trapezoid rules in sigma on the nodes m h of the bump support,
+    h = ``_moment_step(f, level + 1)``: the fine rule on every m, the coarse
+    one on the even m with doubled weight.  f bounds the integrand's
+    frequency: 2^j |t - t0| when every radius is near, 2^j (|t - t0| + r_max)
+    otherwise.  The error is the sum of the aliases at f -+ 2 pi l / h
+    (Poisson summation).  Near radii (u_max = 2^j r sigma_hi <=
+    _KERNEL_SERIES_CUTOFF) expand the kernel as ``_kernel_series``:
+    u(r) = pref sum_k c_k M_k x^k, x = (2^j r)^2, with the moments M_k of
+    bump(sigma) sigma^(d-1+2k) e^(i y sigma), y = 2^j (t - t0).  The series
+    amplifies rounding in M_k by up to a few hundred, hence ``_exact_sums``
+    for the fine rule; the coarse rule, which only checks it, is a plain sum.
+    Far radii evaluate ``bessel.radial_kernel`` once at every node, in blocks
+    of radii, and sum it against both rules' weights.  Returns (coarse, fine,
+    bound), the bound being the fine rule's triangle-inequality bound on |u|.
     """
     d, j = params.d, params.j
-    lo, hi = params.bump.support
+    hi = params.bump.support[1]
     omega = t - params.t_ref
     scale = 2.0**j
     y = scale * omega
@@ -306,22 +289,23 @@ def _field_quadrature(params: WaveParams, t: float, r_grid, level: int):
     coarse = np.empty(len(r_grid), dtype=np.complex128)
     fine = np.empty(len(r_grid), dtype=np.complex128)
     near = scale * r_grid * hi <= _KERNEL_SERIES_CUTOFF
+    freq = y if np.all(near) else scale * (abs(omega) + float(r_grid.max()))
+    h = _moment_step(freq, level + 1)
+    m = _trapezoid_indices(params.bump, h)
+    sigma = m * h
+    even = slice(int(m[0]) % 2, None, 2)
+    base = h * params.bump(sigma) * sigma ** (d - 1)
+    # y_hi = y rounded to single precision makes every y_hi sigma exact,
+    # so the phase is correct to its own rounding, not to that of
+    # |y sigma|, which would swamp the small fields at t = 0
+    y_hi = float(np.float32(y))
+    phase = np.exp(1j * y_hi * sigma) * np.exp(1j * (y - y_hi) * sigma) * base
     if np.any(near):
         x = (scale * r_grid[near]) ** 2
         # the series terms that reach _KERNEL_SERIES_ATOL at the largest u
         coeffs = _kernel_series(d)
         big_terms = np.abs(coeffs) * (x.max() * hi * hi) ** np.arange(len(coeffs))
         coeffs = coeffs[:np.flatnonzero(big_terms >= _KERNEL_SERIES_ATOL)[-1] + 1]
-        h = _moment_step(y, level + 1)
-        m = _trapezoid_indices(params.bump, h)
-        sigma = m * h
-        even = slice(int(m[0]) % 2, None, 2)
-        base = h * params.bump(sigma) * sigma ** (d - 1)
-        # y_hi = y rounded to single precision makes every y_hi sigma exact,
-        # so the phase is correct to its own rounding, not to that of
-        # |y sigma|, which would swamp the small fields at t = 0
-        y_hi = float(np.float32(y))
-        phase = np.exp(1j * y_hi * sigma) * np.exp(1j * (y - y_hi) * sigma) * base
         # the terms phase sigma^(2k) of the moments, real and imaginary
         # parts, from one running product, in blocks of about _MOMENT_BLOCK
         # (k, sigma_n) elements; the coarse rule only checks the fine one,
@@ -347,14 +331,12 @@ def _field_quadrature(params: WaveParams, t: float, r_grid, level: int):
         series = (np.vander(x, len(coeffs), increasing=True) * terms[:, None, :]).sum(axis=-1)
         coarse[near], fine[near] = pref * series
     if not np.all(near):
-        freq = scale * (abs(omega) + float(r_grid.max()))
-        n = _node_budget(params, freq) * 2**level
+        # one column per rule: the coarse (even nodes, doubled) and the fine
+        weights = np.zeros((len(sigma), 2), dtype=np.complex128)
+        weights[even, 0] = 2.0 * phase[even]
+        weights[:, 1] = phase
         kernel = functools.partial(bessel.radial_kernel, d)
-        for out, n_min in ((coarse, n), (fine, 2 * n)):
-            nodes, weights = composite_rule(lo, hi, n_min)
-            base = weights * params.bump(nodes) * nodes ** (d - 1)
-            phase = np.exp(1j * y * nodes) * base
-            out[~near] = pref * _kernel_sums(kernel, scale * r_grid[~near], nodes, phase)
+        coarse[~near], fine[~near] = pref * _kernel_sums(kernel, scale * r_grid[~near], sigma, weights).T
     # |radial_kernel| <= 1 in every supported dimension
     return coarse, fine, pref * float(np.abs(base).sum())
 
@@ -362,12 +344,10 @@ def _field_quadrature(params: WaveParams, t: float, r_grid, level: int):
 def propagate(params: WaveParams, t: float, r_grid) -> WaveFieldRow:
     """Field values u(r, t) on a radius grid, with a refinement check.
 
-    Each level runs ``_field_quadrature``: near radii (2^j r sigma_hi <= 12)
-    as trapezoid-rule sigma-moments of the kernel's power series, at a step
-    and at half of it; far radii on composite Gauss-Legendre nodes,
-    >= K (1 + 2^j (|t - t0| + r_max)) of them and twice that, with the
-    kernel evaluated on blocks of radii.  Each level halves the trapezoid
-    step and doubles the Gauss-Legendre nodes.
+    Each level runs ``_field_quadrature``, the trapezoid rule in sigma at a
+    step and at half of it: near radii (2^j r sigma_hi <= 12) as
+    sigma-moments of the kernel's power series, far radii with the kernel
+    evaluated at every node, on blocks of radii.  Each level halves the step.
     Raises RefineFailureError, with the achieved error, when three levels
     still move the result by more than QUAD_RTOL relative to the row
     magnitude.
@@ -567,11 +547,12 @@ def _remainder_term(params: WaveParams, t, r_grid):
     (``_hankel_series``) turns T_rem into profile lookups:
         T_rem(r) = pref(r) sqrt(2/pi)/2 sum_{m=1..K} a_m (2^j r)^(-m-1/2)
                    * [i^m e^(-i chi) F_m(2^j (omega + r)) + (-i)^m e^(i chi) F_m(2^j (omega - r))].
-    Nearer radii integrate R directly on composite Gauss-Legendre nodes
-    sized to the fastest phase among them, in blocks of radii, one time at
-    a time.  T_rem is 0 in d = 3 (K = 0), and exact lookups at every radius
-    in d = 5 (K = 1).  ``t`` and ``r_grid`` take the shapes of
-    ``main_terms_grid``.
+    Nearer radii integrate R directly, one time at a time, by the trapezoid
+    rule in sigma at h = ``_moment_step(2^j (|omega| + r_max), 0)``, which
+    puts the first alias as far beyond the fastest phase among them as the
+    profile tables' is, in blocks of radii.  T_rem is 0 in d = 3 (K = 0),
+    and exact lookups at every radius in d = 5 (K = 1).  ``t`` and
+    ``r_grid`` take the shapes of ``main_terms_grid``.
     """
     omega, r_grid = _times_grid(params, t, r_grid)
     d, j = params.d, params.j
@@ -581,9 +562,8 @@ def _remainder_term(params: WaveParams, t, r_grid):
     if len(coeffs) == 0:
         return out
     scale = 2.0**j
-    lo, hi = params.bump.support
     pref = _remainder_pref(params, r_grid)
-    far = scale * r_grid * lo >= u_cut
+    far = scale * r_grid * params.bump.support[0] >= u_cut
     if np.any(far):
         r = r_grid[far]
         w = np.broadcast_to(omega, r_grid.shape)[far]
@@ -598,7 +578,7 @@ def _remainder_term(params: WaveParams, t, r_grid):
                 + np.conj(i_m * rot) * _profile_eval(table, y_minus)
             )
         out[far] = math.sqrt(0.5 / math.pi) * pref[far] * acc
-    # near radii: one quadrature per time, with nodes sized from its own radii
+    # near radii: one quadrature per time, with a step sized from its own radii
     near = ~np.atleast_2d(far)
     rows = np.flatnonzero(near.any(axis=-1))
     if len(rows):
@@ -608,11 +588,10 @@ def _remainder_term(params: WaveParams, t, r_grid):
         for i in rows:
             w, sel = float(omegas[i]), near[i]
             r = radii[i][sel]
-            freq = scale * (abs(w) + float(r.max()))
-            nodes, weights = composite_rule(lo, hi, _node_budget(params, freq))
-            base = weights * params.bump(nodes) * nodes ** (0.5 * d)
-            phase = np.exp(1j * scale * w * nodes) * base
-            outs[i, sel] = prefs[i][sel] * _kernel_sums(kernel, scale * r, nodes, phase)
+            h = _moment_step(scale * (abs(w) + float(r.max())), 0)
+            sigma = _trapezoid_indices(params.bump, h) * h
+            phase = np.exp(1j * scale * w * sigma) * h * params.bump(sigma) * sigma ** (0.5 * d)
+            outs[i, sel] = prefs[i][sel] * _kernel_sums(kernel, scale * r, sigma, phase)
     return out
 
 
@@ -626,14 +605,14 @@ def _truncation_bound(params: WaveParams, r_grid):
     if not tail.any():
         return np.zeros(r_grid.shape)
     scale = 2.0**j
-    lo, hi = params.bump.support
-    nodes, weights = composite_rule(lo, hi, _MIN_NODES)
-    mass = weights * params.bump(nodes)
+    h = _moment_step(0.0, 0)
+    sigma = _trapezoid_indices(params.bump, h) * h
+    mass = h * params.bump(sigma)
     bound = np.zeros(r_grid.shape)
     for m, a in enumerate(tail, start=len(coeffs) + 1):
-        moment = float(np.dot(mass, nodes ** (0.5 * (d - 1) - m)))
+        moment = float(np.dot(mass, sigma ** (0.5 * (d - 1) - m)))
         bound += a * (scale * r_grid) ** (-m - 0.5) * moment
-    far = scale * r_grid * lo >= u_cut
+    far = scale * r_grid * params.bump.support[0] >= u_cut
     return np.where(far, math.sqrt(2.0 / math.pi) * _remainder_pref(params, r_grid) * bound, 0.0)
 
 
@@ -748,10 +727,11 @@ def data_norm(params: WaveParams, p: float) -> float:
 def data_norm_plancherel(params: WaveParams) -> float:
     """Exact L2 norm from the frequency side: the independent p = 2 oracle.
 
-    ||u(., t)||_2^2 (radial convention) = (2 pi)^-d Integral bump(2^-j s)^2 s^(d-1) ds.
+    ||u(., t)||_2^2 (radial convention) = (2 pi)^-d Integral bump(2^-j s)^2 s^(d-1) ds,
+    by the trapezoid rule in sigma = 2^-j s.
     """
     d, j = params.d, params.j
-    lo, hi = params.bump.support
-    nodes, weights = composite_rule(lo, hi, 400)
-    integral = float(np.sum(weights * params.bump(nodes) ** 2 * nodes ** (d - 1)))
+    h = _moment_step(0.0, 0)
+    sigma = _trapezoid_indices(params.bump, h) * h
+    integral = float(np.sum(h * params.bump(sigma) ** 2 * sigma ** (d - 1)))
     return math.sqrt(TWO_PI ** (-d) * 2.0 ** (j * d) * integral)

@@ -2,11 +2,14 @@
 
 Everything here deliberately avoids the package's own evaluation paths:
 high-precision Decimal series for Bessel values, explicit point-list covers,
-dense-grid Legendre transforms, and a chord-construction convex envelope.
+dense-grid Legendre transforms, a chord-construction convex envelope, and
+composite Gauss-Legendre quadrature for the sigma-integrals that ``wave``
+sums by the trapezoid rule.
 The one exception is ``window_q_per_time``, a per-time loop that pins the
 batched shell lookups of the sharpness slopes to one-row calls.
 """
 
+import dataclasses
 import math
 from decimal import Decimal, getcontext
 
@@ -158,7 +161,7 @@ def window_q_per_time(descriptor, params, p, window, points, rng, config):
         idx = rng.choice(len(pts), size=config.max_times, replace=False)
         scale = len(pts) / config.max_times
         pts = np.sort(pts[idx])
-    params = wave.WaveParams(params.d, j, t_ref, params.bump, params.nodes_per_unit)
+    params = dataclasses.replace(params, t_ref=t_ref)
     gp = wave.data_norm(params, p) ** p
     total = 0.0
     half_w = 2.0 ** (-j - 5)
@@ -170,29 +173,25 @@ def window_q_per_time(descriptor, params, p, window, points, rng, config):
     return scale * total / gp
 
 
-def field_gauss_legendre(params, t: float, radii, n: int):
-    """The field u(r, t) of ``wave.propagate`` by dense Gauss-Legendre quadrature.
+def gauss_legendre(lo: float, hi: float, n: int):
+    """(nodes, weights) of the composite 16-point Gauss-Legendre rule on [lo, hi].
 
-    Composite 16-point panels, a power of two of them with at least n nodes,
-    so that the panel edges are exact; the radial kernel evaluated at every
-    radius and node; and the phase
-    2^j (t - t0) sigma split exactly into its rounded value and the rounding
-    error (Dekker's two-product), so that neither loses digits to the
-    rounding of a large phase.  Returns (values, bound), the bound being the
-    sum of |weights| times the prefactor, the triangle bound on |u|.
+    A power of two of panels with at least n >= 16 nodes in all, so that the
+    panel edges are exact.
     """
     from numpy.polynomial.legendre import leggauss
 
-    from fracsmooth import bessel
-
-    d, j = params.d, params.j
-    lo, hi = params.bump.support
     x, w = leggauss(16)
     panels = 1 << math.ceil(math.log2(n / 16))
     half = 0.5 * (hi - lo) / panels
     nodes = (np.linspace(lo, hi, panels + 1)[:-1, None] + half * (x + 1.0)).ravel()
-    weights = np.tile(half * w, panels) * params.bump(nodes) * nodes ** (d - 1)
-    y = 2.0**j * (t - params.t_ref)
+    return nodes, np.tile(half * w, panels)
+
+
+def exact_phase(y: float, nodes):
+    """e^(i y nodes), with y nodes split exactly into its rounded value and
+    the rounding error (Dekker's two-product), so that the phase does not
+    lose digits to the rounding of a large y nodes."""
 
     def halves(a):
         c = 134217729.0 * a  # 2^27 + 1
@@ -202,7 +201,23 @@ def field_gauss_legendre(params, t: float, radii, n: int):
     prod = y * nodes
     (yh, yl), (sh, sl) = halves(y), halves(nodes)
     err = ((yh * sh - prod) + yh * sl + yl * sh) + yl * sl
-    phase = np.exp(1j * prod) * np.exp(1j * err) * weights
+    return np.exp(1j * prod) * np.exp(1j * err)
+
+
+def field_gauss_legendre(params, t: float, radii, n: int):
+    """The field u(r, t) of ``wave.propagate`` by dense Gauss-Legendre quadrature.
+
+    ``gauss_legendre`` with at least n nodes, the radial kernel evaluated at
+    every radius and node, and the phase 2^j (t - t0) sigma by
+    ``exact_phase``.  Returns (values, bound), the bound being the sum of
+    |weights| times the prefactor, the triangle bound on |u|.
+    """
+    from fracsmooth import bessel
+
+    d, j = params.d, params.j
+    nodes, w = gauss_legendre(*params.bump.support, n)
+    weights = w * params.bump(nodes) * nodes ** (d - 1)
+    phase = exact_phase(2.0**j * (t - params.t_ref), nodes) * weights
     pref = (2.0 * math.pi) ** (-0.5 * d) * 2.0 ** (j * d)
     vals = np.array([pref * (bessel.radial_kernel(d, 2.0**j * r * nodes) @ phase) for r in radii])
     return vals, pref * float(np.abs(weights).sum())

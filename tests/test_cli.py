@@ -48,6 +48,20 @@ def test_module_entry_point(set_files):
     assert len(proc.stdout.splitlines()) > 1
 
 
+def test_import_loads_no_polynomial_or_fft():
+    # numpy.fft loads only when a profile table is built, and nothing loads
+    # numpy.polynomial: a fresh interpreter imports neither with the CLI
+    src = str(Path(fracsmooth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, fracsmooth.cli, fracsmooth.harness; "
+        "print(sorted(m for m in sys.modules if m.startswith(('numpy.polynomial', 'numpy.fft'))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_set_info(set_files, tmp_path, capsys):
     out = tmp_path / "info.json"
     assert cli.cli(["set-info", "--set", set_files["cantor"], "--j", "10", "--out", str(out)]) == 0
@@ -112,7 +126,9 @@ def test_wave_sim(set_files, tmp_path):
     hdr = tmp_path / "field.json"
     rc = cli.cli(["wave-sim", "--d", "3", "--j", "7", "--times", "1.4", "--format", "json", "--out", str(hdr)])
     assert rc == 0
-    assert json.loads(hdr.read_text())["j"] == 7
+    header = json.loads(hdr.read_text())
+    assert header["j"] == 7
+    assert set(header) == {"d", "j", "t_ref", "bump_center", "bump_half_width", "times", "grid_sizes", "err_rel"}
 
 
 def test_wave_sim_before_reference_time(capsys):

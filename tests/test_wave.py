@@ -68,17 +68,6 @@ def test_propagate_origin_magnitude():
     assert row.values[0].real == pytest.approx(oracle, rel=1e-6)
 
 
-def test_propagate_node_doubling_converges():
-    params = wave.WaveParams(d=3, j=9, t_ref=1.0)
-    row = wave.propagate(params, 1.4, np.linspace(0.39, 0.41, 5))
-    assert row.err_rel <= wave.QUAD_RTOL
-    # doubling the node budget moves nothing beyond the tolerance
-    params16 = wave.WaveParams(d=3, j=9, t_ref=1.0, nodes_per_unit=16)
-    row16 = wave.propagate(params16, 1.4, np.linspace(0.39, 0.41, 5))
-    scale = np.abs(row16.values).max()
-    assert np.abs(row.values - row16.values).max() <= 1e-6 * scale
-
-
 def test_propagate_light_cone_growth():
     # on the cone r = t - t_ref the amplitude grows like 2^(j (d+1)/2)
     logs = []
@@ -125,30 +114,27 @@ def test_propagate_moment_series_matches_per_radius_kernel(d, t):
     near = grid <= r_cut
     assert 0 < np.sum(near) < len(grid)
     row = wave.propagate(params, t, grid)
-    # the nodes propagate returns its values on, the fine rules of the first
-    # level: the near radii's trapezoid nodes at the halved step and the far
-    # radii's doubled Gauss-Legendre budget
+    # the nodes propagate returns its values on, the fine rule of the first
+    # level: the trapezoid nodes at the halved step of the fastest phase,
+    # shared by the near and the far radii
     scale = 2.0**params.j
     y = scale * (t - params.t_ref)
     pref = (2 * math.pi) ** (-0.5 * d) * 2.0 ** (params.j * d)
     _, _, bound = wave._field_quadrature(params, t, grid, 0)
-    h = wave._moment_step(y, 1)
+    h = wave._moment_step(scale * (abs(t - params.t_ref) + grid.max()), 1)
     sigma = h * np.arange(math.ceil(params.bump.support[0] / h), math.floor(params.bump.support[1] / h) + 1)
-    n = 2 * wave._node_budget(params, scale * (abs(t - params.t_ref) + grid.max()))
-    nodes, weights = wave.composite_rule(*params.bump.support, n)
-    for sel, x, w in ((near, sigma, h), (~near, nodes, weights)):
-        phase = np.exp(1j * y * x) * w * params.bump(x) * x ** (d - 1)
-        oracle = np.array([pref * (bessel.radial_kernel(d, scale * r * x) @ phase) for r in grid[sel]])
-        assert np.abs(row.values[sel] - oracle).max() <= 1e-10 * bound
+    phase = oracles.exact_phase(y, sigma) * h * params.bump(sigma) * sigma ** (d - 1)
+    oracle = np.array([pref * (bessel.radial_kernel(d, scale * r * sigma) @ phase) for r in grid])
+    for sel in (near, ~near):
+        assert np.abs(row.values[sel] - oracle[sel]).max() <= 1e-10 * bound
 
 
 def test_propagate_inner_disc_evaluates_no_kernel(monkeypatch):
-    # the inner disc is all near radii: moments on the trapezoid nodes only,
-    # with no Gauss-Legendre rule and no kernel evaluation
+    # the inner disc is all near radii: moments on the trapezoid nodes, with
+    # no kernel evaluation
     params = wave.WaveParams(d=2, j=10, t_ref=1.0)
     calls = []
     monkeypatch.setattr(bessel, "radial_kernel", lambda d, u: calls.append(d))
-    monkeypatch.setattr(wave, "composite_rule", lambda *args: calls.append(args))
     wave.propagate(params, 0.0, np.linspace(0.0, params.min_asymptotic_r, 49))
     assert calls == []
 
@@ -165,11 +151,11 @@ def test_propagate_near_refinement_is_bounded(monkeypatch):
     assert math.isfinite(err) and err > wave.QUAD_RTOL
 
 
-def _near_error(params, t, radii):
+def _dense_error(params, t, radii):
     """max |propagate - dense Gauss-Legendre| over max(row maximum, 1e-4 bound)."""
     row = wave.propagate(params, t, radii)
-    y = 2.0**params.j * abs(t - params.t_ref)
-    ref, bound = oracles.field_gauss_legendre(params, t, radii, max(2**16, 16 * math.ceil(1.0 + y)))
+    freq = 2.0**params.j * (abs(t - params.t_ref) + radii.max())
+    ref, bound = oracles.field_gauss_legendre(params, t, radii, max(2**16, 16 * math.ceil(1.0 + freq)))
     return float(np.abs(row.values - ref).max()) / max(float(np.abs(ref).max()), 1e-4 * bound)
 
 
@@ -180,7 +166,7 @@ def test_propagate_near_radii_match_dense_reference(d):
     params = wave.WaveParams(d=d, j=8, t_ref=1.3)
     radii = np.linspace(0.0, params.min_asymptotic_r, 9)
     for t in (0.0, params.t_ref, params.t_ref + 0.001):
-        assert _near_error(params, t, radii) <= 1e-12
+        assert _dense_error(params, t, radii) <= 1e-12
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -193,7 +179,18 @@ def test_propagate_near_radii_match_dense_reference(d):
 def test_propagate_near_radii_property(d, j, t_ref, t):
     params = wave.WaveParams(d=d, j=j, t_ref=t_ref)
     radii = np.linspace(0.0, params.min_asymptotic_r, 5)
-    assert _near_error(params, t, radii) <= 1e-12
+    assert _dense_error(params, t, radii) <= 1e-12
+
+
+@pytest.mark.parametrize("j", [6, 8, 10, 12])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_propagate_far_radii_match_dense_reference(d, j):
+    # every radius past the kernel series cutoff, up to 0.6: on the cone, at
+    # the focus, at t = 0 and at t = 2
+    params = wave.WaveParams(d=d, j=j, t_ref=1.3)
+    radii = np.linspace(1.01 * _kernel_cut_radius(params), 0.6, 7)
+    for t in (params.t_ref + radii[3], params.t_ref, 0.0, 2.0):
+        assert _dense_error(params, t, radii) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +199,7 @@ def test_propagate_near_radii_property(d, j, t_ref, t):
 
 def _direct_profile(d, bump, ys, y_max):
     """F(y) by composite Gauss-Legendre: the independent oracle for the FFT table."""
-    lo, hi = bump.support
-    nodes, weights = wave.composite_rule(lo, hi, 16 * math.ceil(1.0 + y_max))
+    nodes, weights = oracles.gauss_legendre(*bump.support, 16 * math.ceil(1.0 + y_max))
     amp = weights * bump(nodes) * nodes ** (0.5 * (d - 1))
     return backend.oscillatory_sum(ys, nodes, amp)
 
@@ -336,13 +332,13 @@ def _hankel_cut_radius(params):
 
 
 def _direct_remainder(params, t, r_grid):
-    """T_rem by direct Gauss-Legendre quadrature at every radius: the oracle."""
+    """T_rem by dense Gauss-Legendre quadrature at every radius: the oracle."""
     d, j = params.d, params.j
     scale = 2.0**j
     omega = t - params.t_ref
-    lo, hi = params.bump.support
-    nodes, weights = wave.composite_rule(lo, hi, 16 * math.ceil(8 * (1 + scale * (abs(omega) + r_grid.max()))))
-    phase = np.exp(1j * scale * omega * nodes) * weights * params.bump(nodes) * nodes ** (0.5 * d)
+    freq = scale * (abs(omega) + r_grid.max())
+    nodes, weights = oracles.gauss_legendre(*params.bump.support, max(2**16, 16 * math.ceil(1.0 + freq)))
+    phase = oracles.exact_phase(scale * omega, nodes) * weights * params.bump(nodes) * nodes ** (0.5 * d)
     pref = (2 * math.pi) ** (-0.5 * d) * 2.0 ** (j * 0.5 * (d + 2)) * r_grid ** (-0.5 * (d - 2))
     return np.array([
         pref[i] * np.dot(bessel.bessel_remainder(0.5 * (d - 2), scale * r * nodes), phase)
@@ -362,6 +358,29 @@ def test_decomposition_identity_across_hankel_cutoff(d):
         tm, tp, tr = wave.main_terms(params, t, r)
         assert abs(tr) > 0.0
         assert abs(row.values[0] - (tm + tp + tr)) <= 1e-5 * abs(row.values[0])
+
+
+@pytest.mark.parametrize("j", range(6, 13))
+@pytest.mark.parametrize("d", [2, 4])
+def test_remainder_direct_radii_match_dense_reference(d, j):
+    # the radii 2^(-j+2) <= r < 12 / (2^j sigma_lo) that integrate the
+    # remainder directly, on the cone, at t = 0 and at t = 2, against
+    # |R(u)| <~ u^(-3/2): pref(r) (2^j r sigma_lo)^(-3/2) Integral bump sigma^(d/2)
+    params = wave.WaveParams(d=d, j=j, t_ref=1.3)
+    radii = np.linspace(params.min_asymptotic_r, _hankel_cut_radius(params), 9)[:-1]
+    lo, hi = params.bump.support
+    nodes, weights = oracles.gauss_legendre(lo, hi, 2**10)
+    mass = float(np.dot(weights, params.bump(nodes) * nodes ** (0.5 * d)))
+    pref = (2 * math.pi) ** (-0.5 * d) * 2.0 ** (j * 0.5 * (d + 2)) * radii ** (-0.5 * (d - 2))
+    bound = pref * (2.0**j * radii * lo) ** -1.5 * mass
+    for t in (0.0, 2.0):
+        got = wave._remainder_term(params, t, radii)
+        assert np.all(np.abs(got - _direct_remainder(params, t, radii)) <= 1e-12 * bound)
+    # each radius on its own cone: n times with an (n x 1) grid
+    cone = wave._remainder_term(params, params.t_ref + radii, radii[:, None])[:, 0]
+    for i, r in enumerate(radii):
+        ref = _direct_remainder(params, params.t_ref + r, radii[i:i + 1])[0]
+        assert abs(cone[i] - ref) <= 1e-12 * bound[i]
 
 
 @pytest.mark.parametrize("d", [2, 4])
