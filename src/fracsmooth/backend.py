@@ -60,18 +60,13 @@ def _j_series(u, nu: float, scaled: bool):
 
 
 def _j_hankel(u, nu: float, scaled: bool):
-    # J_nu(u) = sqrt(2/(pi u)) (P cos w - Q sin w), w = u - (nu/2 + 1/4) pi
+    # J_nu(u) = sqrt(2/(pi u)) (P cos w - Q sin w), w = u - (nu/2 + 1/4) pi, with
+    # P = sum_k a_2k x^k and Q = sum_k a_2k+1 x^k / u in x = -1/u^2, by Horner's rule
     a = np.trim_zeros(hankel_coeffs(nu), "b")
     inv = 1.0 / u
-    inv2 = inv * inv
-    p = np.zeros_like(u)
-    q = np.zeros_like(u)
-    sign = 1.0
-    for i in range(0, len(a), 2):
-        p = p + sign * a[i] * inv2 ** (i // 2)
-        if i + 1 < len(a):
-            q = q + sign * a[i + 1] * inv * inv2 ** (i // 2)
-        sign = -sign
+    x = -inv * inv
+    p = np.polyval(a[0::2][::-1], x)
+    q = np.polyval(a[1::2][::-1], x) * inv
     omega = u - (0.25 + 0.5 * nu) * math.pi
     out = np.sqrt(2.0 / (math.pi * u)) * (p * np.cos(omega) - q * np.sin(omega))
     return out / u**nu if scaled and nu else out

@@ -36,8 +36,11 @@ def _write(path, text):
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    lo, hi, step = (float(x) for x in spec.split(":"))
-    n = int(round((hi - lo) / step))
+    try:
+        lo, hi, step = (float(x) for x in spec.split(":"))
+        n = int(round((hi - lo) / step))
+    except (ValueError, ArithmeticError):
+        raise FracsmoothError(f"grid must be lo:hi:step with a nonzero step, got {spec!r}") from None
     return lo + step * np.arange(n + 1)
 
 
@@ -235,7 +238,10 @@ def cmd_exponents(args) -> int:
 
 def cmd_wave_sim(args) -> int:
     params = wave.WaveParams(d=args.d, j=args.j, t_ref=args.t_ref)
-    times = [float(x) for x in args.times.split(",")]
+    try:
+        times = [float(x) for x in args.times.split(",")]
+    except ValueError:
+        raise FracsmoothError(f"--times must be comma-separated numbers, got {args.times!r}") from None
     rows = []
     for t in times:
         reg = wave.region(params, t)

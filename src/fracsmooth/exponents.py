@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectra
+from . import legendre, spectra
 from .errors import OutOfRangeError
 from .sampled import SampledFunction
 
@@ -55,9 +55,9 @@ class ExponentQuery:
     def two_piece_profile(self, alpha_max: float = 4.0) -> SampledFunction:
         """Dual profile of a maximal-spectrum set with these dimensions:
         (1 - beta/gamma) alpha + beta up to gamma, then alpha."""
-        grid = np.linspace(0.0, alpha_max, int(round(alpha_max * 64)) + 1)
         if self.gamma == 0.0:
-            return SampledFunction(0.0, alpha_max, grid.copy())
+            return identity_profile(alpha_max)
+        grid = legendre.default_alpha_grid(alpha_max)
         vals = np.maximum((1.0 - self.beta / self.gamma) * grid + self.beta, grid)
         return SampledFunction(0.0, alpha_max, vals)
 
@@ -69,15 +69,10 @@ class ExponentQuery:
     def q_threshold(self) -> float:
         return q_gamma(self.d, self.gamma)
 
-    @property
-    def q_threshold_uniform(self) -> float:
-        return q_circ(self.d, self.gamma_circ)
-
 
 def identity_profile(alpha_max: float = 4.0) -> SampledFunction:
     """The profile nu(alpha) = alpha of a single point."""
-    grid = np.linspace(0.0, alpha_max, int(round(alpha_max * 64)) + 1)
-    return SampledFunction(0.0, alpha_max, grid.copy())
+    return SampledFunction(0.0, alpha_max, legendre.default_alpha_grid(alpha_max))
 
 
 def s_p(d: int, p: float) -> float:

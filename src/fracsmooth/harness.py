@@ -14,6 +14,15 @@ from . import backend, exponents, legendre, sets, spectra, wave
 from .errors import DegenerateWindowError, OutOfRangeError, UnsupportedSetError
 
 
+# The experiment protocol: the alpha grid of the duality check, windows with
+# 2^j |I| >= MIN_WINDOW_FACTOR, at most MAX_TIMES sampled times per window,
+# and SHELL_POINTS radii across each shell J_t.
+DUALITY_ALPHAS = 0.0625 * np.arange(33)
+MIN_WINDOW_FACTOR = 32
+MAX_TIMES = 512
+SHELL_POINTS = 17
+
+
 @dataclass
 class ExperimentConfig:
     descriptor: object
@@ -22,29 +31,12 @@ class ExperimentConfig:
     q: float = 4.0
     j_min: int = 8
     j_max: int = 13
-    alpha_min: float = 0.0
-    alpha_max: float = 2.0
-    alpha_step: float = 1.0 / 16.0
     tolerance: float | None = None
     seed: int = 0
-    min_window_factor: int = 32
-    max_times: int | None = 512
-    shell_points: int = 17
-
-    @property
-    def alpha_grid(self) -> np.ndarray:
-        n = int(round((self.alpha_max - self.alpha_min) / self.alpha_step))
-        return self.alpha_min + self.alpha_step * np.arange(n + 1)
 
     @property
     def j_list(self):
         return list(range(self.j_min, self.j_max + 1))
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        d["descriptor"] = sets.from_json_dict(d.pop("set"))
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +87,7 @@ def run_duality(config: ExperimentConfig) -> DualityReport:
     if spec is None:
         raise UnsupportedSetError("set has no closed-form spectrum to compare against")
     reference = legendre.nu_sharp_analytic(spec)
-    grid = config.alpha_grid
+    grid = DUALITY_ALPHAS
     ref_vals = reference(grid)
     j_top = config.j_max
     tol = config.tolerance if config.tolerance is not None else spectra.default_tolerance(j_top) + 2.0 / j_top
@@ -190,16 +182,16 @@ def choose_window(descriptor, j: int, alpha: float, min_factor: int):
     return (float(w_lo[best]), float(w_lo[best] + length)), int(counts[best])
 
 
-def _window_q(descriptor, params: wave.WaveParams, p: float, window, points, rng, config):
+def _window_q(descriptor, params: wave.WaveParams, p: float, window, points, rng):
     """Sum of shell norms over the discretization times ``points`` (of
     ``descriptor`` at scale 2^-j) in the fuller half of the window,
     normalized by the data norm.
 
-    The shells of all (at most ``max_times``) times form one (times x radii)
-    grid: one ``field_row_fast`` lookup and one ``shell_lp_norm`` reduction
-    per window, summed as p-th powers in time order."""
-    j = params.j
-    delta = 2.0**-j
+    The shells of all (at most MAX_TIMES, drawn by ``rng``) times form one
+    (times x radii) grid: one ``field_row_fast`` lookup and one
+    ``shell_lp_norm`` reduction per window, summed as p-th powers in time
+    order."""
+    delta = 2.0**-params.j
     lo, hi = window
     mid = 0.5 * (lo + hi)
     n_left = sets.covering_number(descriptor, (lo, mid), delta)
@@ -213,18 +205,17 @@ def _window_q(descriptor, params: wave.WaveParams, p: float, window, points, rng
     if len(pts) == 0:
         raise DegenerateWindowError(f"no discretization points in half window {half}")
     scale = 1.0
-    if config.max_times is not None and len(pts) > config.max_times:
-        idx = rng.choice(len(pts), size=config.max_times, replace=False)
-        scale = len(pts) / config.max_times
+    if len(pts) > MAX_TIMES:
+        idx = rng.choice(len(pts), size=MAX_TIMES, replace=False)
+        scale = len(pts) / MAX_TIMES
         pts = np.sort(pts[idx])
     params = replace(params, t_ref=t_ref)
     gp = wave.data_norm(params, p) ** p
-    half_w = 2.0 ** (-j - 5)
-    rho = np.abs(pts - t_ref)
-    grid = np.linspace(rho - half_w, rho + half_w, config.shell_points, axis=1)
+    shells = wave.region(params, pts)
+    grid = np.linspace(shells.r_lo, shells.r_hi, SHELL_POINTS, axis=1)
     rows = wave.field_row_fast(params, pts, grid)
     total = 0.0
-    for norm in wave.shell_lp_norm(rows, p, (rho - half_w, rho + half_w)).tolist():
+    for norm in wave.shell_lp_norm(rows, p, (shells.r_lo, shells.r_hi)).tolist():
         total += norm**p
     return scale * total / gp
 
@@ -237,15 +228,15 @@ def run_sharpness_slope(config: ExperimentConfig) -> SlopeReport:
     log2_q, windows, log2_q_full = [], [], []
     for j in config.j_list:
         params = wave.WaveParams(d=d, j=j, t_ref=1.0)
-        window, _ = choose_window(config.descriptor, j, alpha, config.min_window_factor)
+        window, _ = choose_window(config.descriptor, j, alpha, MIN_WINDOW_FACTOR)
         points = sets.discretize(config.descriptor, j).points
-        q_val = _window_q(config.descriptor, params, p, window, points, rng, config)
+        q_val = _window_q(config.descriptor, params, p, window, points, rng)
         log2_q.append(math.log2(q_val))
         windows.append(window)
         if window == (1.0, 2.0):
             log2_q_full.append(log2_q[-1])
         else:
-            q_full = _window_q(config.descriptor, params, p, (1.0, 2.0), points, rng, config)
+            q_full = _window_q(config.descriptor, params, p, (1.0, 2.0), points, rng)
             log2_q_full.append(math.log2(q_full))
     slope, intercept = _fit_line(config.j_list, log2_q)
     slope_full, _ = _fit_line(config.j_list, log2_q_full)

@@ -39,15 +39,6 @@ class SampledFunction:
     def __call__(self, x):
         return np.interp(x, self.grid, self.values)
 
-    def resample(self, lo: float, hi: float, n: int) -> "SampledFunction":
-        g = np.linspace(lo, hi, n)
-        return SampledFunction(lo, hi, self(g))
-
-    @classmethod
-    def from_callable(cls, fn, lo: float, hi: float, n: int) -> "SampledFunction":
-        g = np.linspace(lo, hi, n)
-        return cls(lo, hi, np.asarray([fn(x) for x in g], dtype=np.float64))
-
     # -- serialization -----------------------------------------------------
 
     def to_csv(self) -> str:
@@ -58,7 +49,10 @@ class SampledFunction:
     @classmethod
     def from_csv(cls, text: str) -> "SampledFunction":
         rows = [ln for ln in text.strip().splitlines()[1:] if ln]
-        xs, vs = zip(*(map(float, r.split(",")) for r in rows))
+        try:
+            xs, vs = zip(*(map(float, r.split(",")) for r in rows))
+        except ValueError:
+            raise FracsmoothError("CSV needs a header, then rows of two numbers x,value") from None
         xs = np.asarray(xs)
         steps = np.diff(xs)
         if len(xs) < 2 or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):

@@ -132,18 +132,25 @@ def from_json_dict(d: dict):
         kind = d["type"]
     except (TypeError, KeyError):
         raise InvalidSetError("set JSON must be an object with a 'type' field")
-    if kind == "interval":
-        lo, hi = d["interval"]
-        return FullInterval(float(lo), float(hi))
-    if kind == "points":
-        return FinitePoints(tuple(float(p) for p in d["points"]))
-    if kind == "cantor":
-        lo, hi = d["base_interval"]
-        return CantorLike(float(lo), float(hi), int(d["branches"]), float(d["contraction"]))
-    if kind == "polyseq":
-        return PolySequence(float(d["exponent"]))
-    if kind == "union":
-        return UnionSet(tuple(from_json_dict(m) for m in d["sets"]))
+    try:
+        if kind == "interval":
+            lo, hi = d["interval"]
+            return FullInterval(float(lo), float(hi))
+        if kind == "points":
+            return FinitePoints(tuple(float(p) for p in d["points"]))
+        if kind == "cantor":
+            lo, hi = d["base_interval"]
+            return CantorLike(float(lo), float(hi), int(d["branches"]), float(d["contraction"]))
+        if kind == "polyseq":
+            return PolySequence(float(d["exponent"]))
+        if kind == "union":
+            return UnionSet(tuple(from_json_dict(m) for m in d["sets"]))
+    except InvalidSetError:
+        raise
+    except KeyError as exc:
+        raise InvalidSetError(f"{kind!r} set needs the field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidSetError(f"malformed {kind!r} set: {exc}") from None
     raise InvalidSetError(f"unknown set type {kind!r}")
 
 
@@ -151,13 +158,17 @@ def dumps(s) -> str:
     return json.dumps(to_json_dict(s), sort_keys=True)
 
 
-def loads(text: str):
-    return from_json_dict(json.loads(text))
+def loads(text: str | bytes):
+    try:
+        d = json.loads(text)
+    except ValueError as exc:
+        raise InvalidSetError(f"set JSON does not parse: {exc}") from None
+    return from_json_dict(d)
 
 
 def load_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+    with open(path, "rb") as fh:
+        return loads(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +462,7 @@ def discretize(s, j: int) -> Discretization:
     return Discretization(np.asarray(pts, dtype=np.float64), j)
 
 
-# Sanity check used by tests and the CLI: does the set meet [lo, hi]?
+# Does the set meet [lo, hi]?  One point query; the tests use it as a sanity check.
 def meets(s, lo: float, hi: float) -> bool:
     flat = flatten(s)
     return first_point_geq(flat, lo) <= hi

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import backend, sets
+from . import backend, legendre, sets
 from .errors import InvalidThetaError, OutOfRangeError
 from .sampled import SampledFunction
 
@@ -251,14 +251,12 @@ def nu_sharp_empirical(descriptor, alpha_grid, j_list, shifts: int = 2) -> Spect
         )
     spec = analytic_spectrum(descriptor)
     if spec is not None:
-        from .legendre import nu_sharp_analytic
-
-        report.analytic = nu_sharp_analytic(spec)(alpha_grid)
+        report.analytic = legendre.nu_sharp_analytic(spec)(alpha_grid)
     return report
 
 
 def nu_sharp_empirical_function(descriptor, j: int, alpha_max: float = 4.0) -> SampledFunction:
     """phi_at_scale sampled on the default alpha grid, as a SampledFunction."""
-    grid = np.linspace(0.0, alpha_max, int(round(alpha_max * 64)) + 1)
+    grid = legendre.default_alpha_grid(alpha_max)
     vals = np.asarray([phi_at_scale(descriptor, a, j) for a in grid])
     return SampledFunction(0.0, alpha_max, vals)

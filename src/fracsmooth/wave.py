@@ -139,8 +139,8 @@ class RegionSpec:
         return self.r_hi - self.r_lo
 
 
-def region(params: WaveParams, t: float) -> RegionSpec:
-    """Shell around the cone radius |t - t0|, before and after the reference time."""
+def region(params: WaveParams, t) -> RegionSpec:
+    """Shell around the cone radius |t - t0|, before and after t0; t may be an array of times."""
     rho = abs(t - params.t_ref)
     half = 2.0 ** (-params.j - 5)
     return RegionSpec(t, rho - half, rho + half)

@@ -135,14 +135,14 @@ def trapezoid_norm(r, vals, p: float, d: int) -> float:
     return float(np.trapezoid(np.abs(vals) ** p * np.asarray(r) ** (d - 1), r) ** (1.0 / p))
 
 
-def window_q_per_time(descriptor, params, p, window, points, rng, config):
+def window_q_per_time(descriptor, params, p, window, points, rng):
     """``harness._window_q`` as one field row and one shell norm per time.
 
     A reference for the batched (times x radii) lookup, not for the field
     values: each row still goes through ``wave.field_row_fast``, one time
     and a 1-D grid per call, and the norms are added one at a time.
     """
-    from fracsmooth import sets, wave
+    from fracsmooth import harness, sets, wave
 
     j = params.j
     delta = 2.0**-j
@@ -157,9 +157,9 @@ def window_q_per_time(descriptor, params, p, window, points, rng, config):
     pts = points[(points >= half[0]) & (points <= half[1])]
     pts = pts[np.abs(pts - t_ref) >= 0.25 * (hi - lo) - 1e-12]
     scale = 1.0
-    if config.max_times is not None and len(pts) > config.max_times:
-        idx = rng.choice(len(pts), size=config.max_times, replace=False)
-        scale = len(pts) / config.max_times
+    if len(pts) > harness.MAX_TIMES:
+        idx = rng.choice(len(pts), size=harness.MAX_TIMES, replace=False)
+        scale = len(pts) / harness.MAX_TIMES
         pts = np.sort(pts[idx])
     params = dataclasses.replace(params, t_ref=t_ref)
     gp = wave.data_norm(params, p) ** p
@@ -167,7 +167,7 @@ def window_q_per_time(descriptor, params, p, window, points, rng, config):
     half_w = 2.0 ** (-j - 5)
     for t in pts:
         rho = abs(t - t_ref)
-        grid = np.linspace(rho - half_w, rho + half_w, config.shell_points)
+        grid = np.linspace(rho - half_w, rho + half_w, harness.SHELL_POINTS)
         row = wave.field_row_fast(params, t, grid)
         total += wave.shell_lp_norm(row, p, (rho - half_w, rho + half_w)) ** p
     return scale * total / gp

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracsmooth import bessel
+from fracsmooth import backend, bessel
 from fracsmooth.errors import OutOfRangeError, UnsupportedOrderError
 
 from oracles import j0_zero_bisect, j_series_decimal
@@ -22,6 +22,17 @@ def test_j_half_closed_form():
     u = np.linspace(0.05, 900.0, 2000)
     ref = np.sqrt(2.0 / (math.pi * u)) * np.sin(u)
     assert np.abs(bessel.bessel_j(0.5, u) - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("nu, q_of_u", [(0.5, lambda u: np.zeros_like(u)), (1.5, lambda u: 1.0 / u)])
+def test_half_order_hankel_branch_is_closed_form(nu, q_of_u):
+    # above the switch the terminating expansion is sqrt(2/(pi u)) (P cos w - Q sin w)
+    # with P = 1, and Q = 0 (nu = 1/2) or 1/u (nu = 3/2), bit for bit
+    u = np.concatenate([[2.0 + 2.0**-51, 2.5, math.pi, 12.0, 12.5], np.geomspace(2.01, 1e4, 997)])
+    omega = u - (0.25 + 0.5 * nu) * math.pi
+    ref = np.sqrt(2.0 / (math.pi * u)) * (np.ones_like(u) * np.cos(omega) - q_of_u(u) * np.sin(omega))
+    assert np.array_equal(backend.j_array(nu, u), ref)
+    assert np.array_equal(backend.j_array(nu, u, scaled=True), ref / u**nu)
 
 
 def test_j0_first_zero_against_series_oracle():

@@ -27,12 +27,36 @@ def set_files(tmp_path):
     return paths
 
 
-def test_usage_errors(set_files):
+def test_usage_errors(set_files, tmp_path, capsys):
     assert cli.cli([]) == 2
     assert cli.cli(["no-such-command"]) == 2
     assert cli.cli(["covering", "--set", set_files["cantor"], "--bogus"]) == 2
     assert cli.cli(["covering", "--set", set_files["cantor"]]) == 2  # missing --j/--delta
     assert cli.cli(["set-info", "--set", "/nonexistent/x.json"]) == 2
+    # malformed input is a usage error with a message, not a traceback
+    files = {
+        "interval.json": '{"type": "interval"}',
+        "cantor.json": '{"type": "cantor", "base_interval": [1, 2], "contraction": 0.3}',
+        "truncated.json": '{"type": "cantor", "base_int',
+        "header.csv": "x,value\n",
+        "words.csv": "x,value\n0,a\n1,b\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{")
+    capsys.readouterr()
+    for argv in (
+        ["set-info", "--set", str(tmp_path / "interval.json")],
+        ["set-info", "--set", str(tmp_path / "cantor.json")],
+        ["set-info", "--set", str(tmp_path / "truncated.json")],
+        ["set-info", "--set", str(tmp_path / "binary.json")],
+        ["legendre", "--infile", str(tmp_path / "header.csv")],
+        ["legendre", "--infile", str(tmp_path / "words.csv")],
+        ["nu-sharp", "--set", set_files["cantor"], "--alpha-grid", "0:2"],
+        ["wave-sim", "--times", "1.5,abc"],
+    ):
+        assert cli.cli(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_module_entry_point(set_files):

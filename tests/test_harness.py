@@ -10,13 +10,10 @@ from fracsmooth.errors import UnsupportedSetError
 import oracles
 
 
-def test_config_from_json_dict():
-    cfg = harness.ExperimentConfig.from_json_dict(
-        {"set": {"type": "interval", "interval": [1.0, 2.0]}, "d": 2, "p": 3.0, "j_min": 6, "j_max": 9}
-    )
-    assert cfg.descriptor == sets.FullInterval(1.0, 2.0)
-    assert cfg.d == 2 and cfg.j_list == [6, 7, 8, 9]
-    assert len(cfg.alpha_grid) == 33
+def test_duality_alpha_grid(cantor_thirds):
+    report = harness.run_duality(harness.ExperimentConfig(cantor_thirds, j_min=8, j_max=9))
+    assert np.array_equal(report.alpha_grid, 0.0625 * np.arange(33))
+    assert report.j_list == [8, 9]
 
 
 def test_run_duality_passes(full_interval, cantor_thirds, two_cantor_union):

@@ -53,6 +53,17 @@ def test_region_spec():
         assert 0.5 * (reg.r_lo + reg.r_hi) == pytest.approx(rho)
 
 
+def test_region_broadcasts_over_times():
+    # a vector of times gives the bits of one scalar call per time, on both
+    # sides of the reference time
+    params = wave.WaveParams(d=2, j=11, t_ref=1.375)
+    times = np.array([1.0, 1.1, 1.37, 1.375, 1.38, 1.6, 2.0])
+    shells = wave.region(params, times)
+    for i, t in enumerate(times):
+        reg = wave.region(params, float(t))
+        assert shells.r_lo[i] == reg.r_lo and shells.r_hi[i] == reg.r_hi
+
+
 # ---------------------------------------------------------------------------
 # propagate
 # ---------------------------------------------------------------------------
