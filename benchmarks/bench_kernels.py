@@ -2,9 +2,11 @@
 """Benchmark: cold window-count tables, the wave profile table, data norms
 and the direct field quadrature at inner-disc and at far radii.
 
-Each window-count table is one batched covering sweep over every level;
-the interval is counted in closed form, the other sets by the greedy sweep
-with a shared step cache.  The profile table is one FFT, and the d = 2 data
+Each window-count table is one batched covering sweep over every level,
+in plain Python, at j = 12, 14 and 18 (about 2^(j+2) windows, never built):
+the interval is counted in closed form, one count for every window inside
+it, and the other sets by a walk over each grid with a shared step cache
+that skips the windows missing the set.  The profile table is one FFT, and the d = 2 data
 norm mostly Hankel-term profile lookups.  The d = 3, j = 13 data norm is the
 heaviest call of the sharpness slopes; its inner disc r <= 2^(-j+2), 49
 radii through ``propagate`` at t = 0, sums the kernel's power series as
@@ -81,7 +83,7 @@ def main():
         ("union", sets.UnionSet((sets.CantorLike(1.0, 1.4, 2, 1.0 / 3.0),
                                  sets.CantorLike(1.6, 2.0, 3, 0.2)))),
     ]:
-        for j in (12, 14):
+        for j in (12, 14, 18):
             t = timeit(cold_window_table, s, j)
             print(f"{f'window table {label} j={j}':<32} {t*1e3:9.2f} ms")
     for d in (2, 3):

@@ -7,19 +7,17 @@ Exit codes: 0 pass, 1 check failure, 2 usage error, 3 runtime failure
 (a refinement that exhausted its budget, or a degenerate window).
 verify-duality and verify-bookkeeping are deterministic: they accept
 ``--seed`` like verify-sharpness, so a script can pass it to every verify-*
-command, and ignore it.
+command, and ignore it.  Only wave-sim and verify-sharpness load NumPy and
+``wave``; the other commands run in plain Python.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-import numpy as np
-
-from . import exponents, harness, legendre, sets, spectra, wave
+from . import exponents, harness, legendre, sets, spectra
 from .errors import DegenerateWindowError, FracsmoothError, RefineFailureError
 from .sampled import SampledFunction
 
@@ -35,13 +33,15 @@ def _write(path, text):
             fh.write(text)
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str) -> list:
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
-        n = int(round((hi - lo) / step))
+        n = int(round((hi - lo) / step)) if lo <= hi and step > 0.0 else -1
     except (ValueError, ArithmeticError):
-        raise FracsmoothError(f"grid must be lo:hi:step with a nonzero step, got {spec!r}") from None
-    return lo + step * np.arange(n + 1)
+        n = -1
+    if n < 0:
+        raise FracsmoothError(f"grid must be lo:hi:step with lo <= hi and a positive step, got {spec!r}")
+    return [lo + step * k for k in range(n + 1)]
 
 
 def _add_common(p, with_set=True):
@@ -169,7 +169,7 @@ def cmd_spectrum(args) -> int:
     j = args.j
     grid = spectra.theta_grid(j)
     report = spectra.SpectrumReport(sets.dumps(descriptor), "theta", grid)
-    report.rows[j] = np.asarray([spectra.assouad_spectrum_empirical(descriptor, th, j) for th in grid])
+    report.rows[j] = tuple(spectra.assouad_spectrum_empirical(descriptor, th, j) for th in grid)
     spec = spectra.analytic_spectrum(descriptor)
     if spec is not None:
         report.analytic = spec(grid)
@@ -237,6 +237,10 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_wave_sim(args) -> int:
+    import numpy as np
+
+    from . import wave
+
     params = wave.WaveParams(d=args.d, j=args.j, t_ref=args.t_ref)
     try:
         times = [float(x) for x in args.times.split(",")]

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import legendre, spectra
 from .errors import OutOfRangeError
 from .sampled import SampledFunction
@@ -57,9 +55,9 @@ class ExponentQuery:
         (1 - beta/gamma) alpha + beta up to gamma, then alpha."""
         if self.gamma == 0.0:
             return identity_profile(alpha_max)
+        slope = 1.0 - self.beta / self.gamma
         grid = legendre.default_alpha_grid(alpha_max)
-        vals = np.maximum((1.0 - self.beta / self.gamma) * grid + self.beta, grid)
-        return SampledFunction(0.0, alpha_max, vals)
+        return SampledFunction(0.0, alpha_max, [max(slope * a + self.beta, a) for a in grid])
 
     @property
     def p_threshold(self) -> float:
@@ -186,8 +184,8 @@ class BookkeepingReport:
     d: int
     p: float
     q: float
-    kappa_values: np.ndarray
-    lambda_values: np.ndarray
+    kappa_values: tuple
+    lambda_values: tuple
     kappa_sum: float
     lambda_sum: float
     kappa_ratio: float
@@ -219,10 +217,11 @@ def bookkeeping_sums(descriptor, j: int, d: int, p: float, q: float, slack: floa
 
     The ratios compare sum_m kappa_{j,m} with (j+1) 2^(j phi_j(p s_p)) and
     sum_{m<=j} lambda_{j,m} with (j+1) 2^(2 j sEq_j); both are definitionally
-    at most 1 up to floating point.
+    at most 1 up to floating point.  The sums are correctly rounded.
     """
-    kap = np.asarray([kappa(descriptor, j, m, d, p) for m in range(j + 1)])
-    lamv = np.asarray([lam(descriptor, j, m, d, q) for m in range(j + 1)])
+    kap = tuple(kappa(descriptor, j, m, d, p) for m in range(j + 1))
+    lamv = tuple(lam(descriptor, j, m, d, q) for m in range(j + 1))
+    kap_sum, lam_sum = math.fsum(kap), math.fsum(lamv)
     phi = spectra.phi_at_scale(descriptor, p * s_p(d, p), j)
     alpha_q = 0.5 * (d - 1) * (0.5 * q - 1.0)
     seq_scale = 0.5 * (d + 1) * (0.5 - 1.0 / q) + spectra.phi_at_scale(descriptor, alpha_q, j) / q
@@ -230,7 +229,6 @@ def bookkeeping_sums(descriptor, j: int, d: int, p: float, q: float, slack: floa
     lam_bound = (j + 1) * 2.0 ** (2.0 * j * seq_scale)
     return BookkeepingReport(
         j, d, p, q, kap, lamv,
-        float(kap.sum()), float(lamv.sum()),
-        float(kap.sum() / kap_bound), float(lamv.sum() / lam_bound),
+        kap_sum, lam_sum, kap_sum / kap_bound, lam_sum / lam_bound,
         slack,
     )

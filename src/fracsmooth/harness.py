@@ -1,6 +1,9 @@
 """Experiment runners: duality tables, sharpness slopes, exponent tables,
 and scale bookkeeping.  The CLI wraps these; all outputs are plain CSV/JSON
-and every verdict is recomputable from the emitted tables."""
+and every verdict is recomputable from the emitted tables.
+
+Only the sharpness slopes (``run_sharpness_slope``, ``_window_q`` and
+``_fit_line``) use NumPy and ``wave``, and they import them when called."""
 
 from __future__ import annotations
 
@@ -8,16 +11,14 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from . import backend, exponents, legendre, sets, spectra, wave
+from . import backend, exponents, legendre, sets, spectra
 from .errors import DegenerateWindowError, OutOfRangeError, UnsupportedSetError
 
 
 # The experiment protocol: the alpha grid of the duality check, windows with
 # 2^j |I| >= MIN_WINDOW_FACTOR, at most MAX_TIMES sampled times per window,
 # and SHELL_POINTS radii across each shell J_t.
-DUALITY_ALPHAS = 0.0625 * np.arange(33)
+DUALITY_ALPHAS = [0.0625 * k for k in range(33)]
 MIN_WINDOW_FACTOR = 32
 MAX_TIMES = 512
 SHELL_POINTS = 17
@@ -47,13 +48,13 @@ class ExperimentConfig:
 class DualityReport:
     set_id: str
     j_list: list
-    alpha_grid: np.ndarray
-    deviations: dict          # j -> array over alpha
+    alpha_grid: list
+    deviations: dict          # j -> list over alpha
     tolerance: float
 
     @property
     def max_deviation(self) -> float:
-        return float(self.deviations[max(self.deviations)].max())
+        return max(self.deviations[max(self.deviations)])
 
     @property
     def passes(self) -> bool:
@@ -63,7 +64,7 @@ class DualityReport:
         lines = ["j,alpha,deviation"]
         for j in sorted(self.deviations):
             for a, v in zip(self.alpha_grid, self.deviations[j]):
-                lines.append(f"{j},{float(a)!r},{float(v)!r}")
+                lines.append(f"{j},{a!r},{v!r}")
         lines.append(f"# max_deviation,{self.max_deviation!r},tolerance,{self.tolerance!r}")
         return "\n".join(lines) + "\n"
 
@@ -93,8 +94,7 @@ def run_duality(config: ExperimentConfig) -> DualityReport:
     tol = config.tolerance if config.tolerance is not None else spectra.default_tolerance(j_top) + 2.0 / j_top
     devs = {}
     for j in config.j_list:
-        phi = np.asarray([spectra.phi_at_scale(config.descriptor, a, j) for a in grid])
-        devs[j] = np.abs(phi - ref_vals)
+        devs[j] = [abs(spectra.phi_at_scale(config.descriptor, a, j) - r) for a, r in zip(grid, ref_vals)]
     return DualityReport(sets.dumps(config.descriptor), config.j_list, grid, devs, tol)
 
 
@@ -153,6 +153,8 @@ class SlopeReport:
 
 
 def _fit_line(xs, ys):
+    import numpy as np
+
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if len(xs) < 4:
@@ -172,17 +174,16 @@ def choose_window(descriptor, j: int, alpha: float, min_factor: int):
     scores = [alpha * m + math.log2(maxima[m]) for m in range(m_cap + 1)]
     best = max(scores)
     m_star = max(m for m, s in enumerate(scores) if s >= best - 1e-12)
-    length = 2.0**-m_star
     # family windows inside [1, 2]: shift 0, then shift 1/2, each ascending
-    w_lo = spectra.family_starts(1.0, 2.0, length)
-    w_lo = w_lo[(w_lo >= 1.0) & (w_lo + length <= 2.0)]
+    w_lo = spectra.family_starts(1.0, 2.0, 2.0**-m_star).within(1.0, 2.0)
+    w_hi = backend.Grids(w_lo.parts, ends=True)
     flat = sets.flatten(descriptor)
-    counts = backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_lo + length, 2.0**-j)
-    best = int(np.argmax(counts))
-    return (float(w_lo[best]), float(w_lo[best] + length)), int(counts[best])
+    counts = backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_hi, 2.0**-j)
+    best = counts.index(max(counts))
+    return (w_lo[best], w_hi[best]), counts[best]
 
 
-def _window_q(descriptor, params: wave.WaveParams, p: float, window, points, rng):
+def _window_q(descriptor, params, p: float, window, points, rng):
     """Sum of shell norms over the discretization times ``points`` (of
     ``descriptor`` at scale 2^-j) in the fuller half of the window,
     normalized by the data norm.
@@ -191,6 +192,11 @@ def _window_q(descriptor, params: wave.WaveParams, p: float, window, points, rng
     (times x radii) grid: one ``field_row_fast`` lookup and one
     ``shell_lp_norm`` reduction per window, summed as p-th powers in time
     order."""
+    import numpy as np
+
+    from . import wave
+
+    points = np.asarray(points)
     delta = 2.0**-params.j
     lo, hi = window
     mid = 0.5 * (lo + hi)
@@ -222,6 +228,10 @@ def _window_q(descriptor, params: wave.WaveParams, p: float, window, points, rng
 
 def run_sharpness_slope(config: ExperimentConfig) -> SlopeReport:
     """Measure the growth exponent of the shell-norm sums against scale."""
+    import numpy as np
+
+    from . import wave
+
     d, p = config.d, config.p
     alpha = p * exponents.s_p(d, p)
     rng = np.random.default_rng(config.seed)

@@ -1,4 +1,5 @@
-"""Discrete Legendre transform engine and convex-duality checks.
+"""Discrete Legendre transform engine and convex-duality checks, in plain
+Python.
 
 The transform of a piecewise-linear function attains its supremum at grid
 nodes, so node-wise evaluation is exact for sampled inputs.  Default grids:
@@ -9,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import AdmissibilityError, InvalidSpectrumError
-from .sampled import SampledFunction, common_grid
+from .sampled import SampledFunction, common_grid, linspace
 
 THETA_STEP = 1.0 / 256.0
 ALPHA_STEP = 1.0 / 64.0
@@ -22,8 +21,8 @@ ALPHA_MAX = 4.0
 CONVEXITY_SLACK = 1e-9
 
 
-def default_alpha_grid(alpha_max: float = ALPHA_MAX) -> np.ndarray:
-    return np.linspace(0.0, alpha_max, int(round(alpha_max / ALPHA_STEP)) + 1)
+def default_alpha_grid(alpha_max: float = ALPHA_MAX) -> tuple:
+    return linspace(0.0, alpha_max, int(round(alpha_max / ALPHA_STEP)) + 1)
 
 
 @dataclass(frozen=True)
@@ -40,13 +39,25 @@ class ConvexityCertificate:
         }
 
 
+def _first(flags) -> int:
+    """Index of the first true flag, or -1."""
+    return next((i for i, flag in enumerate(flags) if flag), -1)
+
+
+def _transform(xs, ys, grid) -> list:
+    """max over the nodes (x, y) of g * x - y, for each g in grid."""
+    nodes = list(zip(xs, ys))
+    return [max([g * x - y for x, y in nodes]) for g in grid]
+
+
 def convexity_certificate(f: SampledFunction, slack: float = CONVEXITY_SLACK) -> ConvexityCertificate:
     """Check discrete convexity via second differences on the grid."""
-    second = np.diff(f.values, 2)
-    if len(second) == 0:
+    v = f.values
+    second = [(c - b) - (b - a) for a, b, c in zip(v, v[1:], v[2:])]
+    if not second:
         return ConvexityCertificate(True, 0.0, -1)
-    worst = int(np.argmin(second))
-    violation = max(0.0, -float(second[worst]))
+    worst = min(range(len(second)), key=second.__getitem__)
+    violation = max(0.0, -second[worst])
     return ConvexityCertificate(violation <= slack, violation, worst if violation > 0 else -1)
 
 
@@ -54,41 +65,42 @@ def legendre_transform(f: SampledFunction, alpha_grid=None) -> SampledFunction:
     """f*(alpha) = max over grid nodes of theta * alpha - f(theta)."""
     if alpha_grid is None:
         alpha_grid = default_alpha_grid()
-    alpha_grid = np.asarray(alpha_grid, dtype=np.float64)
-    theta = f.grid
-    # rows: alpha, cols: theta
-    table = np.multiply.outer(alpha_grid, theta) - f.values[None, :]
-    vals = table.max(axis=1)
-    return SampledFunction(alpha_grid[0], alpha_grid[-1], vals)
+    alpha_grid = [float(a) for a in alpha_grid]
+    return SampledFunction(alpha_grid[0], alpha_grid[-1], _transform(f.grid, f.values, alpha_grid))
 
 
-def convex_hull(f: SampledFunction, alpha_grid=None) -> SampledFunction:
-    """Double transform: the largest convex function below f, on f's grid.
+def convex_hull(f: SampledFunction) -> SampledFunction:
+    """The largest convex function below f, on f's grid.
 
-    The default dual grid contains every data chord slope, which makes the
-    double transform exact for piecewise-linear input.
+    The lower hull of the nodes by Andrew's monotone chain, evaluated back
+    on every node: O(n), and exact for piecewise-linear input.
     """
-    if alpha_grid is None:
-        nodes = f.grid
-        chords = (f.values[None, :] - f.values[:, None]) / (nodes[None, :] - nodes[:, None] + np.eye(len(nodes)))
-        slopes = chords[~np.eye(len(nodes), dtype=bool)]
-        pad = 1.0 + 0.1 * abs(slopes).max()
-        alpha_grid = np.unique(
-            np.concatenate([np.linspace(slopes.min() - pad, slopes.max() + pad, 513), slopes])
-        )
-    star = legendre_transform(f, alpha_grid)
-    theta = f.grid
-    table = np.multiply.outer(theta, np.asarray(alpha_grid)) - star.values[None, :]
-    return SampledFunction(f.lo, f.hi, table.max(axis=1))
+    xs, ys = f.grid, f.values
+    hull = []
+    for k in range(len(xs)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            # drop b when it lies on or above the chord from a to node k
+            if (ys[b] - ys[a]) * (xs[k] - xs[a]) >= (ys[k] - ys[a]) * (xs[b] - xs[a]):
+                hull.pop()
+            else:
+                break
+        hull.append(k)
+    vals = [ys[0]]
+    for a, b in zip(hull, hull[1:]):
+        slope = (ys[b] - ys[a]) / (xs[b] - xs[a])
+        vals += [ys[a] + slope * (xs[k] - xs[a]) for k in range(a + 1, b)]
+        vals.append(ys[b])
+    return SampledFunction(f.lo, f.hi, vals)
 
 
 def nu_from_spectrum(spectrum: SampledFunction) -> SampledFunction:
     """nu(theta) = -(1 - theta) * spectrum(theta); requires values in [0, 1]."""
     vals = spectrum.values
-    if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
+    if any(v < -1e-12 or v > 1.0 + 1e-12 for v in vals):
         raise InvalidSpectrumError("spectrum values must lie in [0, 1]")
-    theta = spectrum.grid
-    return SampledFunction(spectrum.lo, spectrum.hi, -(1.0 - theta) * vals)
+    nu = [-(1.0 - t) * v for t, v in zip(spectrum.grid, vals)]
+    return SampledFunction(spectrum.lo, spectrum.hi, nu)
 
 
 def nu_sharp_analytic(spectrum: SampledFunction, alpha_grid=None) -> SampledFunction:
@@ -131,30 +143,16 @@ def tau_admissible(tau: SampledFunction, slack: float = 1e-9) -> AdmissibilityRe
     """
     if tau.hi < 2.0 - 1e-12:
         raise AdmissibilityError("tau must be sampled on [0, A] with A >= 2")
-    grid = tau.grid
-    vals = tau.values
-
-    diffs = np.diff(vals)
-    inc_bad = np.where(diffs < -slack)[0]
-    increasing_ok = len(inc_bad) == 0
-    inc_witness = int(inc_bad[0]) if len(inc_bad) else -1
-
+    grid, vals = tau.grid, tau.values
+    inc_witness = _first(b - a < -slack for a, b in zip(vals, vals[1:]))
     cert = convexity_certificate(tau, slack)
-
-    tail = grid >= 1.0 - 1e-12
-    tail_err = np.abs(vals[tail] - grid[tail])
-    tail_bad = np.where(tail_err > 1e-9 + slack)[0]
-    identity_ok = len(tail_bad) == 0
-    tail_idx = np.where(tail)[0]
-    identity_witness = int(tail_idx[tail_bad[0]]) if len(tail_bad) else -1
-
-    below = np.where(vals < grid - slack)[0]
-    dominates_ok = len(below) == 0
-    diag_witness = int(below[0]) if len(below) else -1
-
+    identity_witness = _first(
+        x >= 1.0 - 1e-12 and abs(v - x) > 1e-9 + slack for x, v in zip(grid, vals)
+    )
+    diag_witness = _first(v < x - slack for x, v in zip(grid, vals))
     return AdmissibilityReport(
-        increasing_ok, inc_witness, cert, identity_ok, identity_witness,
-        dominates_ok, diag_witness,
+        inc_witness < 0, inc_witness, cert, identity_witness < 0, identity_witness,
+        diag_witness < 0, diag_witness,
     )
 
 
@@ -168,12 +166,10 @@ def spectrum_from_tau(tau: SampledFunction, theta_step: float = THETA_STEP) -> S
     if not report.admissible:
         raise AdmissibilityError(f"tau fails admissibility: {report.to_json_dict()}")
     n = int(round((1.0 - theta_step) / theta_step)) + 1
-    theta = np.linspace(0.0, 1.0 - theta_step, n)
-    # nu(theta) = max over alpha-grid of alpha*theta - tau(alpha)
-    table = np.multiply.outer(theta, tau.grid) - tau.values[None, :]
-    nu = table.max(axis=1)
-    gamma = -nu / (1.0 - theta)
-    return SampledFunction(0.0, 1.0 - theta_step, np.clip(gamma, 0.0, 1.0))
+    theta = linspace(0.0, 1.0 - theta_step, n)
+    nu = _transform(tau.grid, tau.values, theta)
+    gamma = [min(1.0, max(0.0, -v / (1.0 - t))) for t, v in zip(theta, nu)]
+    return SampledFunction(0.0, 1.0 - theta_step, gamma)
 
 
 def union_nu_sharp(profiles) -> SampledFunction:
@@ -182,5 +178,5 @@ def union_nu_sharp(profiles) -> SampledFunction:
     if len(profiles) == 1:
         return profiles[0]
     grid = common_grid(profiles)
-    vals = np.max([p(grid) for p in profiles], axis=0)
+    vals = [max(column) for column in zip(*(p(grid) for p in profiles))]
     return SampledFunction(grid[0], grid[-1], vals)

@@ -15,8 +15,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidResolutionError, InvalidSetError, OutOfRangeError
 
 _INF = math.inf
@@ -364,7 +362,7 @@ class IntervalList:
     consecutive intervals are strictly separated.
     """
 
-    intervals: np.ndarray  # shape (n, 2)
+    intervals: tuple  # of (lo, hi) pairs
     resolution: float
 
     def __len__(self):
@@ -372,18 +370,17 @@ class IntervalList:
 
     def validate(self):
         iv = self.intervals
-        if len(iv):
-            if np.any(iv[:, 1] - iv[:, 0] > self.resolution):
-                raise InvalidSetError("interval longer than resolution")
-            if np.any(iv[1:, 0] <= iv[:-1, 1]):
-                raise InvalidSetError("intervals not strictly separated")
+        if any(hi - lo > self.resolution for lo, hi in iv):
+            raise InvalidSetError("interval longer than resolution")
+        if any(b[0] <= a[1] for a, b in zip(iv, iv[1:])):
+            raise InvalidSetError("intervals not strictly separated")
 
 
 @dataclass(frozen=True)
 class Discretization:
     """Maximal separated subset at scale 2^-j (points differ by > 2^-j)."""
 
-    points: np.ndarray
+    points: tuple
     scale: int
 
     def __len__(self):
@@ -413,8 +410,7 @@ def render(s, delta: float) -> IntervalList:
         if len(tiles) > _MAX_TILES:
             raise InvalidResolutionError("resolution too fine for this set")
         x = math.nextafter(p + delta, _INF)
-    arr = np.asarray(tiles, dtype=np.float64).reshape(len(tiles), 2)
-    return IntervalList(arr, delta)
+    return IntervalList(tuple(tiles), delta)
 
 
 def covering_number(s, window, delta: float) -> int:
@@ -459,7 +455,7 @@ def discretize(s, j: int) -> Discretization:
             break
         pts.append(p)
         x = math.nextafter(p + sep, _INF)
-    return Discretization(np.asarray(pts, dtype=np.float64), j)
+    return Discretization(tuple(pts), j)
 
 
 # Does the set meet [lo, hi]?  One point query; the tests use it as a sanity check.

@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from . import backend, legendre, sets
 from .errors import InvalidThetaError, OutOfRangeError
-from .sampled import SampledFunction
+from .sampled import SampledFunction, linspace
 
 LOG2 = math.log(2.0)
 
@@ -29,49 +27,53 @@ def default_tolerance(j: int) -> float:
     return TOL_COEFF / j
 
 
-def family_starts(lo: float, hi: float, length: float, shifts: int = 2) -> np.ndarray:
+def family_starts(lo: float, hi: float, length: float, shifts: int = 2) -> backend.Grids:
     """Starts of the family windows of one length around [lo, hi].
 
     Shift i has the grid off + k * length with off = i * length / shifts and
     k from one window left of lo to one window right of hi.  The grids come
-    in shift order, each ascending.
+    in shift order, each ascending, as the parts of one ``backend.Grids``.
     """
-    grids = []
+    parts = []
     for i in range(shifts):
         off = i * length / shifts
         k_lo = math.floor((lo - off) / length) - 1
         k_hi = math.ceil((hi - off) / length) + 1
-        grids.append(off + np.arange(k_lo, k_hi + 1) * length)
-    return np.concatenate(grids)
+        parts.append((off, length, k_lo, k_hi))
+    return backend.Grids(tuple(parts))
 
 
 @lru_cache(maxsize=128)
-def _window_maxima_cached(descriptor, j: int, shifts: int):
+def _window_maxima_cached(descriptor, j: int, shifts: int) -> tuple:
     """Count maxima over the family windows of length 2^-m, m = 0..j.
 
-    One ``backend.cover_counts`` call counts every level, each level's
-    windows sorted by start.  That call relies on two invariants: greedy
-    steps are exact in [1, 2] (so a single interval is counted in closed
-    form), and sweeps from different window starts merge at every gap wider
-    than 2^-j (so one step cache serves all windows and levels).  The counts
-    are those of ``sets._greedy_count`` in each window.
+    One ``backend.cover_counts`` call counts every level, grid by grid,
+    without building the windows: it counts a single interval in closed
+    form, and walks each other grid with one step cache for all windows and
+    levels, skipping the windows that miss the set.  The counts are those
+    of ``sets._greedy_count`` in each window.
     """
     flat = sets.flatten(descriptor)
     smin = sets.first_point_geq(flat, -math.inf)
     smax = sets.last_point_leq(flat, math.inf)
-    lengths = [2.0 ** (-m) for m in range(j + 1)]
-    starts = [np.sort(family_starts(smin, smax, length, shifts)) for length in lengths]
-    w_lo = np.concatenate(starts)
-    w_hi = np.concatenate([s + length for s, length in zip(starts, lengths)])
-    counts = backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_hi, 2.0 ** (-j))
-    return np.maximum.reduceat(counts, np.cumsum([0] + [len(s) for s in starts[:-1]]))
+    levels = [family_starts(smin, smax, 2.0 ** (-m), shifts) for m in range(j + 1)]
+    parts = tuple(part for level in levels for part in level.parts)
+    counts = backend.cover_counts(
+        flat[0], flat[1], flat[2], backend.Grids(parts), backend.Grids(parts, ends=True), 2.0 ** (-j)
+    )
+    maxima, start = [], 0
+    for level in levels:
+        stop = start + len(level)
+        maxima.append(max(counts[start:stop]))
+        start = stop
+    return tuple(maxima)
 
 
-def window_count_maxima(descriptor, j: int, shifts: int = 2) -> np.ndarray:
+def window_count_maxima(descriptor, j: int, shifts: int = 2) -> tuple:
     """max over family windows of length 2^-m of N(E /\\ I, 2^-j), m = 0..j."""
     if j < 2:
         raise OutOfRangeError(f"need j >= 2, got {j}")
-    return _window_maxima_cached(descriptor, j, shifts).copy()
+    return _window_maxima_cached(descriptor, j, shifts)
 
 
 def best_window(descriptor, j: int, m: int, shifts: int = 2):
@@ -79,11 +81,12 @@ def best_window(descriptor, j: int, m: int, shifts: int = 2):
     flat = sets.flatten(descriptor)
     smin = sets.first_point_geq(flat, -math.inf)
     smax = sets.last_point_leq(flat, math.inf)
-    length = 2.0 ** (-m)
-    w_lo = np.sort(family_starts(smin, smax, length, shifts))
-    counts = backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_lo + length, 2.0 ** (-j))
-    best = int(np.argmax(counts))
-    return (float(w_lo[best]), float(w_lo[best] + length)), int(counts[best])
+    w_lo = family_starts(smin, smax, 2.0 ** (-m), shifts)
+    w_hi = backend.Grids(w_lo.parts, ends=True)
+    counts = backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_hi, 2.0 ** (-j))
+    best = max(counts)
+    lo, hi = min((a, b) for a, b, n in zip(w_lo, w_hi, counts) if n == best)
+    return (lo, hi), best
 
 
 def phi_at_scale(descriptor, alpha: float, j: int, shifts: int = 2) -> float:
@@ -95,8 +98,7 @@ def phi_at_scale(descriptor, alpha: float, j: int, shifts: int = 2) -> float:
     if j < 2:
         raise OutOfRangeError(f"need j >= 2, got {j}")
     maxima = _window_maxima_cached(descriptor, j, shifts)
-    m = np.arange(j + 1, dtype=np.float64)
-    return float(np.max((alpha * m + np.log2(maxima)) / j))
+    return max((alpha * m + math.log2(n)) / j for m, n in enumerate(maxima))
 
 
 def assouad_spectrum_empirical(descriptor, theta: float, j: int, shifts: int = 2) -> float:
@@ -107,36 +109,32 @@ def assouad_spectrum_empirical(descriptor, theta: float, j: int, shifts: int = 2
     if m > j - 1:
         raise InvalidThetaError(f"theta={theta} leaves no room at scale j={j}")
     maxima = _window_maxima_cached(descriptor, j, shifts)
-    return float(math.log2(maxima[m]) / (j - m))
+    return math.log2(maxima[m]) / (j - m)
 
 
-def theta_grid(j: int) -> np.ndarray:
+def theta_grid(j: int) -> tuple:
     """Usable theta values at scale j: {0, 1/j, ..., (j-4)/j}."""
-    return np.arange(0, j - 3) / j
+    return tuple(k / j for k in range(j - 3))
 
 
 def analytic_spectrum(descriptor) -> SampledFunction | None:
     """Closed-form Assouad spectrum on [0, 1] when the family has one."""
     n = 257
-    theta = np.linspace(0.0, 1.0, n)
     if isinstance(descriptor, sets.FullInterval):
-        return SampledFunction(0.0, 1.0, np.ones(n))
+        return SampledFunction(0.0, 1.0, [1.0] * n)
     if isinstance(descriptor, sets.FinitePoints):
-        return SampledFunction(0.0, 1.0, np.zeros(n))
+        return SampledFunction(0.0, 1.0, [0.0] * n)
     if isinstance(descriptor, sets.CantorLike):
-        beta = descriptor.similarity_dimension
-        return SampledFunction(0.0, 1.0, np.full(n, beta))
+        return SampledFunction(0.0, 1.0, [descriptor.similarity_dimension] * n)
     if isinstance(descriptor, sets.PolySequence):
         beta = descriptor.minkowski_dimension
-        with np.errstate(divide="ignore"):
-            vals = np.minimum(beta / np.where(theta < 1.0, 1.0 - theta, np.inf), 1.0)
-        vals[-1] = 1.0
-        return SampledFunction(0.0, 1.0, vals)
+        theta = linspace(0.0, 1.0, n)
+        return SampledFunction(0.0, 1.0, [min(beta / (1.0 - t), 1.0) for t in theta[:-1]] + [1.0])
     if isinstance(descriptor, sets.UnionSet):
         parts = [analytic_spectrum(m) for m in descriptor.members]
         if any(p is None for p in parts):
             return None
-        return SampledFunction(0.0, 1.0, np.max([p.values for p in parts], axis=0))
+        return SampledFunction(0.0, 1.0, [max(col) for col in zip(*(p.values for p in parts))])
     return None
 
 
@@ -198,31 +196,28 @@ class SpectrumReport:
 
     set_id: str
     axis: str
-    grid: np.ndarray
+    grid: tuple
     rows: dict = field(default_factory=dict)
-    analytic: np.ndarray | None = None
+    analytic: tuple | None = None
 
     @property
-    def estimate(self) -> np.ndarray:
+    def estimate(self) -> tuple:
         return self.rows[max(self.rows)]
 
     @property
-    def deviation(self) -> np.ndarray | None:
+    def deviation(self) -> tuple | None:
         if self.analytic is None:
             return None
-        return np.abs(self.estimate - self.analytic)
+        return tuple(abs(e - a) for e, a in zip(self.estimate, self.analytic))
 
     def to_csv(self) -> str:
         lines = [f"j,{self.axis},value,estimate,analytic,deviation"]
         dev = self.deviation
         for j in sorted(self.rows):
             for i, x in enumerate(self.grid):
-                ana = "" if self.analytic is None else repr(float(self.analytic[i]))
-                dv = "" if dev is None else repr(float(dev[i]))
-                lines.append(
-                    f"{j},{float(x)!r},{float(self.rows[j][i])!r},"
-                    f"{float(self.estimate[i])!r},{ana},{dv}"
-                )
+                ana = "" if self.analytic is None else repr(self.analytic[i])
+                dv = "" if dev is None else repr(dev[i])
+                lines.append(f"{j},{x!r},{self.rows[j][i]!r},{self.estimate[i]!r},{ana},{dv}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -243,12 +238,10 @@ def nu_sharp_empirical(descriptor, alpha_grid, j_list, shifts: int = 2) -> Spect
     j_list = list(j_list)
     if any(b <= a for a, b in zip(j_list, j_list[1:])):
         raise OutOfRangeError("j_list must be increasing")
-    alpha_grid = np.asarray(alpha_grid, dtype=np.float64)
+    alpha_grid = tuple(map(float, alpha_grid))
     report = SpectrumReport(sets.dumps(descriptor), "alpha", alpha_grid)
     for j in j_list:
-        report.rows[j] = np.asarray(
-            [phi_at_scale(descriptor, a, j, shifts) for a in alpha_grid]
-        )
+        report.rows[j] = tuple(phi_at_scale(descriptor, a, j, shifts) for a in alpha_grid)
     spec = analytic_spectrum(descriptor)
     if spec is not None:
         report.analytic = legendre.nu_sharp_analytic(spec)(alpha_grid)
@@ -258,5 +251,4 @@ def nu_sharp_empirical(descriptor, alpha_grid, j_list, shifts: int = 2) -> Spect
 def nu_sharp_empirical_function(descriptor, j: int, alpha_max: float = 4.0) -> SampledFunction:
     """phi_at_scale sampled on the default alpha grid, as a SampledFunction."""
     grid = legendre.default_alpha_grid(alpha_max)
-    vals = np.asarray([phi_at_scale(descriptor, a, j) for a in grid])
-    return SampledFunction(0.0, alpha_max, vals)
+    return SampledFunction(0.0, alpha_max, [phi_at_scale(descriptor, a, j) for a in grid])

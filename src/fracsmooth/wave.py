@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backend, bessel
+from . import bessel
 from .errors import OutOfRangeError, RefineFailureError, UnsupportedOrderError
 
 TWO_PI = 2.0 * math.pi
@@ -65,7 +65,7 @@ _ALIAS_MARGIN = 0.75 * _PROFILE_FFT_MIN * _PROFILE_STEP
 # direct quadrature (the same cutoff at which J0/J1 switch to it), and it
 # keeps terms until the first omitted ones fall below a tenth of the
 # quadrature tolerance, relative to the leading term there
-_HANKEL_CUTOFF = backend.SERIES_CUTOFF
+_HANKEL_CUTOFF = bessel.SERIES_CUTOFF
 _HANKEL_RTOL = 0.1 * QUAD_RTOL
 # radius x node elements per block of the direct kernel quadratures, and
 # moment x node elements per block of the near-radius moments (small enough
@@ -190,7 +190,7 @@ class WaveField:
 # quadrature sums it as sigma-moments (the cutoff at which J0/J1 switch to
 # their series), keeping terms until the first omitted one at the cutoff is
 # below _KERNEL_SERIES_ATOL
-_KERNEL_SERIES_CUTOFF = backend.SERIES_CUTOFF
+_KERNEL_SERIES_CUTOFF = bessel.SERIES_CUTOFF
 _KERNEL_SERIES_ATOL = 1e-17
 
 
@@ -206,7 +206,7 @@ def _kernel_series(d: int):
     nu = 0.5 * (d - 2)
     u2 = _KERNEL_SERIES_CUTOFF**2
     c = [1.0 / (2.0**nu * math.gamma(nu + 1.0))]
-    for k in range(1, backend.NTERMS_SERIES):
+    for k in range(1, bessel.NTERMS_SERIES):
         c.append(-c[-1] / (4.0 * k * (k + nu)))
         if abs(c[-1]) * u2**k < _KERNEL_SERIES_ATOL:
             return np.asarray(c[:-1])
@@ -522,7 +522,7 @@ def _hankel_series(order: float):
     exact at every u, so u_cut is 0.  Cached per order; callers must not
     modify the returned arrays.
     """
-    a = backend.hankel_coeffs(order)
+    a = bessel.hankel_coeffs(order)
     u = _HANKEL_CUTOFF
     for k in range(len(a) - 2):
         tail = np.abs(a[k + 1:k + 3])

@@ -154,6 +154,7 @@ def window_q_per_time(descriptor, params, p, window, points, rng):
         half, t_ref = (mid, hi), lo
     else:
         half, t_ref = (lo, mid), hi
+    points = np.asarray(points)
     pts = points[(points >= half[0]) & (points <= half[1])]
     pts = pts[np.abs(pts - t_ref) >= 0.25 * (hi - lo) - 1e-12]
     scale = 1.0

@@ -75,7 +75,7 @@ def test_criterion_03_legendre_engine():
         twice = legendre.legendre_transform(once, np.linspace(0.0, 1.0, 257))
         thrice = legendre.legendre_transform(twice, once.grid)
         slack = 2.0 * max(once.step, twice.step)
-        inv_ok = inv_ok and float(np.abs(thrice.values - once.values).max()) <= slack
+        inv_ok = inv_ok and float(np.abs(np.subtract(thrice.values, once.values)).max()) <= slack
         cert = legendre.convexity_certificate(once)
         inv_ok = inv_ok and cert.is_convex
 
@@ -93,9 +93,9 @@ def test_criterion_03_legendre_engine():
     for tau in taus:
         assert legendre.tau_admissible(tau).admissible
         gamma = legendre.spectrum_from_tau(tau)
-        nu = SampledFunction(0.0, 1.0, np.append(-(1.0 - gamma.grid) * gamma.values, 0.0))
+        nu = SampledFunction(0.0, 1.0, np.append(-(1.0 - np.asarray(gamma.grid)) * gamma.values, 0.0))
         back = legendre.legendre_transform(nu, tau.grid)
-        rt_worst = max(rt_worst, float(np.abs(back.values - tau.values).max()))
+        rt_worst = max(rt_worst, float(np.abs(np.subtract(back.values, tau.values)).max()))
         rt_ok = rt_worst <= 2.0 * max(tau.step, 1.0 / 256.0)
         cert = legendre.convexity_certificate(legendre.legendre_transform(nu))
         rt_ok = rt_ok and cert.is_convex

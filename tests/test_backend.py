@@ -51,10 +51,11 @@ def test_cover_counts_parity(descriptor):
 @pytest.mark.parametrize("j", [6, 10, 14])
 @pytest.mark.parametrize("descriptor", descriptor_zoo())
 def test_window_table_matches_scalar_counts(descriptor, j):
+    # every window of every level, counted on its grid, against the scalar sweep
     flat = sets.flatten(descriptor)
     smin, smax = sets.bounds(descriptor)
     delta = 2.0**-j
-    expected = []
+    expected, maxima, parts = [], [], ()
     for m in range(j + 1):
         length = 2.0**-m
         w_lo = [
@@ -62,9 +63,32 @@ def test_window_table_matches_scalar_counts(descriptor, j):
             for off in (0.0, 0.5 * length)
             for k in range(math.floor((smin - off) / length) - 1, math.ceil((smax - off) / length) + 2)
         ]
-        expected.append(max(sets._greedy_count(flat, a, a + length, delta) for a in w_lo))
+        level = [sets._greedy_count(flat, a, a + length, delta) for a in w_lo]
+        expected += level
+        maxima.append(max(level))
+        grids = spectra.family_starts(smin, smax, length)
+        assert list(grids) == w_lo
+        parts += grids.parts
+    w_lo, w_hi = backend.Grids(parts), backend.Grids(parts, ends=True)
+    assert backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_hi, delta) == expected
     spectra._window_maxima_cached.cache_clear()
-    assert spectra._window_maxima_cached(descriptor, j, 2).tolist() == expected
+    assert list(spectra._window_maxima_cached(descriptor, j, 2)) == maxima
+
+
+def test_grids_sequence():
+    grids = backend.Grids(((0.0, 0.25, 3, 6), (0.125, 0.25, 4, 5)))
+    starts = [0.75, 1.0, 1.25, 1.5, 1.125, 1.375]
+    assert len(grids) == 6 and list(grids) == starts
+    assert [grids[i] for i in range(-6, 6)] == starts + starts
+    assert list(backend.Grids(grids.parts, ends=True)) == [x + 0.25 for x in starts]
+    for i in (6, -7):
+        with pytest.raises(IndexError):
+            grids[i]
+    inside = grids.within(1.0, 1.5)
+    assert list(inside) == [1.0, 1.25, 1.125]
+    flat = sets.flatten(sets.FullInterval(1.0, 2.0))
+    with pytest.raises(ValueError):
+        backend.cover_counts(flat[0], flat[1], flat[2], grids, grids, 2.0**-4)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +122,8 @@ _probe = st.floats(0.8, 2.2)
 
 
 @settings(max_examples=300, deadline=None)
-@given(descriptors(), _probe)
-def test_first_point_geq_properties(descriptor, x):
+@given(descriptors(), _probe, _unit)
+def test_first_point_geq_properties(descriptor, x, u):
     flat = sets.flatten(descriptor)
     p = sets.first_point_geq(flat, x)
     if p == math.inf:
@@ -107,6 +131,8 @@ def test_first_point_geq_properties(descriptor, x):
         return
     assert p >= x
     assert sets.first_point_geq(flat, p) == p
+    # every probe in [x, p] has the same first point (the grid walk relies on it)
+    assert sets.first_point_geq(flat, min(p, x + u * (p - x))) == p
     assert sets.last_point_leq(flat, p) == p
     # no set point in [x, p)
     assert sets.last_point_leq(flat, math.nextafter(p, -math.inf)) < x
@@ -168,7 +194,7 @@ def test_greedy_count_matches_point_list_oracle(points, w_lo, length, k):
     expected = greedy_cover_points(pts, w_lo, w_lo + length, delta)
     assert sets._greedy_count(flat, w_lo, w_lo + length, delta) == expected
     got = backend.cover_counts(flat[0], flat[1], flat[2], [w_lo], [w_lo + length], delta)
-    assert got.tolist() == [expected]
+    assert list(got) == [expected]
 
 
 def test_oscillatory_sum_matches_direct():

@@ -35,8 +35,8 @@ def test_usage_errors(set_files, tmp_path, capsys):
     assert cli.cli(["set-info", "--set", "/nonexistent/x.json"]) == 2
     # malformed input is a usage error with a message, not a traceback
     files = {
-        "interval.json": '{"type": "interval"}',
-        "cantor.json": '{"type": "cantor", "base_interval": [1, 2], "contraction": 0.3}',
+        "bad_interval.json": '{"type": "interval"}',
+        "bad_cantor.json": '{"type": "cantor", "base_interval": [1, 2], "contraction": 0.3}',
         "truncated.json": '{"type": "cantor", "base_int',
         "header.csv": "x,value\n",
         "words.csv": "x,value\n0,a\n1,b\n",
@@ -46,13 +46,17 @@ def test_usage_errors(set_files, tmp_path, capsys):
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe{")
     capsys.readouterr()
     for argv in (
-        ["set-info", "--set", str(tmp_path / "interval.json")],
-        ["set-info", "--set", str(tmp_path / "cantor.json")],
+        ["set-info", "--set", str(tmp_path / "bad_interval.json")],
+        ["set-info", "--set", str(tmp_path / "bad_cantor.json")],
         ["set-info", "--set", str(tmp_path / "truncated.json")],
         ["set-info", "--set", str(tmp_path / "binary.json")],
         ["legendre", "--infile", str(tmp_path / "header.csv")],
         ["legendre", "--infile", str(tmp_path / "words.csv")],
         ["nu-sharp", "--set", set_files["cantor"], "--alpha-grid", "0:2"],
+        ["nu-sharp", "--set", set_files["cantor"], "--alpha-grid", "2:0:0.5"],
+        ["nu-sharp", "--set", set_files["cantor"], "--alpha-grid", "0:2:-0.5"],
+        ["nu-sharp", "--set", set_files["cantor"], "--alpha-grid", "1:0.9:0.5"],
+        ["nu-sharp", "--set", set_files["cantor"], "--alpha-grid", "2:0:-0.5"],
         ["wave-sim", "--times", "1.5,abc"],
     ):
         assert cli.cli(argv) == 2, argv
@@ -72,18 +76,52 @@ def test_module_entry_point(set_files):
     assert len(proc.stdout.splitlines()) > 1
 
 
-def test_import_loads_no_polynomial_or_fft():
-    # numpy.fft loads only when a profile table is built, and nothing loads
-    # numpy.polynomial: a fresh interpreter imports neither with the CLI
+def _fresh_python(code, *args):
     src = str(Path(fracsmooth.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_polynomial_or_fft():
+    # NumPy and wave load only with the wave commands: a fresh interpreter
+    # imports neither with the CLI and the harness
     code = (
         "import sys, fracsmooth.cli, fracsmooth.harness; "
-        "print(sorted(m for m in sys.modules if m.startswith(('numpy.polynomial', 'numpy.fft'))))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m == 'fracsmooth.wave'))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert _fresh_python(code) == "[]\n"
+
+
+CANTOR_JSON = str(Path(__file__).resolve().parents[1] / "perfbench" / "sets" / "cantor.json")
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["set-info", "--set", CANTOR_JSON, "--j", "10"], False),
+    (["covering", "--set", CANTOR_JSON, "--j", "10"], False),
+    (["spectrum", "--set", CANTOR_JSON, "--j", "10"], False),
+    (["nu-sharp", "--set", CANTOR_JSON, "--jmin", "9", "--jmax", "10"], False),
+    (["legendre"], False),
+    (["exponents", "--set", CANTOR_JSON, "--j", "10"], False),
+    (["verify-duality", "--set", CANTOR_JSON, "--jmin", "10", "--jmax", "11"], False),
+    (["verify-bookkeeping", "--set", CANTOR_JSON, "--j", "10"], False),
+    # the control: the wave commands do load NumPy
+    (["wave-sim", "--d", "3", "--j", "6"], True),
+])
+def test_covering_commands_load_no_numpy(tmp_path, argv, loads_numpy):
+    if argv == ["legendre"]:
+        infile = tmp_path / "nu.csv"
+        infile.write_text("x,value\n0.0,-1.0\n0.5,-0.25\n1.0,0.0\n")
+        argv = argv + ["--infile", str(infile)]
+    code = (
+        "import sys; from fracsmooth import cli; rc = cli.cli(sys.argv[1:]); "
+        "print(rc, any(m.split('.')[0] == 'numpy' for m in sys.modules))"
+    )
+    out = tmp_path / "out.txt"
+    assert _fresh_python(code, *argv, "--out", str(out)) == f"0 {loads_numpy}\n"
+    assert out.read_text()
 
 
 def test_set_info(set_files, tmp_path, capsys):

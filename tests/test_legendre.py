@@ -55,21 +55,21 @@ def test_transform_zero_function():
 def test_transform_quasi_regular(beta, gamma):
     nu = quasi_regular_nu(beta, gamma)
     out = legendre.legendre_transform(nu)
-    grid = out.grid
+    grid = np.asarray(out.grid)
     # two-piece closed form, cross-checked against the dense-grid oracle
     expected = np.where(grid <= gamma, (1.0 - beta / gamma) * grid + beta, grid)
     oracle = legendre_fine(lambda t: -min(beta, (1.0 - t) * gamma), 0.0, 1.0, grid)
     assert np.abs(oracle - expected).max() < 2e-4
-    assert np.abs(out.values - expected).max() < 1.5 / 256.0
+    assert np.abs(np.asarray(out.values) - expected).max() < 1.5 / 256.0
 
 
 def test_transform_order_reversal():
     f = sampled(lambda t: -min(0.5, 1.0 - t))
     g = sampled(lambda t: -min(0.3, 1.0 - t))  # g >= f nowhere... f <= g pointwise
-    assert np.all(f.values <= g.values + 1e-15)
+    assert np.all(np.asarray(f.values) <= np.asarray(g.values) + 1e-15)
     fs = legendre.legendre_transform(f)
     gs = legendre.legendre_transform(g)
-    assert np.all(fs.values >= gs.values - 1e-12)
+    assert np.all(np.asarray(fs.values) >= np.asarray(gs.values) - 1e-12)
 
 
 def test_transform_output_convex():
@@ -85,7 +85,7 @@ def test_transform_output_convex():
 def test_hull_of_convex_is_identity():
     f = sampled(lambda t: (t - 0.3) ** 2)
     hull = legendre.convex_hull(f)
-    assert np.abs(hull.values - f.values).max() < 1e-6
+    assert np.abs(np.subtract(hull.values, f.values)).max() < 1e-6
 
 
 def test_hull_concave_sample():
@@ -93,7 +93,7 @@ def test_hull_concave_sample():
     hull = legendre.convex_hull(f)
     oracle = lower_convex_envelope(f.grid, f.values)
     assert np.abs(hull.values - oracle).max() < 1e-6
-    assert np.all(hull.values <= f.values + 1e-9)
+    assert np.all(np.asarray(hull.values) <= np.asarray(f.values) + 1e-9)
     assert legendre.convexity_certificate(hull, slack=1e-6).is_convex
 
 
@@ -105,7 +105,7 @@ def test_hull_nonconvex_union_nu():
     assert np.abs(hull.values - oracle).max() < 1e-6
     assert hull.values[0] == pytest.approx(f.values[0], abs=1e-9)
     assert hull.values[-1] == pytest.approx(f.values[-1], abs=1e-9)
-    assert np.any(hull.values < f.values - 1e-4)
+    assert np.any(np.asarray(hull.values) < np.asarray(f.values) - 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +115,13 @@ def test_hull_nonconvex_union_nu():
 def test_nu_from_spectrum_cases():
     ones = SampledFunction(0.0, 1.0, np.ones(129))
     out = legendre.nu_from_spectrum(ones)
-    assert np.allclose(out.values, out.grid - 1.0, atol=1e-15)
+    assert np.allclose(out.values, np.asarray(out.grid) - 1.0, atol=1e-15)
     zeros = SampledFunction(0.0, 1.0, np.zeros(129))
     assert np.allclose(legendre.nu_from_spectrum(zeros).values, 0.0)
     poly = sampled(lambda t: min(0.5 / (1.0 - t), 1.0) if t < 1 else 1.0)
     out = legendre.nu_from_spectrum(poly)
     expected = [-min(0.5, 1.0 - t) for t in out.grid]
-    assert np.abs(out.values - expected).max() < 1e-12
+    assert np.abs(np.subtract(out.values, expected)).max() < 1e-12
     assert out.values[-1] == 0.0
 
 
@@ -142,7 +142,7 @@ def test_nu_sharp_polyseq_profile():
     beta = 0.5
     spec = sampled(lambda t: min(beta / (1.0 - t), 1.0) if t < 1 else 1.0)
     out = legendre.nu_sharp_analytic(spec)
-    expected = np.maximum((1.0 - beta) * out.grid + beta, out.grid)
+    expected = np.maximum((1.0 - beta) * np.asarray(out.grid) + beta, out.grid)
     assert np.abs(out.values - expected).max() < 1.0 / 256.0
 
 
@@ -151,10 +151,10 @@ def test_nu_sharp_postconditions():
     out = legendre.nu_sharp_analytic(spec)
     assert legendre.convexity_certificate(out).is_convex
     assert np.all(np.diff(out.values) >= -1e-12)
-    grid = out.grid
+    grid, vals = np.asarray(out.grid), np.asarray(out.values)
     tail = grid >= 1.0
-    assert np.abs(out.values[tail] - grid[tail]).max() < 1e-9
-    assert np.all(out.values >= grid - 1e-12)
+    assert np.abs(vals[tail] - grid[tail]).max() < 1e-9
+    assert np.all(vals >= grid - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,7 @@ def test_involution(fn):
     twice = legendre.legendre_transform(once, theta_back)
     thrice = legendre.legendre_transform(twice, once.grid)
     slack = once.step + twice.step * float(np.abs(once.grid).max()) + 1e-12
-    assert np.abs(thrice.values - once.values).max() <= slack
+    assert np.abs(np.subtract(thrice.values, once.values)).max() <= slack
 
 
 @settings(max_examples=100, deadline=None)
@@ -192,7 +192,7 @@ def test_involution_on_random_convex_samples(pieces, n):
     twice = legendre.legendre_transform(once, theta_back)
     thrice = legendre.legendre_transform(twice, once.grid)
     slack = once.step + twice.step * float(np.abs(once.grid).max()) + 1e-12
-    assert np.abs(thrice.values - once.values).max() <= slack
+    assert np.abs(np.subtract(thrice.values, once.values)).max() <= slack
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +241,13 @@ def test_spectrum_from_tau_strictly_convex():
     # closed form: nu(theta) = -(1-theta^2)/2, gamma(theta) = (1+theta)/2
     tau = tau_strictly_convex()
     gamma = legendre.spectrum_from_tau(tau)
-    ref = 0.5 * (1.0 + gamma.grid)
-    assert np.abs(gamma.values - ref).max() < 1e-2
+    grid, vals = np.asarray(gamma.grid), np.asarray(gamma.values)
+    ref = 0.5 * (1.0 + grid)
+    assert np.abs(vals - ref).max() < 1e-2
     # postconditions from the construction
-    assert np.all(np.diff(gamma.values) >= -1e-9)
-    assert np.all((gamma.values >= -1e-12) & (gamma.values <= 1.0 + 1e-12))
-    nu_vals = -(1.0 - gamma.grid) * gamma.values
+    assert np.all(np.diff(vals) >= -1e-9)
+    assert np.all((vals >= -1e-12) & (vals <= 1.0 + 1e-12))
+    nu_vals = -(1.0 - grid) * vals
     assert np.all(np.diff(nu_vals) >= -1e-9)
 
 
@@ -261,10 +262,10 @@ def test_spectrum_from_tau_strictly_convex():
 def test_tau_round_trip(tau):
     gamma = legendre.spectrum_from_tau(tau)
     # nu on [0, 1]: -(1-theta) gamma(theta) with the closing node nu(1) = 0
-    nu = SampledFunction(0.0, 1.0, np.append(-(1.0 - gamma.grid) * gamma.values, 0.0))
+    nu = SampledFunction(0.0, 1.0, np.append(-(1.0 - np.asarray(gamma.grid)) * gamma.values, 0.0))
     back = legendre.legendre_transform(nu, tau.grid)
     slack = 2.0 * max(tau.step, 1.0 / 256.0) + 2e-3
-    assert np.abs(back.values - tau.values).max() <= slack
+    assert np.abs(np.subtract(back.values, tau.values)).max() <= slack
 
 
 # ---------------------------------------------------------------------------

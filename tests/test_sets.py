@@ -55,7 +55,7 @@ def test_render_full_interval_tiles(full_interval):
     iv = sets.render(full_interval, 1.0 / 8.0)
     iv.validate()
     assert len(iv) == 8
-    arr = iv.intervals
+    arr = np.asarray(iv.intervals)
     assert np.all(arr[:, 1] - arr[:, 0] <= 1.0 / 8.0 + 1e-15)
     # union of tiles covers [1, 2] up to strict float gaps
     assert arr[0, 0] == 1.0
@@ -81,7 +81,7 @@ def test_render_polyseq_structure(poly_one):
     assert n_star == 8
     iv = sets.render(poly_one, delta)
     iv.validate()
-    arr = iv.intervals
+    arr = np.asarray(iv.intervals)
     # isolated points 1 + 1/n for n < n_star appear as degenerate tiles
     for n in range(1, n_star):
         hits = np.where(np.abs(arr[:, 0] - (1.0 + 1.0 / n)) < 1e-12)[0]
@@ -100,7 +100,7 @@ def test_render_invariants(descriptor, delta):
     iv = sets.render(descriptor, delta)
     iv.validate()
     flat = sets.flatten(descriptor)
-    arr = iv.intervals
+    arr = np.asarray(iv.intervals)
     # every tile starts and ends at set points
     for lo, hi in arr[:: max(1, len(arr) // 16)]:
         assert sets.first_point_geq(flat, lo) == lo
@@ -212,8 +212,9 @@ def test_discretize_comparable_to_covering(cantor_thirds, j):
 def test_discretize_invariants(descriptor):
     j = 9
     d = sets.discretize(descriptor, j)
+    pts = np.asarray(d.points)
     sep = 2.0**-j
-    diffs = np.diff(d.points)
+    diffs = np.diff(pts)
     assert np.all(diffs > sep)
     # maximality: every set point is within sep of a chosen point
     flat = sets.flatten(descriptor)
@@ -222,7 +223,7 @@ def test_discretize_invariants(descriptor):
         p = sets.first_point_geq(flat, x)
         if p == math.inf:
             continue
-        assert np.min(np.abs(d.points - p)) <= sep + 1e-15
+        assert np.min(np.abs(pts - p)) <= sep + 1e-15
 
 
 def test_separated_vs_cover_comparability(cantor_thirds):
@@ -230,7 +231,7 @@ def test_separated_vs_cover_comparability(cantor_thirds):
     j = 10
     sep = 2.0**-j
     window = (1.2, 1.7)
-    pts = sets.discretize(cantor_thirds, j).points
+    pts = np.asarray(sets.discretize(cantor_thirds, j).points)
     inside = np.sum((pts >= window[0]) & (pts <= window[1]))
     enlarged = sets.covering_number(cantor_thirds, (window[0] - sep, window[1] + sep), sep)
     assert inside <= enlarged
