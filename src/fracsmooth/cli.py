@@ -5,10 +5,10 @@ wave-sim, verify-duality, verify-sharpness, verify-bookkeeping.  Run as the
 ``fracsmooth`` script, ``python -m fracsmooth`` or ``python -m fracsmooth.cli``.
 Exit codes: 0 pass, 1 check failure, 2 usage error, 3 runtime failure
 (a refinement that exhausted its budget, or a degenerate window).
-verify-duality and verify-bookkeeping are deterministic: they accept
-``--seed`` like verify-sharpness, so a script can pass it to every verify-*
-command, and ignore it.  Only wave-sim and verify-sharpness load NumPy and
-``wave``; the other commands run in plain Python.
+Every verify-* command is deterministic: each accepts ``--seed``, so a
+script can pass it to all of them, and ignores it.  Only wave-sim and
+verify-sharpness load NumPy and ``wave``; the other commands run in plain
+Python.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jmin", type=int, default=8)
     p.add_argument("--jmax", type=int, default=13)
     p.add_argument("--tol", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_UNUSED_SEED)
 
     p = sub.add_parser("verify-bookkeeping", help="kappa/lambda scale-sum ratios")
     _add_common(p)
@@ -265,9 +265,7 @@ def cmd_wave_sim(args) -> int:
 
 def cmd_verify_duality(args) -> int:
     descriptor = sets.load_file(args.set)
-    config = harness.ExperimentConfig(
-        descriptor, j_min=args.jmin, j_max=args.jmax, tolerance=args.tol, seed=args.seed
-    )
+    config = harness.ExperimentConfig(descriptor, j_min=args.jmin, j_max=args.jmax, tolerance=args.tol)
     report = harness.run_duality(config)
     _write(args.out, report.to_json() + "\n" if args.format == "json" else report.to_csv())
     return 0 if report.passes else 1
@@ -275,9 +273,7 @@ def cmd_verify_duality(args) -> int:
 
 def cmd_verify_sharpness(args) -> int:
     descriptor = sets.load_file(args.set)
-    config = harness.ExperimentConfig(
-        descriptor, d=args.d, p=args.p, j_min=args.jmin, j_max=args.jmax, seed=args.seed
-    )
+    config = harness.ExperimentConfig(descriptor, d=args.d, p=args.p, j_min=args.jmin, j_max=args.jmax)
     report = harness.run_sharpness_slope(config)
     _write(args.out, report.to_json() + "\n" if args.format == "json" else report.to_csv())
     return 0 if report.deviation <= args.tol else 1

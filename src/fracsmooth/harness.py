@@ -16,12 +16,13 @@ from .errors import DegenerateWindowError, OutOfRangeError, UnsupportedSetError
 
 
 # The experiment protocol: the alpha grid of the duality check, windows with
-# 2^j |I| >= MIN_WINDOW_FACTOR, at most MAX_TIMES sampled times per window,
-# and SHELL_POINTS radii across each shell J_t.
+# 2^j |I| >= MIN_WINDOW_FACTOR, and SHELL_POINTS radii across each shell J_t.
 DUALITY_ALPHAS = [0.0625 * k for k in range(33)]
 MIN_WINDOW_FACTOR = 32
-MAX_TIMES = 512
 SHELL_POINTS = 17
+
+# Times per shell lookup: caps the (times x radii) arrays of one lookup.
+_TIME_BLOCK = 512
 
 
 @dataclass
@@ -33,7 +34,7 @@ class ExperimentConfig:
     j_min: int = 8
     j_max: int = 13
     tolerance: float | None = None
-    seed: int = 0
+    seed: int = 0  # unused; kept because perfbench/child.py passes it
 
     @property
     def j_list(self):
@@ -183,15 +184,15 @@ def choose_window(descriptor, j: int, alpha: float, min_factor: int):
     return (w_lo[best], w_hi[best]), counts[best]
 
 
-def _window_q(descriptor, params, p: float, window, points, rng):
-    """Sum of shell norms over the discretization times ``points`` (of
+def _window_q(descriptor, params, p: float, window, points):
+    """Sum of shell norms over every discretization time in ``points`` (of
     ``descriptor`` at scale 2^-j) in the fuller half of the window,
     normalized by the data norm.
 
-    The shells of all (at most MAX_TIMES, drawn by ``rng``) times form one
-    (times x radii) grid: one ``field_row_fast`` lookup and one
-    ``shell_lp_norm`` reduction per window, summed as p-th powers in time
-    order."""
+    The shells of each block of _TIME_BLOCK times form one (times x radii)
+    grid: one ``field_row_fast`` lookup and one ``shell_lp_norm`` reduction
+    per block, summed as p-th powers in time order.  Both give every row the
+    bits of a one-row call, so the blocks do not change the sum."""
     import numpy as np
 
     from . import wave
@@ -210,43 +211,37 @@ def _window_q(descriptor, params, p: float, window, points, rng):
     pts = pts[np.abs(pts - t_ref) >= 0.25 * (hi - lo) - 1e-12]
     if len(pts) == 0:
         raise DegenerateWindowError(f"no discretization points in half window {half}")
-    scale = 1.0
-    if len(pts) > MAX_TIMES:
-        idx = rng.choice(len(pts), size=MAX_TIMES, replace=False)
-        scale = len(pts) / MAX_TIMES
-        pts = np.sort(pts[idx])
     params = replace(params, t_ref=t_ref)
     gp = wave.data_norm(params, p) ** p
-    shells = wave.region(params, pts)
-    grid = np.linspace(shells.r_lo, shells.r_hi, SHELL_POINTS, axis=1)
-    rows = wave.field_row_fast(params, pts, grid)
     total = 0.0
-    for norm in wave.shell_lp_norm(rows, p, (shells.r_lo, shells.r_hi)).tolist():
-        total += norm**p
-    return scale * total / gp
+    for start in range(0, len(pts), _TIME_BLOCK):
+        block = pts[start:start + _TIME_BLOCK]
+        shells = wave.region(params, block)
+        grid = np.linspace(shells.r_lo, shells.r_hi, SHELL_POINTS, axis=1)
+        rows = wave.field_row_fast(params, block, grid)
+        for norm in wave.shell_lp_norm(rows, p, (shells.r_lo, shells.r_hi)).tolist():
+            total += norm**p
+    return total / gp
 
 
 def run_sharpness_slope(config: ExperimentConfig) -> SlopeReport:
     """Measure the growth exponent of the shell-norm sums against scale."""
-    import numpy as np
-
     from . import wave
 
     d, p = config.d, config.p
     alpha = p * exponents.s_p(d, p)
-    rng = np.random.default_rng(config.seed)
     log2_q, windows, log2_q_full = [], [], []
     for j in config.j_list:
         params = wave.WaveParams(d=d, j=j, t_ref=1.0)
         window, _ = choose_window(config.descriptor, j, alpha, MIN_WINDOW_FACTOR)
         points = sets.discretize(config.descriptor, j).points
-        q_val = _window_q(config.descriptor, params, p, window, points, rng)
+        q_val = _window_q(config.descriptor, params, p, window, points)
         log2_q.append(math.log2(q_val))
         windows.append(window)
         if window == (1.0, 2.0):
             log2_q_full.append(log2_q[-1])
         else:
-            q_full = _window_q(config.descriptor, params, p, (1.0, 2.0), points, rng)
+            q_full = _window_q(config.descriptor, params, p, (1.0, 2.0), points)
             log2_q_full.append(math.log2(q_full))
     slope, intercept = _fit_line(config.j_list, log2_q)
     slope_full, _ = _fit_line(config.j_list, log2_q_full)

@@ -27,16 +27,15 @@ def default_tolerance(j: int) -> float:
     return TOL_COEFF / j
 
 
-def family_starts(lo: float, hi: float, length: float, shifts: int = 2) -> backend.Grids:
+def family_starts(lo: float, hi: float, length: float) -> backend.Grids:
     """Starts of the family windows of one length around [lo, hi].
 
-    Shift i has the grid off + k * length with off = i * length / shifts and
+    Shift i = 0, 1 has the grid off + k * length with off = i * length / 2 and
     k from one window left of lo to one window right of hi.  The grids come
     in shift order, each ascending, as the parts of one ``backend.Grids``.
     """
     parts = []
-    for i in range(shifts):
-        off = i * length / shifts
+    for off in (0.0, 0.5 * length):
         k_lo = math.floor((lo - off) / length) - 1
         k_hi = math.ceil((hi - off) / length) + 1
         parts.append((off, length, k_lo, k_hi))
@@ -44,7 +43,7 @@ def family_starts(lo: float, hi: float, length: float, shifts: int = 2) -> backe
 
 
 @lru_cache(maxsize=128)
-def _window_maxima_cached(descriptor, j: int, shifts: int) -> tuple:
+def _window_maxima_cached(descriptor, j: int) -> tuple:
     """Count maxima over the family windows of length 2^-m, m = 0..j.
 
     One ``backend.cover_counts`` call counts every level, grid by grid,
@@ -56,7 +55,7 @@ def _window_maxima_cached(descriptor, j: int, shifts: int) -> tuple:
     flat = sets.flatten(descriptor)
     smin = sets.first_point_geq(flat, -math.inf)
     smax = sets.last_point_leq(flat, math.inf)
-    levels = [family_starts(smin, smax, 2.0 ** (-m), shifts) for m in range(j + 1)]
+    levels = [family_starts(smin, smax, 2.0 ** (-m)) for m in range(j + 1)]
     parts = tuple(part for level in levels for part in level.parts)
     counts = backend.cover_counts(
         flat[0], flat[1], flat[2], backend.Grids(parts), backend.Grids(parts, ends=True), 2.0 ** (-j)
@@ -69,19 +68,19 @@ def _window_maxima_cached(descriptor, j: int, shifts: int) -> tuple:
     return tuple(maxima)
 
 
-def window_count_maxima(descriptor, j: int, shifts: int = 2) -> tuple:
+def window_count_maxima(descriptor, j: int) -> tuple:
     """max over family windows of length 2^-m of N(E /\\ I, 2^-j), m = 0..j."""
     if j < 2:
         raise OutOfRangeError(f"need j >= 2, got {j}")
-    return _window_maxima_cached(descriptor, j, shifts)
+    return _window_maxima_cached(descriptor, j)
 
 
-def best_window(descriptor, j: int, m: int, shifts: int = 2):
+def best_window(descriptor, j: int, m: int):
     """Leftmost family window of length 2^-m attaining the count maximum."""
     flat = sets.flatten(descriptor)
     smin = sets.first_point_geq(flat, -math.inf)
     smax = sets.last_point_leq(flat, math.inf)
-    w_lo = family_starts(smin, smax, 2.0 ** (-m), shifts)
+    w_lo = family_starts(smin, smax, 2.0 ** (-m))
     w_hi = backend.Grids(w_lo.parts, ends=True)
     counts = backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_hi, 2.0 ** (-j))
     best = max(counts)
@@ -89,7 +88,7 @@ def best_window(descriptor, j: int, m: int, shifts: int = 2):
     return (lo, hi), best
 
 
-def phi_at_scale(descriptor, alpha: float, j: int, shifts: int = 2) -> float:
+def phi_at_scale(descriptor, alpha: float, j: int) -> float:
     """Finite-scale dual-profile functional.
 
     max over family windows of
@@ -97,18 +96,18 @@ def phi_at_scale(descriptor, alpha: float, j: int, shifts: int = 2) -> float:
     """
     if j < 2:
         raise OutOfRangeError(f"need j >= 2, got {j}")
-    maxima = _window_maxima_cached(descriptor, j, shifts)
+    maxima = _window_maxima_cached(descriptor, j)
     return max((alpha * m + math.log2(n)) / j for m, n in enumerate(maxima))
 
 
-def assouad_spectrum_empirical(descriptor, theta: float, j: int, shifts: int = 2) -> float:
+def assouad_spectrum_empirical(descriptor, theta: float, j: int) -> float:
     """Window exponent at scale j for windows of length 2^-ceil(theta j)."""
     if not 0.0 <= theta < 1.0:
         raise InvalidThetaError(f"theta must be in [0, 1), got {theta}")
     m = math.ceil(theta * j)
     if m > j - 1:
         raise InvalidThetaError(f"theta={theta} leaves no room at scale j={j}")
-    maxima = _window_maxima_cached(descriptor, j, shifts)
+    maxima = _window_maxima_cached(descriptor, j)
     return math.log2(maxima[m]) / (j - m)
 
 
@@ -233,7 +232,7 @@ class SpectrumReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def nu_sharp_empirical(descriptor, alpha_grid, j_list, shifts: int = 2) -> SpectrumReport:
+def nu_sharp_empirical(descriptor, alpha_grid, j_list) -> SpectrumReport:
     """Table of phi_at_scale values over alpha for each scale in j_list."""
     j_list = list(j_list)
     if any(b <= a for a, b in zip(j_list, j_list[1:])):
@@ -241,7 +240,7 @@ def nu_sharp_empirical(descriptor, alpha_grid, j_list, shifts: int = 2) -> Spect
     alpha_grid = tuple(map(float, alpha_grid))
     report = SpectrumReport(sets.dumps(descriptor), "alpha", alpha_grid)
     for j in j_list:
-        report.rows[j] = tuple(phi_at_scale(descriptor, a, j, shifts) for a in alpha_grid)
+        report.rows[j] = tuple(phi_at_scale(descriptor, a, j) for a in alpha_grid)
     spec = analytic_spectrum(descriptor)
     if spec is not None:
         report.analytic = legendre.nu_sharp_analytic(spec)(alpha_grid)

@@ -5,8 +5,10 @@ high-precision Decimal series for Bessel values, explicit point-list covers,
 dense-grid Legendre transforms, a chord-construction convex envelope, and
 composite Gauss-Legendre quadrature for the sigma-integrals that ``wave``
 sums by the trapezoid rule.
-The one exception is ``window_q_per_time``, a per-time loop that pins the
-batched shell lookups of the sharpness slopes to one-row calls.
+Two helpers use package paths on purpose: ``family_count_maxima`` takes
+window maxima from scalar ``sets.covering_number`` calls, not from the
+window tables, and ``window_q_per_time``, a per-time loop, pins the blocked
+shell lookups of the sharpness slopes to one-row calls.
 """
 
 import dataclasses
@@ -99,6 +101,28 @@ def greedy_cover_points(pts, lo: float, hi: float, delta: float) -> int:
         x = math.nextafter(pts[i] + delta, math.inf)
 
 
+def family_count_maxima(descriptor, j: int, shifts: int) -> list:
+    """max of N(E /\\ I, 2^-j) over explicit windows I = [x, x + 2^-m],
+    x = i 2^-m / shifts + k 2^-m (i < shifts), m = 0..j, one
+    ``sets.covering_number`` call per window that meets the set's hull."""
+    from fracsmooth import sets
+
+    smin, smax = sets.bounds(descriptor)
+    maxima = []
+    for m in range(j + 1):
+        length = 2.0 ** (-m)
+        best = 0
+        for i in range(shifts):
+            off = i * length / shifts
+            for k in range(math.floor((smin - off) / length) - 1, math.ceil((smax - off) / length) + 1):
+                lo, hi = off + k * length, off + k * length + length
+                if hi >= smin and lo <= smax:
+                    window = (max(lo, smin), min(hi, smax))
+                    best = max(best, sets.covering_number(descriptor, window, 2.0 ** (-j)))
+        maxima.append(best)
+    return maxima
+
+
 def legendre_fine(fn, theta_lo: float, theta_hi: float, alpha, n: int = 20001):
     """Brute-force Legendre transform of a callable on a dense theta grid."""
     theta = np.linspace(theta_lo, theta_hi, n)
@@ -135,10 +159,10 @@ def trapezoid_norm(r, vals, p: float, d: int) -> float:
     return float(np.trapezoid(np.abs(vals) ** p * np.asarray(r) ** (d - 1), r) ** (1.0 / p))
 
 
-def window_q_per_time(descriptor, params, p, window, points, rng):
+def window_q_per_time(descriptor, params, p, window, points):
     """``harness._window_q`` as one field row and one shell norm per time.
 
-    A reference for the batched (times x radii) lookup, not for the field
+    A reference for the blocked (times x radii) lookups, not for the field
     values: each row still goes through ``wave.field_row_fast``, one time
     and a 1-D grid per call, and the norms are added one at a time.
     """
@@ -157,11 +181,6 @@ def window_q_per_time(descriptor, params, p, window, points, rng):
     points = np.asarray(points)
     pts = points[(points >= half[0]) & (points <= half[1])]
     pts = pts[np.abs(pts - t_ref) >= 0.25 * (hi - lo) - 1e-12]
-    scale = 1.0
-    if len(pts) > harness.MAX_TIMES:
-        idx = rng.choice(len(pts), size=harness.MAX_TIMES, replace=False)
-        scale = len(pts) / harness.MAX_TIMES
-        pts = np.sort(pts[idx])
     params = dataclasses.replace(params, t_ref=t_ref)
     gp = wave.data_norm(params, p) ** p
     total = 0.0
@@ -171,7 +190,7 @@ def window_q_per_time(descriptor, params, p, window, points, rng):
         grid = np.linspace(rho - half_w, rho + half_w, harness.SHELL_POINTS)
         row = wave.field_row_fast(params, t, grid)
         total += wave.shell_lp_norm(row, p, (rho - half_w, rho + half_w)) ** p
-    return scale * total / gp
+    return total / gp
 
 
 def gauss_legendre(lo: float, hi: float, n: int):

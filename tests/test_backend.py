@@ -72,7 +72,7 @@ def test_window_table_matches_scalar_counts(descriptor, j):
     w_lo, w_hi = backend.Grids(parts), backend.Grids(parts, ends=True)
     assert backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_hi, delta) == expected
     spectra._window_maxima_cached.cache_clear()
-    assert list(spectra._window_maxima_cached(descriptor, j, 2)) == maxima
+    assert list(spectra._window_maxima_cached(descriptor, j)) == maxima
 
 
 def test_grids_sequence():

@@ -93,6 +93,14 @@ def test_import_loads_no_polynomial_or_fft():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m == 'fracsmooth.wave'))"
     )
     assert _fresh_python(code) == "[]\n"
+    # the sharpness slopes load NumPy and wave, but not numpy.random
+    code = (
+        "import sys; from fracsmooth import harness, sets; "
+        "cfg = harness.ExperimentConfig(sets.FinitePoints((1.5,)), j_min=8, j_max=11); "
+        "harness.run_sharpness_slope(cfg); "
+        "print('fracsmooth.wave' in sys.modules, 'numpy.random' in sys.modules)"
+    )
+    assert _fresh_python(code) == "True False\n"
 
 
 CANTOR_JSON = str(Path(__file__).resolve().parents[1] / "perfbench" / "sets" / "cantor.json")
@@ -245,18 +253,22 @@ def test_verify_sharpness_small(set_files, tmp_path):
 
 
 def test_determinism_byte_identical(set_files, tmp_path):
-    # fixed seed, repeated run, identical bytes
+    # repeated runs give identical bytes, whatever the seed: the interval's
+    # full window at j = 11 holds 1024 times in its half, all of them summed
     pairs = []
-    for tag in ("a", "b"):
+    for tag, seed in (("a", "3"), ("b", "4")):
         dual = tmp_path / f"dual_{tag}.csv"
         book = tmp_path / f"book_{tag}.json"
         slope = tmp_path / f"slope_{tag}.json"
+        full = tmp_path / f"full_{tag}.csv"
         assert cli.cli(["verify-duality", "--set", set_files["cantor"], "--jmin", "10",
-                        "--jmax", "11", "--seed", "3", "--out", str(dual)]) == 0
+                        "--jmax", "11", "--seed", seed, "--out", str(dual)]) == 0
         assert cli.cli(["verify-bookkeeping", "--set", set_files["cantor"], "--j", "10",
-                        "--format", "json", "--seed", "3", "--out", str(book)]) == 0
+                        "--format", "json", "--seed", seed, "--out", str(book)]) == 0
         assert cli.cli(["verify-sharpness", "--set", set_files["point"], "--p", "4",
-                        "--jmin", "8", "--jmax", "11", "--seed", "3", "--format", "json",
+                        "--jmin", "8", "--jmax", "11", "--seed", seed, "--format", "json",
                         "--out", str(slope)]) == 0
-        pairs.append((dual.read_bytes(), book.read_bytes(), slope.read_bytes()))
+        assert cli.cli(["verify-sharpness", "--set", set_files["interval"], "--jmin", "8",
+                        "--jmax", "11", "--seed", seed, "--out", str(full)]) == 0
+        pairs.append((dual.read_bytes(), book.read_bytes(), slope.read_bytes(), full.read_bytes()))
     assert pairs[0] == pairs[1]

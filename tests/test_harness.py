@@ -62,13 +62,26 @@ def test_sharpness_point_set(single_point):
 @pytest.mark.parametrize("name, d, p", [("cantor_thirds", 3, 2.5), ("cantor_thirds", 2, 2.5),
                                         ("full_interval", 2, 4.0)])
 def test_sharpness_slope_matches_per_time_loop(request, monkeypatch, name, d, p):
-    # one (times x radii) lookup per window gives the bits of one lookup per
-    # time; the interval's short windows put d = 2 shells inside the radius
-    # where the remainder is integrated directly, one time at a time
-    cfg = harness.ExperimentConfig(request.getfixturevalue(name), d=d, p=p, j_min=8, j_max=11, seed=5)
+    # the blocked (times x radii) lookups give the bits of one lookup per
+    # time; the interval's full window at j = 11 sums 1024 times, two blocks,
+    # and its short windows put d = 2 shells inside the radius where the
+    # remainder is integrated directly, one time at a time
+    cfg = harness.ExperimentConfig(request.getfixturevalue(name), d=d, p=p, j_min=8, j_max=11)
     batched = harness.run_sharpness_slope(cfg).to_csv()
     monkeypatch.setattr(harness, "_window_q", oracles.window_q_per_time)
     assert harness.run_sharpness_slope(cfg).to_csv() == batched
+
+
+def test_sharpness_follows_finite_scale_profile(cantor_thirds):
+    # summed over every time, log2 Q_j follows j phi_j(alpha) scale by scale,
+    # staircase included, up to a constant: from j = 16 on the fuller half
+    # holds more than 512 times
+    cfg = harness.ExperimentConfig(cantor_thirds, d=3, p=2.5, j_min=8, j_max=17)
+    report = harness.run_sharpness_slope(cfg)
+    alpha = cfg.p * exponents.s_p(cfg.d, cfg.p)
+    residuals = [q - j * spectra.phi_at_scale(cantor_thirds, alpha, j)
+                 for j, q in zip(report.j_list, report.log2_q)]
+    assert max(residuals) - min(residuals) <= 1e-3
 
 
 def test_sharpness_report_serialization(single_point):
