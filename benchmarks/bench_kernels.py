@@ -42,8 +42,8 @@ def timeit(fn, *args, repeat=3):
 
 
 def cold_window_table(descriptor, j):
-    spectra._window_maxima_cached.cache_clear()
-    spectra._window_maxima_cached(descriptor, j, 2)
+    spectra._window_table.cache_clear()
+    spectra._window_table(descriptor, j)
 
 
 def cold_profile_table(d):

@@ -27,48 +27,34 @@ _ULP = 2.0**-52
 
 @dataclass(frozen=True)
 class Grids:
-    """Windows of one length per grid, as a sequence of their starts (or,
-    with ``ends``, of their ends) that is never built.
+    """Windows of one length per grid, as a sequence of their starts that is
+    never built.
 
     Part (off, length, k_lo, k_hi) holds the windows [x, x + length] with
     x = off + k * length, k = k_lo..k_hi; the parts follow one another.
     """
 
     parts: tuple
-    ends: bool = False
 
     def __len__(self):
         return sum(k_hi - k_lo + 1 for _, _, k_lo, k_hi in self.parts)
 
     def __getitem__(self, i: int) -> float:
-        if i < 0:
-            i += len(self)
         for off, length, k_lo, k_hi in self.parts:
             if 0 <= i <= k_hi - k_lo:
-                x = off + (k_lo + i) * length
-                return x + length if self.ends else x
+                return off + (k_lo + i) * length
             i -= k_hi - k_lo + 1
         raise IndexError("window index out of range")
 
-    def within(self, lo: float, hi: float) -> "Grids":
-        """The windows that lie inside [lo, hi], part by part."""
-        parts = []
-        for off, length, k_lo, k_hi in self.parts:
-            ks = [k for k in range(k_lo, k_hi + 1)
-                  if lo <= off + k * length and off + k * length + length <= hi]
-            if ks:
-                parts.append((off, length, ks[0], ks[-1]))
-        return Grids(tuple(parts), self.ends)
 
-
-def cover_counts(types, params, pool, w_lo, w_hi, delta) -> list:
-    """Greedy covering count of set /\\ window for a batch of windows.
+def cover_counts(types, params, pool, windows, delta) -> list:
+    """Greedy covering count of set /\\ window for each window of ``windows``,
+    a ``Grids``.
 
     Every count is the one ``sets._greedy_count`` returns: anchor at the
-    first set point p >= w_lo, then at first_point_geq(nextafter(p + delta))
-    while p <= w_hi.  Windows come as two sequences of floats in any order,
-    or as ``Grids``: w_lo its starts, w_hi the same grids' ends.  Grids are
-    counted part by part, without building them, on two invariants:
+    first set point p >= x, then at first_point_geq(nextafter(p + delta))
+    while p <= x + length.  The grids are counted part by part, without
+    building them, on two invariants:
 
     * Exact steps in [1, 2].  Every double there is a multiple of 2^-52, so
       when delta is too, p + delta is exact below 2 and nextafter adds
@@ -88,23 +74,14 @@ def cover_counts(types, params, pool, w_lo, w_hi, delta) -> list:
       sweep.  That window starts at or before p, so its sweep starts at p
       with no point query.
     """
-    flat = (types, params, pool)
     delta = float(delta)
-    grids = isinstance(w_lo, Grids)
-    if grids and w_hi != Grids(w_lo.parts, ends=True):
-        raise ValueError("w_hi must hold the ends of the windows whose starts are w_lo")
     if len(types) == 1 and types[0] == 0 and 0.0 < delta <= 1.0 and (delta / _ULP).is_integer():
         interval = (params[0][0], params[0][1], int(delta / _ULP) + 1)
-        if not grids:
-            return [_interval_count(*interval, a, b) for a, b in zip(w_lo, w_hi)]
         count_part = functools.partial(_interval_part, interval)
     else:
-        sweep = _sweeper(flat, delta)
-        if not grids:
-            return [sweep(a, b)[0] for a, b in zip(w_lo, w_hi)]
-        count_part = functools.partial(_swept_part, sweep)
+        count_part = functools.partial(_swept_part, _sweeper((types, params, pool), delta))
     out = []
-    for part in w_lo.parts:
+    for part in windows.parts:
         out += count_part(*part)
     return out
 
@@ -170,7 +147,7 @@ def _swept_part(sweep, off, length, k_lo, k_hi) -> list:
         if count:
             out[k - k_lo] = count
             k += 1
-        elif p == math.inf:
+        elif p == math.inf or k == k_hi:
             break
         else:
             # windows of this part that end before p hold no set point: go to

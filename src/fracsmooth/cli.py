@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import exponents, harness, legendre, sets, spectra
@@ -244,8 +245,10 @@ def cmd_wave_sim(args) -> int:
     params = wave.WaveParams(d=args.d, j=args.j, t_ref=args.t_ref)
     try:
         times = [float(x) for x in args.times.split(",")]
+        if not all(map(math.isfinite, times)):
+            raise ValueError
     except ValueError:
-        raise FracsmoothError(f"--times must be comma-separated numbers, got {args.times!r}") from None
+        raise FracsmoothError(f"--times must be comma-separated finite numbers, got {args.times!r}") from None
     rows = []
     for t in times:
         reg = wave.region(params, t)

@@ -167,8 +167,8 @@ def lam(descriptor, j: int, m: int, d: int, q: float) -> float:
     """2^(jd(1-2/q)) 2^(-m(d-1)(1/2-1/q)) sup N(E /\\ I, 2^-j)^(2/q)."""
     if q < 2:
         raise OutOfRangeError(f"need q >= 2, got {q}")
-    if m > j + 10:
-        raise OutOfRangeError(f"need m <= j+10, got m={m}, j={j}")
+    if not 0 <= m <= j + 10:
+        raise OutOfRangeError(f"need 0 <= m <= j+10, got m={m}, j={j}")
     maxima = spectra.window_count_maxima(descriptor, j)
     count = float(maxima[j - m]) if m <= j else float(maxima[0])
     return (

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
-from . import backend, exponents, legendre, sets, spectra
+from . import exponents, legendre, sets, spectra
 from .errors import DegenerateWindowError, OutOfRangeError, UnsupportedSetError
 
 
@@ -85,6 +85,8 @@ class DualityReport:
 
 def run_duality(config: ExperimentConfig) -> DualityReport:
     """Compare the finite-scale functional against the closed-form dual profile."""
+    if not config.j_list:
+        raise OutOfRangeError(f"empty scale range j = {config.j_min}..{config.j_max}")
     spec = spectra.analytic_spectrum(config.descriptor)
     if spec is None:
         raise UnsupportedSetError("set has no closed-form spectrum to compare against")
@@ -166,8 +168,9 @@ def _fit_line(xs, ys):
 
 
 def choose_window(descriptor, j: int, alpha: float, min_factor: int):
-    """Smallest dyadic family window inside [1, 2] attaining the functional
-    maximizer at exponent alpha, subject to 2^j |I| >= min_factor."""
+    """(window, count): the smallest dyadic family window attaining the
+    functional maximizer at exponent alpha, subject to 2^j |I| >= min_factor;
+    of that length, the first window in shift order with the most points."""
     maxima = spectra.window_count_maxima(descriptor, j)
     m_cap = j - int(math.ceil(math.log2(min_factor)))
     if m_cap < 0:
@@ -175,13 +178,7 @@ def choose_window(descriptor, j: int, alpha: float, min_factor: int):
     scores = [alpha * m + math.log2(maxima[m]) for m in range(m_cap + 1)]
     best = max(scores)
     m_star = max(m for m, s in enumerate(scores) if s >= best - 1e-12)
-    # family windows inside [1, 2]: shift 0, then shift 1/2, each ascending
-    w_lo = spectra.family_starts(1.0, 2.0, 2.0**-m_star).within(1.0, 2.0)
-    w_hi = backend.Grids(w_lo.parts, ends=True)
-    flat = sets.flatten(descriptor)
-    counts = backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_hi, 2.0**-j)
-    best = counts.index(max(counts))
-    return (w_lo[best], w_hi[best]), counts[best]
+    return spectra.best_window(descriptor, j, m_star)
 
 
 def _window_q(descriptor, params, p: float, window, points):

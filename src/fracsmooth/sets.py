@@ -390,6 +390,18 @@ class Discretization:
 _MAX_TILES = 40_000_000
 
 
+def _anchors(flat, x, delta, hi=_INF):
+    """Greedy anchors in [x, hi]: the first set point >= x, then each first set
+    point beyond the last anchor + delta; more than _MAX_TILES of them raise."""
+    p, n = first_point_geq(flat, x), 0
+    while p <= hi and p != _INF:
+        n += 1
+        if n > _MAX_TILES:
+            raise InvalidResolutionError("resolution too fine for this set")
+        yield p
+        p = first_point_geq(flat, math.nextafter(p + delta, _INF))
+
+
 def render(s, delta: float) -> IntervalList:
     """Greedy minimal cover of the set by closed delta-intervals.
 
@@ -399,18 +411,8 @@ def render(s, delta: float) -> IntervalList:
     if not (0.0 < delta <= 1.0):
         raise InvalidResolutionError(f"delta must be in (0, 1], got {delta}")
     flat = flatten(s)
-    tiles = []
-    x = -_INF
-    while True:
-        p = first_point_geq(flat, x)
-        if p == _INF:
-            break
-        q = last_point_leq(flat, p + delta)
-        tiles.append((p, q))
-        if len(tiles) > _MAX_TILES:
-            raise InvalidResolutionError("resolution too fine for this set")
-        x = math.nextafter(p + delta, _INF)
-    return IntervalList(tuple(tiles), delta)
+    tiles = tuple((p, last_point_leq(flat, p + delta)) for p in _anchors(flat, -_INF, delta))
+    return IntervalList(tiles, delta)
 
 
 def covering_number(s, window, delta: float) -> int:
@@ -431,31 +433,14 @@ def covering_number(s, window, delta: float) -> int:
 
 
 def _greedy_count(flat, w_lo, w_hi, delta) -> int:
-    count = 0
-    x = w_lo
-    while True:
-        p = first_point_geq(flat, x)
-        if p > w_hi:
-            return count
-        count += 1
-        x = math.nextafter(p + delta, _INF)
+    return sum(1 for _ in _anchors(flat, w_lo, delta, w_hi))
 
 
 def discretize(s, j: int) -> Discretization:
     """Greedy maximal 2^-j separated subset, chosen left to right."""
     if j < 0:
         raise OutOfRangeError(f"j must be >= 0, got {j}")
-    sep = 2.0 ** (-j)
-    flat = flatten(s)
-    pts = []
-    x = -_INF
-    while True:
-        p = first_point_geq(flat, x)
-        if p == _INF:
-            break
-        pts.append(p)
-        x = math.nextafter(p + sep, _INF)
-    return Discretization(tuple(pts), j)
+    return Discretization(tuple(_anchors(flatten(s), -_INF, 2.0 ** (-j))), j)
 
 
 # Does the set meet [lo, hi]?  One point query; the tests use it as a sanity check.

@@ -2,8 +2,9 @@
 
 All window suprema run over the two-shifted dyadic family: dyadic intervals
 of length 2^-m for 0 <= m <= j on the standard grid and on the grid shifted
-by half an interval length.  Any interval of length L is contained in a
-family interval of length <= 2L, so exponents are preserved up to O(1/j).
+by half an interval length, those inside [1, 2].  Any interval of length L
+meets the set inside a family interval of length <= 2L, so exponents are
+preserved up to O(1/j).
 """
 
 from __future__ import annotations
@@ -28,23 +29,28 @@ def default_tolerance(j: int) -> float:
 
 
 def family_starts(lo: float, hi: float, length: float) -> backend.Grids:
-    """Starts of the family windows of one length around [lo, hi].
+    """Starts of the family windows of one length inside [1, 2] near [lo, hi].
 
     Shift i = 0, 1 has the grid off + k * length with off = i * length / 2 and
-    k from one window left of lo to one window right of hi.  The grids come
-    in shift order, each ascending, as the parts of one ``backend.Grids``.
+    k from one window left of lo to one window right of hi, cut to the windows
+    inside [1, 2].  The grids come in shift order, each ascending, as the
+    parts of one ``backend.Grids``.  The cut moves no count maximum of a set
+    in [1, 2]: a window across 1 or 2 meets it inside a shift-0 window.
     """
     parts = []
     for off in (0.0, 0.5 * length):
-        k_lo = math.floor((lo - off) / length) - 1
-        k_hi = math.ceil((hi - off) / length) + 1
-        parts.append((off, length, k_lo, k_hi))
+        k_lo = max(math.floor((lo - off) / length) - 1, math.ceil((1.0 - off) / length))
+        k_hi = min(math.ceil((hi - off) / length) + 1, math.floor((2.0 - off) / length) - 1)
+        if k_lo <= k_hi:
+            parts.append((off, length, k_lo, k_hi))
     return backend.Grids(tuple(parts))
 
 
 @lru_cache(maxsize=128)
-def _window_maxima_cached(descriptor, j: int) -> tuple:
-    """Count maxima over the family windows of length 2^-m, m = 0..j.
+def _window_table(descriptor, j: int) -> tuple:
+    """(maxima, windows): per level m = 0..j, the count maximum over the
+    family windows of length 2^-m and the first window attaining it, in
+    shift order.
 
     One ``backend.cover_counts`` call counts every level, grid by grid,
     without building the windows: it counts a single interval in closed
@@ -56,36 +62,31 @@ def _window_maxima_cached(descriptor, j: int) -> tuple:
     smin = sets.first_point_geq(flat, -math.inf)
     smax = sets.last_point_leq(flat, math.inf)
     levels = [family_starts(smin, smax, 2.0 ** (-m)) for m in range(j + 1)]
-    parts = tuple(part for level in levels for part in level.parts)
-    counts = backend.cover_counts(
-        flat[0], flat[1], flat[2], backend.Grids(parts), backend.Grids(parts, ends=True), 2.0 ** (-j)
-    )
-    maxima, start = [], 0
-    for level in levels:
-        stop = start + len(level)
-        maxima.append(max(counts[start:stop]))
-        start = stop
-    return tuple(maxima)
+    grids = backend.Grids(tuple(part for level in levels for part in level.parts))
+    counts = backend.cover_counts(*flat, grids, 2.0 ** (-j))
+    table, start = [], 0
+    for m, level in enumerate(levels):
+        level_counts = counts[start:start + len(level)]
+        start += len(level)
+        x = level[level_counts.index(max(level_counts))]
+        table.append((max(level_counts), (x, x + 2.0 ** (-m))))
+    return tuple(zip(*table))
 
 
 def window_count_maxima(descriptor, j: int) -> tuple:
     """max over family windows of length 2^-m of N(E /\\ I, 2^-j), m = 0..j."""
     if j < 2:
         raise OutOfRangeError(f"need j >= 2, got {j}")
-    return _window_maxima_cached(descriptor, j)
+    return _window_table(descriptor, j)[0]
 
 
 def best_window(descriptor, j: int, m: int):
-    """Leftmost family window of length 2^-m attaining the count maximum."""
-    flat = sets.flatten(descriptor)
-    smin = sets.first_point_geq(flat, -math.inf)
-    smax = sets.last_point_leq(flat, math.inf)
-    w_lo = family_starts(smin, smax, 2.0 ** (-m))
-    w_hi = backend.Grids(w_lo.parts, ends=True)
-    counts = backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_hi, 2.0 ** (-j))
-    best = max(counts)
-    lo, hi = min((a, b) for a, b, n in zip(w_lo, w_hi, counts) if n == best)
-    return (lo, hi), best
+    """(window, count): the first family window of length 2^-m, in shift
+    order, attaining the count maximum at scale 2^-j."""
+    if not 0 <= m <= j:
+        raise OutOfRangeError(f"need 0 <= m <= j, got m={m}, j={j}")
+    maxima, windows = _window_table(descriptor, j)
+    return windows[m], maxima[m]
 
 
 def phi_at_scale(descriptor, alpha: float, j: int) -> float:
@@ -96,7 +97,7 @@ def phi_at_scale(descriptor, alpha: float, j: int) -> float:
     """
     if j < 2:
         raise OutOfRangeError(f"need j >= 2, got {j}")
-    maxima = _window_maxima_cached(descriptor, j)
+    maxima = _window_table(descriptor, j)[0]
     return max((alpha * m + math.log2(n)) / j for m, n in enumerate(maxima))
 
 
@@ -107,12 +108,14 @@ def assouad_spectrum_empirical(descriptor, theta: float, j: int) -> float:
     m = math.ceil(theta * j)
     if m > j - 1:
         raise InvalidThetaError(f"theta={theta} leaves no room at scale j={j}")
-    maxima = _window_maxima_cached(descriptor, j)
+    maxima = _window_table(descriptor, j)[0]
     return math.log2(maxima[m]) / (j - m)
 
 
 def theta_grid(j: int) -> tuple:
     """Usable theta values at scale j: {0, 1/j, ..., (j-4)/j}."""
+    if j < 4:
+        raise OutOfRangeError(f"need j >= 4 for a theta grid, got {j}")
     return tuple(k / j for k in range(j - 3))
 
 
@@ -235,8 +238,8 @@ class SpectrumReport:
 def nu_sharp_empirical(descriptor, alpha_grid, j_list) -> SpectrumReport:
     """Table of phi_at_scale values over alpha for each scale in j_list."""
     j_list = list(j_list)
-    if any(b <= a for a, b in zip(j_list, j_list[1:])):
-        raise OutOfRangeError("j_list must be increasing")
+    if not j_list or any(b <= a for a, b in zip(j_list, j_list[1:])):
+        raise OutOfRangeError("j_list must be non-empty and increasing")
     alpha_grid = tuple(map(float, alpha_grid))
     report = SpectrumReport(sets.dumps(descriptor), "alpha", alpha_grid)
     for j in j_list:

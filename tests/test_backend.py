@@ -8,22 +8,30 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracsmooth import backend, sets, spectra
+from fracsmooth import backend, harness, sets, spectra
+from fracsmooth.errors import OutOfRangeError
 
 from conftest import descriptor_zoo
-from oracles import greedy_cover_points
+from oracles import family_count_maxima, greedy_cover_points
 
 
-def _scalar_counts(flat, w_lo, w_hi, delta):
-    return np.asarray(
-        [sets._greedy_count(flat, float(a), float(b), delta) for a, b in zip(w_lo, w_hi)],
-        dtype=np.int64,
-    )
+def _windows(grids):
+    """The windows [x, x + length] of a ``Grids``, built."""
+    return [(off + k * length, off + k * length + length)
+            for off, length, k_lo, k_hi in grids.parts for k in range(k_lo, k_hi + 1)]
+
+
+def _one_window_parts(w_lo, w_hi):
+    return backend.Grids(tuple((float(a), float(b - a), 0, 0) for a, b in zip(w_lo, w_hi)))
+
+
+def _scalar_counts(flat, grids, delta):
+    return [sets._greedy_count(flat, a, b, delta) for a, b in _windows(grids)]
 
 
 def _mixed_windows(rng):
     """Unsorted windows of mixed, non-dyadic lengths, some empty or reversed,
-    followed by sorted runs of one length each, as the window tables pass them."""
+    followed by sorted runs of one length each, one window per part."""
     w_lo = rng.uniform(0.9, 2.05, 300)
     w_hi = w_lo + rng.uniform(-0.01, 0.4, 300)
     w_hi[:20] = 2.0
@@ -32,7 +40,14 @@ def _mixed_windows(rng):
     lengths = (0.003, 0.0625, 1.0 / 3.0)
     w_lo = np.concatenate([w_lo, *runs])
     w_hi = np.concatenate([w_hi, *(r + length for r, length in zip(runs, lengths))])
-    return w_lo, w_hi
+    return _one_window_parts(w_lo, w_hi)
+
+
+def _inside_windows(length):
+    """Every family window of one length inside [1, 2], in shift order."""
+    return [(x, x + length) for off in (0.0, 0.5 * length)
+            for x in (off + k * length for k in range(-1, round(2.0 / length) + 1))
+            if x >= 1.0 and x + length <= 2.0]
 
 
 def test_backend_selected():
@@ -42,53 +57,75 @@ def test_backend_selected():
 @pytest.mark.parametrize("descriptor", descriptor_zoo())
 def test_cover_counts_parity(descriptor):
     flat = sets.flatten(descriptor)
-    w_lo, w_hi = _mixed_windows(np.random.default_rng(3))
+    grids = _mixed_windows(np.random.default_rng(3))
     for delta in (1.0, 2.0**-6, 2.0**-11, 1.0 / 3.0):
-        got = backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_hi, delta)
-        assert np.array_equal(got, _scalar_counts(flat, w_lo, w_hi, delta))
+        got = backend.cover_counts(flat[0], flat[1], flat[2], grids, delta)
+        assert got == _scalar_counts(flat, grids, delta)
 
 
 @pytest.mark.parametrize("j", [6, 10, 14])
 @pytest.mark.parametrize("descriptor", descriptor_zoo())
-def test_window_table_matches_scalar_counts(descriptor, j):
-    # every window of every level, counted on its grid, against the scalar sweep
+def test_window_table_matches_scalar_counts(descriptor, j, monkeypatch):
+    # every count of the table's one kernel call, against the scalar sweep
+    kernel, calls = backend.cover_counts, []
+
+    def recording(*args):
+        calls.append((args, kernel(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(backend, "cover_counts", recording)
+    spectra._window_table.cache_clear()
+    spectra.window_count_maxima(descriptor, j)
+    spectra._window_table.cache_clear()
+    assert len(calls) == 1
+    (types, params, pool, grids, delta), counts = calls[0]
     flat = sets.flatten(descriptor)
+    assert (types, params, pool) == flat and delta == 2.0**-j
+    # the windows inside [1, 2] from one window left of the set to one right
     smin, smax = sets.bounds(descriptor)
-    delta = 2.0**-j
-    expected, maxima, parts = [], [], ()
+    expected = [
+        (x, x + length)
+        for length in (2.0**-m for m in range(j + 1))
+        for off in (0.0, 0.5 * length)
+        for x in (off + k * length for k in range(
+            math.floor((smin - off) / length) - 1, math.ceil((smax - off) / length) + 2))
+        if x >= 1.0 and x + length <= 2.0
+    ]
+    assert _windows(grids) == expected
+    assert counts == _scalar_counts(flat, grids, delta)
+
+
+@pytest.mark.parametrize("j", [6, 10])
+@pytest.mark.parametrize("descriptor", descriptor_zoo())
+def test_window_table_maxima_and_first_windows(descriptor, j):
+    # the maxima are those of the wider family, and each level's window is
+    # the first maximum, in shift order, of a scan over the windows in [1, 2]
+    spectra._window_table.cache_clear()
+    assert list(spectra.window_count_maxima(descriptor, j)) == family_count_maxima(descriptor, j, 2)
+    flat = sets.flatten(descriptor)
+    first = []
     for m in range(j + 1):
-        length = 2.0**-m
-        w_lo = [
-            off + k * length
-            for off in (0.0, 0.5 * length)
-            for k in range(math.floor((smin - off) / length) - 1, math.ceil((smax - off) / length) + 2)
-        ]
-        level = [sets._greedy_count(flat, a, a + length, delta) for a in w_lo]
-        expected += level
-        maxima.append(max(level))
-        grids = spectra.family_starts(smin, smax, length)
-        assert list(grids) == w_lo
-        parts += grids.parts
-    w_lo, w_hi = backend.Grids(parts), backend.Grids(parts, ends=True)
-    assert backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_hi, delta) == expected
-    spectra._window_maxima_cached.cache_clear()
-    assert list(spectra._window_maxima_cached(descriptor, j)) == maxima
+        windows = _inside_windows(2.0**-m)
+        counts = [sets._greedy_count(flat, a, b, 2.0**-j) for a, b in windows]
+        first.append((windows[counts.index(max(counts))], max(counts)))
+        assert spectra.best_window(descriptor, j, m) == first[m]
+    for alpha in (0.0, 0.5, 1.0, 2.0):
+        window, count = harness.choose_window(descriptor, j, alpha, 4)
+        m = round(-math.log2(window[1] - window[0]))
+        assert m <= j - 2 and (window, count) == first[m]
+    for m in (-1, j + 1):
+        with pytest.raises(OutOfRangeError):
+            spectra.best_window(descriptor, j, m)
 
 
 def test_grids_sequence():
     grids = backend.Grids(((0.0, 0.25, 3, 6), (0.125, 0.25, 4, 5)))
     starts = [0.75, 1.0, 1.25, 1.5, 1.125, 1.375]
     assert len(grids) == 6 and list(grids) == starts
-    assert [grids[i] for i in range(-6, 6)] == starts + starts
-    assert list(backend.Grids(grids.parts, ends=True)) == [x + 0.25 for x in starts]
-    for i in (6, -7):
+    assert [grids[i] for i in range(6)] == starts
+    for i in (6, -1):
         with pytest.raises(IndexError):
             grids[i]
-    inside = grids.within(1.0, 1.5)
-    assert list(inside) == [1.0, 1.25, 1.125]
-    flat = sets.flatten(sets.FullInterval(1.0, 2.0))
-    with pytest.raises(ValueError):
-        backend.cover_counts(flat[0], flat[1], flat[2], grids, grids, 2.0**-4)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +213,8 @@ def test_interval_closed_form_is_greedy(ends, windows, k):
         else:
             w_lo.append(a)
             w_hi.append(a + b * scale)
-    got = backend.cover_counts(flat[0], flat[1], flat[2], w_lo, w_hi, delta)
-    assert np.array_equal(got, _scalar_counts(flat, w_lo, w_hi, delta))
+    grids = _one_window_parts(w_lo, w_hi)
+    assert backend.cover_counts(flat[0], flat[1], flat[2], grids, delta) == _scalar_counts(flat, grids, delta)
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,8 +230,8 @@ def test_greedy_count_matches_point_list_oracle(points, w_lo, length, k):
     delta = 2.0**-k
     expected = greedy_cover_points(pts, w_lo, w_lo + length, delta)
     assert sets._greedy_count(flat, w_lo, w_lo + length, delta) == expected
-    got = backend.cover_counts(flat[0], flat[1], flat[2], [w_lo], [w_lo + length], delta)
-    assert list(got) == [expected]
+    got = backend.cover_counts(flat[0], flat[1], flat[2], backend.Grids(((w_lo, length, 0, 0),)), delta)
+    assert got == [expected]
 
 
 def test_oscillatory_sum_matches_direct():

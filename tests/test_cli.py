@@ -58,6 +58,12 @@ def test_usage_errors(set_files, tmp_path, capsys):
         ["nu-sharp", "--set", set_files["cantor"], "--alpha-grid", "1:0.9:0.5"],
         ["nu-sharp", "--set", set_files["cantor"], "--alpha-grid", "2:0:-0.5"],
         ["wave-sim", "--times", "1.5,abc"],
+        ["wave-sim", "--times", "nan"],
+        ["wave-sim", "--times", "1.5,inf"],
+        ["exponents", "--set", set_files["cantor"], "--j", "12", "--q", "4", "--m", "-1"],
+        ["verify-duality", "--set", set_files["cantor"], "--jmin", "12", "--jmax", "10"],
+        ["nu-sharp", "--set", set_files["cantor"], "--jmin", "12", "--jmax", "10"],
+        ["spectrum", "--set", set_files["cantor"], "--j", "3"],
     ):
         assert cli.cli(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fracsmooth import exponents, harness, sets, spectra
+from fracsmooth import backend, exponents, harness, sets, spectra
 from fracsmooth.errors import UnsupportedSetError
 
 import oracles
@@ -44,6 +44,20 @@ def test_choose_window_respects_min_factor(cantor_thirds, single_point):
         assert window[0] <= 1.5 <= window[1]
     window, count = harness.choose_window(cantor_thirds, 10, 0.2, 32)
     assert window == (1.0, 2.0)  # low alpha prefers the whole-set window
+
+
+def test_choose_window_reads_the_window_table(cantor_thirds, monkeypatch):
+    # the table's one kernel call counts every level; choosing a window adds none
+    spectra.window_count_maxima(cantor_thirds, 10)
+
+    def no_kernel(*args):
+        raise AssertionError("choose_window counted windows")
+
+    monkeypatch.setattr(backend, "cover_counts", no_kernel)
+    for alpha in (0.2, 1.0, 3.0):
+        window, count = harness.choose_window(cantor_thirds, 10, alpha, 32)
+        m = round(-math.log2(window[1] - window[0]))
+        assert (window, count) == spectra.best_window(cantor_thirds, 10, m)
 
 
 def test_sharpness_point_set(single_point):

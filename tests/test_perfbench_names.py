@@ -2,6 +2,10 @@
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fracsmooth.backend
@@ -21,3 +25,16 @@ def test_wrapped_names_exist():
     ]
     assert missing == []
     assert hasattr(fracsmooth.backend, "BACKEND")
+
+
+def test_traced_child_counts_the_kernel():
+    # a kernel signature change that breaks the benchmark's counters fails here
+    root = SPANS.parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    spec = {"trace": True, "cli": ["set-info", "--set", "perfbench/sets/union.json", "--j", "8"]}
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "child.py"), json.dumps(spec)],
+                          capture_output=True, text=True, cwd=root, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    mark = "@@perfbench-trace@@ "
+    trace = json.loads(proc.stderr.splitlines()[-1].removeprefix(mark))
+    assert trace["jobs"]["cli"]["backend.cover_counts"]["windows"] > 0

@@ -195,6 +195,20 @@ def test_discretize_finite_points():
     assert d.scale == 4
 
 
+def test_greedy_sweeps_share_the_tile_budget(monkeypatch):
+    # render, discretize and the covering counts stop at the same budget
+    monkeypatch.setattr(sets, "_MAX_TILES", 4)
+    points = sets.FinitePoints((1.0, 1.25, 1.5, 1.75))
+    assert len(sets.discretize(points, 4)) == 4 and len(sets.render(points, 0.125)) == 4
+    assert sets.covering_number(points, (1.0, 2.0), 0.125) == 4
+    more = sets.FinitePoints((1.0, 1.25, 1.5, 1.75, 2.0))
+    for sweep in (lambda: sets.discretize(more, 4), lambda: sets.render(more, 0.125),
+                  lambda: sets.covering_number(more, (1.0, 2.0), 0.125)):
+        with pytest.raises(InvalidResolutionError):
+            sweep()
+    assert sets.covering_number(more, (1.0, 1.9), 0.125) == 4
+
+
 @pytest.mark.parametrize("j", [4, 7, 10])
 def test_discretize_full_interval_cardinality(full_interval, j):
     n = len(sets.discretize(full_interval, j))
