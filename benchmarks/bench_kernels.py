@@ -6,17 +6,19 @@ Each window-count table is one batched covering sweep over every level,
 in plain Python, at j = 12, 14 and 18 (about 2^(j+2) windows, never built):
 the interval is counted in closed form, one count for every window inside
 it, and the other sets by a walk over each grid with a shared step cache
-that skips the windows missing the set.  The profile table is one FFT, and the d = 2 data
-norm mostly Hankel-term profile lookups.  The d = 3, j = 13 data norm is the
-heaviest call of the sharpness slopes; its inner disc r <= 2^(-j+2), 49
-radii through ``propagate`` at t = 0, sums the kernel's power series as
-sigma-moments by the trapezoid rule in sigma, on nodes sized to the
-frequency 2^j t_ref instead of evaluating the kernel per radius and node.
-The same disc at the focus t = t_ref (d = 2, j = 10) has the fewest nodes.
-Far radii (33 in
-[0.45, 0.55] at j = 10, t = 1.5) evaluate the radial kernel on blocks of
-radii x nodes through the one Bessel evaluator.  One window of the
-sharpness slopes (512 shells of 17 radii, d = 3, j = 13) is one
+that skips the windows missing the set.  Each profile table F_0 .. F_K of
+d = 2, 3 and 4 is built cold, one FFT length per doubling until its error
+budget is met; the case prints each table's entry count and the peak RSS
+after the builds, and runs first, so that no later case sets that peak.
+The d = 2 data norm is mostly Hankel-term profile lookups.  The d = 3,
+j = 13 data norm is the heaviest call of the sharpness slopes; its inner
+disc r <= 2^(-j+2), 49 radii through ``propagate`` at t = 0, sums the
+kernel's power series as sigma-moments by the trapezoid rule in sigma, on
+nodes sized to the frequency 2^j t_ref instead of evaluating the kernel per
+radius and node.  The same disc at the focus t = t_ref (d = 2, j = 10) has
+the fewest nodes.  Far radii (33 in [0.45, 0.55] at j = 10, t = 1.5)
+evaluate the radial kernel on blocks of radii x nodes through the one
+Bessel evaluator.  One window of the sharpness slopes (512 shells of 17 radii, d = 3, j = 13) is one
 ``field_row_fast`` lookup over the (times x radii) grid and one
 ``shell_lp_norm`` reduction; its profile table is built before the timing,
 so the case times the lookups.  Best of three cold runs each (the data
@@ -25,6 +27,7 @@ norms with their cache cleared):
     PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
+import resource
 import time
 
 import numpy as np
@@ -46,9 +49,9 @@ def cold_window_table(descriptor, j):
     spectra._window_table(descriptor, j)
 
 
-def cold_profile_table(d):
+def cold_profile_table(d, m):
     wave._profile_cache.clear()
-    wave._profile_table(d, wave.BumpSpec())
+    return wave._profile_table(d, wave.BumpSpec(), m)
 
 
 def cold_data_norm(d, j, p, t_ref=1.0):
@@ -76,6 +79,13 @@ def window_shells(params, times, grid, p):
 
 
 def main():
+    for d in (2, 3, 4):
+        for m in range(len(wave._hankel_series(0.5 * (d - 2))[0]) + 1):
+            t = timeit(cold_profile_table, d, m)
+            entries = len(cold_profile_table(d, m)[1])
+            print(f"{f'profile_table d={d} F_{m}':<32} {t*1e3:9.2f} ms  {entries} entries")
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"{'peak RSS after the tables':<32} {rss:9.2f} MB")
     for label, s in [
         ("interval", sets.FullInterval(1.0, 2.0)),
         ("cantor 2,1/3", sets.CantorLike(1.0, 2.0, 2, 1.0 / 3.0)),
@@ -86,9 +96,6 @@ def main():
         for j in (12, 14, 18):
             t = timeit(cold_window_table, s, j)
             print(f"{f'window table {label} j={j}':<32} {t*1e3:9.2f} ms")
-    for d in (2, 3):
-        t = timeit(cold_profile_table, d)
-        print(f"{f'profile_table d={d}':<32} {t*1e3:9.2f} ms")
     t = timeit(cold_data_norm, 2, 6, 2.0)
     print(f"{'data_norm d=2 j=6 p=2':<32} {t*1e3:9.2f} ms")
     t = timeit(cold_data_norm, 3, 13, 3.0, 1.5)

@@ -160,8 +160,6 @@ def _fit_line(xs, ys):
 
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if len(xs) < 4:
-        raise DegenerateWindowError("slope fits need at least 4 scales")
     a = np.vstack([xs, np.ones_like(xs)]).T
     (slope, intercept), *_ = np.linalg.lstsq(a, ys, rcond=None)
     return float(slope), float(intercept)
@@ -223,6 +221,8 @@ def _window_q(descriptor, params, p: float, window, points):
 
 def run_sharpness_slope(config: ExperimentConfig) -> SlopeReport:
     """Measure the growth exponent of the shell-norm sums against scale."""
+    if len(config.j_list) < 4:
+        raise OutOfRangeError(f"slope fits need at least 4 scales, got j = {config.j_min}..{config.j_max}")
     from . import wave
 
     d, p = config.d, config.p

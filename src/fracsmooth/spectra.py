@@ -148,7 +148,12 @@ class DimsEstimate:
 
 
 def dims(descriptor, j: int = 14) -> DimsEstimate:
-    """(Minkowski, quasi-Assouad) estimates from the window table at scale j."""
+    """(Minkowski, quasi-Assouad) estimates from the window table at scale j.
+
+    The quasi-Assouad estimate is taken at theta = 1 - 4/j, so j >= 4.
+    """
+    if j < 4:
+        raise OutOfRangeError(f"need j >= 4, got {j}")
     mink = assouad_spectrum_empirical(descriptor, 0.0, j)
     qa = assouad_spectrum_empirical(descriptor, 1.0 - 4.0 / j, j)
     return DimsEstimate(mink, qa, j)

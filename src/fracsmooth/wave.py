@@ -26,8 +26,9 @@ and F_1 .. F_K the terms of the Hankel expansion of the remainder (DLMF
 10.17) wherever 2^j r sigma >= 12 over the whole bump, so that the remainder
 too is a sum of lookups; nearer radii integrate it directly.  Each profile
 is tabulated on a uniform y grid, where the trapezoid rule is a single FFT,
-checked by doubling the FFT length.  Both paths are validated against each
-other, ``propagate`` by halving its step.
+checked by doubling the FFT length against an error budget set by the
+weight with which the profile enters the field.  Both paths are validated
+against each other, ``propagate`` by halving its step.
 """
 
 from __future__ import annotations
@@ -398,37 +399,86 @@ def _profile_fft(power: float, bump: BumpSpec, n: int, shift: float = 0.0):
     return vals
 
 
+@functools.lru_cache(maxsize=None)
+def _bump_moment(bump: BumpSpec, power: float) -> float:
+    """Integral bump(sigma) sigma^power dsigma by the trapezoid rule at
+    h = ``_moment_step(0, 0)``.
+
+    The integrand is nonnegative, so this is F(0) = max_y |F(y)| for the
+    profile F of bump(sigma) sigma^power.  Cached per (bump, power).
+    """
+    h = _moment_step(0.0, 0)
+    sigma = _trapezoid_indices(bump, h) * h
+    return float(np.dot(h * bump(sigma), sigma**power))
+
+
+@functools.lru_cache(maxsize=None)
+def _profile_budget(d: int, bump: BumpSpec, m: int) -> float:
+    """Factor on _PROFILE_TAIL and _PROFILE_RTOL that bounds the errors of F_m.
+
+    F_m enters the field of dimension d relative to F_0 with weight
+        w_m = |a_m| x_min^(-m) max|F_m| / max|F_0|,   w_0 = 1,
+    since T_rem's term m, pref(r) sqrt(1/(2 pi)) a_m (2^j r)^(-m-1/2) F_m,
+    is (2^j r)^(-m) a_m F_m / F_0 times T_pm's prefactor; x_min is the least
+    2^j r on the lookup path, max(4, u_cut / sigma_lo) (r >= 2^(-j+2), and
+    2^j r sigma_lo >= u_cut): 24 in d = 2 and 4, 4 in d = 5.  The K Hankel
+    tables share the errors allowed to F_0 evenly, so F_m, whose errors are
+    measured against its own peak, gets 1 / (K w_m) of them; F_0 gets 1.
+    Cached per (d, bump, m).
+    """
+    if m == 0:
+        return 1.0
+    coeffs, _, u_cut = _hankel_series(0.5 * (d - 2))
+    x_min = max(4.0, u_cut / bump.support[0])
+    power = 0.5 * (d - 1)
+    peaks = _bump_moment(bump, power - m) / _bump_moment(bump, power)
+    weight = abs(coeffs[m - 1]) * x_min**-m * peaks
+    return 1.0 / (len(coeffs) * weight)
+
+
 def _profile_table(d: int, bump: BumpSpec, m: int = 0):
     """Table (step, values) of F_m(y) on y = 0, step, ..., y_max.
 
     F_m is the profile of bump(sigma) sigma^((d-1)/2 - m): m = 0 carries the
     two principal exponentials, m >= 1 the Hankel terms of the remainder.
-    Tables are cached per (sigma power, bump), so dimensions share them.
-    Starting from length _PROFILE_FFT_MIN, the FFT length n doubles until
-    |F| over the last _PROFILE_TAIL_SPAN units of y is below _PROFILE_TAIL of
-    the peak, so lookups beyond y_max may read zero, and the table agrees
-    within _PROFILE_RTOL of the peak with the rule of half the step (the mean
-    of the table and the midpoint rule, so no transform of length 2n is
-    needed).  Raises RefineFailureError, with the relative error of the
-    failing test, when no length up to _PROFILE_FFT_MAX passes both.
+    Each table is built to the error it can put in the field: with
+    b = ``_profile_budget(d, bump, m)``, |F| over the last
+    _PROFILE_TAIL_SPAN units of y must be below b _PROFILE_TAIL of the peak,
+    so lookups beyond y_max may read zero, and the table must agree within
+    b _PROFILE_RTOL of the peak with the rule of half the step (the mean of
+    the table and the midpoint rule, so no transform of length 2n is
+    needed).  Starting from length _PROFILE_FFT_MIN, the FFT length n
+    doubles until both hold.  Tables are cached per (sigma power, bump), so
+    dimensions share them, with the two errors they achieved: a cached
+    table that misses a stricter budget is extended from twice its length,
+    since every shorter length missed a looser one.  Raises
+    RefineFailureError, with the relative error of the failing test, when
+    no length up to _PROFILE_FFT_MAX passes both.
     """
     power = 0.5 * (d - 1) - m
     key = (power, bump)
+    budget = _profile_budget(d, bump, m)
+    tail_tol, step_tol = budget * _PROFILE_TAIL, budget * _PROFILE_RTOL
+    n, err = _PROFILE_FFT_MIN, math.inf
     cached = _profile_cache.get(key)
     if cached is not None:
-        return cached
+        table, tail_err, step_err = cached
+        if tail_err <= tail_tol and step_err <= step_tol:
+            return table
+        # the table came from FFT length 4 (entries - 1); that length and
+        # every shorter one missed this budget, so resume at twice it
+        n = 8 * (len(table[1]) - 1)
+        err = tail_err if tail_err > tail_tol else step_err
     n_tail = round(_PROFILE_TAIL_SPAN / _PROFILE_STEP)
-    n = _PROFILE_FFT_MIN
-    err = math.inf
     while n <= _PROFILE_FFT_MAX:
         vals = _profile_fft(power, bump, n)
         peak = float(np.abs(vals).max())
-        err = float(np.abs(vals[-n_tail:]).max()) / peak
-        if err <= _PROFILE_TAIL:
-            err = 0.5 * float(np.abs(_profile_fft(power, bump, n, 0.5) - vals).max()) / peak
-            if err <= _PROFILE_RTOL:
-                _profile_cache[key] = (_PROFILE_STEP, vals)
-                return _profile_cache[key]
+        err = tail_err = float(np.abs(vals[-n_tail:]).max()) / peak
+        if tail_err <= tail_tol:
+            err = step_err = 0.5 * float(np.abs(_profile_fft(power, bump, n, 0.5) - vals).max()) / peak
+            if step_err <= step_tol:
+                _profile_cache[key] = ((_PROFILE_STEP, vals), tail_err, step_err)
+                return _profile_cache[key][0]
         n *= 2
     raise RefineFailureError("profile table did not converge", err)
 
@@ -605,13 +655,9 @@ def _truncation_bound(params: WaveParams, r_grid):
     if not tail.any():
         return np.zeros(r_grid.shape)
     scale = 2.0**j
-    h = _moment_step(0.0, 0)
-    sigma = _trapezoid_indices(params.bump, h) * h
-    mass = h * params.bump(sigma)
     bound = np.zeros(r_grid.shape)
     for m, a in enumerate(tail, start=len(coeffs) + 1):
-        moment = float(np.dot(mass, sigma ** (0.5 * (d - 1) - m)))
-        bound += a * (scale * r_grid) ** (-m - 0.5) * moment
+        bound += a * (scale * r_grid) ** (-m - 0.5) * _bump_moment(params.bump, 0.5 * (d - 1) - m)
     far = scale * r_grid * params.bump.support[0] >= u_cut
     return np.where(far, math.sqrt(2.0 / math.pi) * _remainder_pref(params, r_grid) * bound, 0.0)
 

@@ -64,9 +64,16 @@ def test_usage_errors(set_files, tmp_path, capsys):
         ["verify-duality", "--set", set_files["cantor"], "--jmin", "12", "--jmax", "10"],
         ["nu-sharp", "--set", set_files["cantor"], "--jmin", "12", "--jmax", "10"],
         ["spectrum", "--set", set_files["cantor"], "--j", "3"],
+        # fewer than 4 scales: rejected before any table or wave row
+        ["verify-sharpness", "--set", set_files["cantor"], "--jmin", "8", "--jmax", "10"],
+        ["verify-sharpness", "--set", set_files["cantor"], "--jmin", "12", "--jmax", "10"],
     ):
         assert cli.cli(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+    # the quasi-Assouad estimate needs j >= 4; the message names j, not theta
+    for command in ("set-info", "exponents"):
+        assert cli.cli([command, "--set", set_files["cantor"], "--j", "3"]) == 2, command
+        assert capsys.readouterr().err == "error: need j >= 4, got 3\n", command
 
 
 def test_module_entry_point(set_files):

@@ -264,6 +264,87 @@ def test_profile_table_refinement_is_bounded(monkeypatch):
     assert wave._profile_cache == {}
 
 
+def _assert_within_budget(d, bump, m):
+    table, tail_err, step_err = wave._profile_cache[(0.5 * (d - 1) - m, bump)]
+    budget = wave._profile_budget(d, bump, m)
+    assert tail_err <= budget * wave._PROFILE_TAIL
+    assert step_err <= budget * wave._PROFILE_RTOL
+    return table
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_profile_tables_meet_their_budgets(d):
+    # F_0 keeps the whole budget and the K Hankel tables split it by their
+    # weights w_m = |a_m| x_min^-m max|F_m| / max|F_0|; every F_m of the
+    # default bump passes at the first FFT length
+    bump = wave.BumpSpec()
+    coeffs, _, u_cut = wave._hankel_series(0.5 * (d - 2))
+    x_min = 24.0 if u_cut else 4.0
+    peak_0 = np.abs(wave._profile_table(d, bump)[1]).max()
+    assert wave._profile_budget(d, bump, 0) == 1.0
+    for m in range(len(coeffs) + 1):
+        table = wave._profile_table(d, bump, m)
+        assert len(table[1]) == 32769
+        assert _assert_within_budget(d, bump, m) is table
+        if m:
+            weight = abs(coeffs[m - 1]) * x_min**-m * np.abs(table[1]).max() / peak_0
+            share = 1.0 / (len(coeffs) * weight)
+            assert wave._profile_budget(d, bump, m) == pytest.approx(share, rel=1e-12)
+
+
+@pytest.mark.parametrize("loose_first", [True, False])
+def test_shared_profile_table_meets_each_budget(monkeypatch, loose_first):
+    # sigma^(-7/2) is F_4 of d = 2 and F_5 of d = 4.  From FFT length 2^14
+    # the looser d = 4 budget passes at once, the d = 2 one only at 2^15
+    monkeypatch.setattr(wave, "_profile_cache", {})
+    monkeypatch.setattr(wave, "_PROFILE_FFT_MIN", 2**14)
+    bump = wave.BumpSpec()
+    fresh = {}
+    for d, m in ((2, 4), (4, 5)):
+        wave._profile_cache.clear()
+        fresh[d] = wave._profile_table(d, bump, m)
+    assert len(fresh[4][1]) == 4097 and len(fresh[2][1]) == 8193
+    wave._profile_cache.clear()
+    requests = [(4, 5), (2, 4)] if loose_first else [(2, 4), (4, 5)]
+    got = {d: wave._profile_table(d, bump, m) for d, m in requests}
+    np.testing.assert_array_equal(got[2][1], fresh[2][1])
+    _assert_within_budget(2, bump, 4)
+    _assert_within_budget(4, bump, 5)
+    if not loose_first:
+        # a table built to the stricter budget serves the looser one as it is
+        assert got[4] is got[2]
+
+
+def test_profile_budgets_keep_field_rows(monkeypatch):
+    # rows from tables built to each one's budget against rows from tables
+    # built under the old rule (every table to 1e-9 of its own peak), on
+    # both sides of the Hankel lookup cutoff 2^j r = 24 and across the cone
+    times = np.array([1.0, 1.3, 1.62, 2.0])
+    rows, lengths = {"old": {}, "budget": {}}, {}
+    rules = {"old": lambda d, bump, m: 1.0, "budget": wave._profile_budget}
+    for rule, budget in rules.items():
+        monkeypatch.setattr(wave, "_profile_cache", {})
+        monkeypatch.setattr(wave, "_profile_budget", budget)
+        for d in (2, 4):
+            for j in range(8, 13):
+                params = wave.WaveParams(d=d, j=j)
+                cut = 24.0 * 2.0**-j
+                radii = np.sort(np.concatenate([
+                    np.geomspace(params.min_asymptotic_r, 0.99 * cut, 7),
+                    np.geomspace(1.01 * cut, 1.0, 33),
+                    times[1:3] - params.t_ref,
+                ]))
+                grid = np.broadcast_to(radii, (len(times), len(radii)))
+                rows[rule][d, j] = wave.field_row_fast(params, times, grid).values
+        lengths[rule] = sorted(len(table[1]) for table, _, _ in wave._profile_cache.values())
+    # the old rule doubled F_4 .. F_6 of d = 2
+    assert lengths["old"] == [32769] * 5 + [65537] * 3
+    assert lengths["budget"] == [32769] * 8
+    for key, old in rows["old"].items():
+        diff = np.abs(rows["budget"][key] - old).max(axis=-1)
+        assert np.all(diff <= 1e-13 * np.abs(old).max(axis=-1)), key
+
+
 # ---------------------------------------------------------------------------
 # main_terms and the decomposition
 # ---------------------------------------------------------------------------
