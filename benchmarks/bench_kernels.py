@@ -7,9 +7,9 @@ in plain Python, at j = 12, 14 and 18 (about 2^(j+2) windows, never built):
 the interval is counted in closed form, one count for every window inside
 it, and the other sets by a walk over each grid with a shared step cache
 that skips the windows missing the set.  Each profile table F_0 .. F_K of
-d = 2, 3 and 4 is built cold, one FFT length per doubling until its error
-budget is met; the case prints each table's entry count and the peak RSS
-after the builds, and runs first, so that no later case sets that peak.
+d = 2, 3 and 4 is built cold, one FFT of a fixed length checked against
+its error budget; the case prints each table's entry count and the peak
+RSS after the builds, and runs first, so that no later case sets that peak.
 The d = 2 data norm is mostly Hankel-term profile lookups.  The d = 3,
 j = 13 data norm is the heaviest call of the sharpness slopes; its inner
 disc r <= 2^(-j+2), 49 radii through ``propagate`` at t = 0, sums the
@@ -50,13 +50,13 @@ def cold_window_table(descriptor, j):
 
 
 def cold_profile_table(d, m):
-    wave._profile_cache.clear()
-    return wave._profile_table(d, wave.BumpSpec(), m)
+    wave._profile_table.cache_clear()
+    return wave._profile_table(d, m)
 
 
 def cold_data_norm(d, j, p, t_ref=1.0):
     wave.data_norm.cache_clear()
-    wave._profile_cache.clear()
+    wave._profile_table.cache_clear()
     wave._hankel_series.cache_clear()
     wave._kernel_series.cache_clear()
     wave.data_norm(wave.WaveParams(d=d, j=j, t_ref=t_ref), p)
@@ -71,6 +71,14 @@ def cold_inner_disc(d, j, t_ref, t=0.0):
 def cold_far_radii(d, j, t):
     wave._kernel_series.cache_clear()
     wave.propagate(wave.WaveParams(d=d, j=j), t, np.linspace(0.45, 0.55, 33))
+
+
+def shell_grid(params, n):
+    """n sorted times in [1.25, 1.5] and, for each, 17 radii across its shell."""
+    times = np.sort(np.random.default_rng(0).uniform(1.25, 1.5, n))
+    rho = times - params.t_ref
+    half = 2.0 ** (-params.j - 5)
+    return times, np.linspace(rho - half, rho + half, 17, axis=1)
 
 
 def window_shells(params, times, grid, p):
@@ -101,11 +109,8 @@ def main():
     t = timeit(cold_data_norm, 3, 13, 3.0, 1.5)
     print(f"{'data_norm d=3 j=13 p=3':<32} {t*1e3:9.2f} ms")
     params = wave.WaveParams(d=3, j=13, t_ref=1.0)
-    times = np.sort(np.random.default_rng(0).uniform(1.25, 1.5, 512))
-    rho = times - params.t_ref
-    half = 2.0 ** (-params.j - 5)
-    grid = np.linspace(rho - half, rho + half, 17, axis=1)
-    wave._profile_table(params.d, params.bump)
+    times, grid = shell_grid(params, 512)
+    wave._profile_table(params.d)
     t = timeit(window_shells, params, times, grid, 2.5)
     print(f"{'window d=3 j=13, 512 shells':<32} {t*1e3:9.2f} ms")
     t = timeit(cold_inner_disc, 3, 13, 1.5)

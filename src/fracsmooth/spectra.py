@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import backend, legendre, sets
-from .errors import InvalidThetaError, OutOfRangeError
+from .errors import InvalidResolutionError, InvalidThetaError, OutOfRangeError
 from .sampled import SampledFunction, linspace
 
 LOG2 = math.log(2.0)
@@ -56,13 +56,17 @@ def _window_table(descriptor, j: int) -> tuple:
     without building the windows: it counts a single interval in closed
     form, and walks each other grid with one step cache for all windows and
     levels, skipping the windows that miss the set.  The counts are those
-    of ``sets._greedy_count`` in each window.
+    of ``sets._greedy_count`` in each window.  More than ``sets._MAX_TILES``
+    windows, one count each, raise InvalidResolutionError before counting.
     """
     flat = sets.flatten(descriptor)
     smin = sets.first_point_geq(flat, -math.inf)
     smax = sets.last_point_leq(flat, math.inf)
     levels = [family_starts(smin, smax, 2.0 ** (-m)) for m in range(j + 1)]
     grids = backend.Grids(tuple(part for level in levels for part in level.parts))
+    if len(grids) > sets._MAX_TILES:
+        raise InvalidResolutionError(
+            f"resolution too fine: {len(grids)} family windows at j = {j}, more than {sets._MAX_TILES}")
     counts = backend.cover_counts(*flat, grids, 2.0 ** (-j))
     table, start = [], 0
     for m, level in enumerate(levels):

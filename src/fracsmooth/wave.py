@@ -25,9 +25,9 @@ set of array lookups): F_0 carries the two exponentials,
 and F_1 .. F_K the terms of the Hankel expansion of the remainder (DLMF
 10.17) wherever 2^j r sigma >= 12 over the whole bump, so that the remainder
 too is a sum of lookups; nearer radii integrate it directly.  Each profile
-is tabulated on a uniform y grid, where the trapezoid rule is a single FFT,
-checked by doubling the FFT length against an error budget set by the
-weight with which the profile enters the field.  Both paths are validated
+is tabulated on a uniform y grid, where the trapezoid rule is a single FFT
+of one fixed length, checked against an error budget set by the weight with
+which the profile enters the field.  Both paths are validated
 against each other, ``propagate`` by halving its step.
 """
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,14 +53,13 @@ _PROFILE_STEP = 1.0 / 64.0
 _PROFILE_RTOL = 1e-9
 _PROFILE_TAIL = 1e-9
 _PROFILE_TAIL_SPAN = 4.0
-# FFT lengths of the profile table; length n tabulates y in [0, n * step / 4],
-# so the first length gives y_max = 512
-_PROFILE_FFT_MIN = 2**17
-_PROFILE_FFT_MAX = 2**21
-# alias distance of the first profile table: its nearest alias lies
-# 3/4 of the FFT's y range from every kept y; every direct trapezoid rule
-# keeps its first alias this far beyond its fastest frequency
-_ALIAS_MARGIN = 0.75 * _PROFILE_FFT_MIN * _PROFILE_STEP
+# FFT length of the profile tables; length n tabulates y in [0, n * step / 4],
+# so y_max = 512
+_PROFILE_FFT = 2**17
+# alias distance of the profile tables: their nearest alias lies 3/4 of the
+# FFT's y range from every kept y; every direct trapezoid rule keeps its
+# first alias this far beyond its fastest frequency
+_ALIAS_MARGIN = 0.75 * _PROFILE_FFT * _PROFILE_STEP
 
 # Hankel expansion of the Bessel remainder: above this u the series replaces
 # direct quadrature (the same cutoff at which J0/J1 switch to it), and it
@@ -75,9 +74,16 @@ _KERNEL_BLOCK = 2**14
 _MOMENT_BLOCK = 2**12
 
 
-def smooth_bump(x):
-    """The standard compactly supported profile exp(1 - 1/(1-x^2)) on (-1, 1)."""
-    x = np.asarray(x, dtype=np.float64)
+# the data bump chi(sigma) = psi((sigma - center) / half_width), psi the
+# standard profile exp(1 - 1/(1 - x^2)) on (-1, 1)
+BUMP_CENTER = 1.25
+BUMP_HALF_WIDTH = 0.75
+BUMP_SUPPORT = (BUMP_CENTER - BUMP_HALF_WIDTH, BUMP_CENTER + BUMP_HALF_WIDTH)
+
+
+def bump(sigma):
+    """The data bump chi(sigma), supported on BUMP_SUPPORT = (0.5, 2)."""
+    x = (np.asarray(sigma, dtype=np.float64) - BUMP_CENTER) / BUMP_HALF_WIDTH
     out = np.zeros_like(x)
     inside = np.abs(x) < 1.0
     xi = x[inside]
@@ -85,25 +91,8 @@ def smooth_bump(x):
     return out
 
 
-@dataclass(frozen=True)
-class BumpSpec:
-    """Smooth bump phi(r) = psi((r - center)/half_width), support (c-w, c+w)."""
-
-    center: float = 1.25
-    half_width: float = 0.75
-
-    def __post_init__(self):
-        if not self.half_width > 0:
-            raise OutOfRangeError("half_width must be positive")
-        if not self.center - self.half_width > 0:
-            raise OutOfRangeError("bump support must lie in sigma > 0")
-
-    @property
-    def support(self):
-        return (self.center - self.half_width, self.center + self.half_width)
-
-    def __call__(self, r):
-        return smooth_bump((np.asarray(r, dtype=np.float64) - self.center) / self.half_width)
+# 2^-j below the spacing 2^-52 of the doubles in [1, 2] resolves nothing
+_J_MAX = 52
 
 
 @dataclass(frozen=True)
@@ -111,14 +100,13 @@ class WaveParams:
     d: int = 3
     j: int = 8
     t_ref: float = 1.0
-    bump: BumpSpec = field(default_factory=BumpSpec)
 
     def __post_init__(self):
         # the dimensions bessel.radial_kernel, and so propagate, can check
         if not 2 <= self.d <= 5:
             raise OutOfRangeError("need 2 <= d <= 5")
-        if self.j < 2:
-            raise OutOfRangeError("need j >= 2")
+        if not 2 <= self.j <= _J_MAX:
+            raise OutOfRangeError(f"need 2 <= j <= {_J_MAX}, got {self.j}")
         if not 1.0 <= self.t_ref <= 2.0:
             raise OutOfRangeError("t_ref must lie in [1, 2]")
 
@@ -174,8 +162,8 @@ class WaveField:
             "d": p.d,
             "j": p.j,
             "t_ref": p.t_ref,
-            "bump_center": p.bump.center,
-            "bump_half_width": p.bump.half_width,
+            "bump_center": BUMP_CENTER,
+            "bump_half_width": BUMP_HALF_WIDTH,
             "times": [row.t for row in self.rows],
             "grid_sizes": [len(row.r_grid) for row in self.rows],
             "err_rel": [row.err_rel for row in self.rows],
@@ -229,9 +217,9 @@ def _kernel_sums(kernel, x, nodes, phase):
     return out
 
 
-def _trapezoid_indices(bump: BumpSpec, h: float, shift: float = 0.0):
+def _trapezoid_indices(h: float, shift: float = 0.0):
     """The k with node (k + shift) h inside the closed bump support."""
-    lo, hi = bump.support
+    lo, hi = BUMP_SUPPORT
     return np.arange(math.ceil(lo / h - shift), math.floor(hi / h - shift) + 1)
 
 
@@ -282,7 +270,7 @@ def _field_quadrature(params: WaveParams, t: float, r_grid, level: int):
     bound), the bound being the fine rule's triangle-inequality bound on |u|.
     """
     d, j = params.d, params.j
-    hi = params.bump.support[1]
+    hi = BUMP_SUPPORT[1]
     omega = t - params.t_ref
     scale = 2.0**j
     y = scale * omega
@@ -292,10 +280,10 @@ def _field_quadrature(params: WaveParams, t: float, r_grid, level: int):
     near = scale * r_grid * hi <= _KERNEL_SERIES_CUTOFF
     freq = y if np.all(near) else scale * (abs(omega) + float(r_grid.max()))
     h = _moment_step(freq, level + 1)
-    m = _trapezoid_indices(params.bump, h)
+    m = _trapezoid_indices(h)
     sigma = m * h
     even = slice(int(m[0]) % 2, None, 2)
-    base = h * params.bump(sigma) * sigma ** (d - 1)
+    base = h * bump(sigma) * sigma ** (d - 1)
     # y_hi = y rounded to single precision makes every y_hi sigma exact,
     # so the phase is correct to its own rounding, not to that of
     # |y sigma|, which would swamp the small fields at t = 0
@@ -371,10 +359,7 @@ def propagate(params: WaveParams, t: float, r_grid) -> WaveFieldRow:
 # Profiles F_m(y) and the decomposition into exponentials and remainder
 # ---------------------------------------------------------------------------
 
-_profile_cache: dict = {}
-
-
-def _profile_fft(power: float, bump: BumpSpec, n: int, shift: float = 0.0):
+def _profile_fft(power: float, n: int, shift: float = 0.0):
     """Trapezoid-rule values of F(m dy), m = 0 .. n/4, from one real FFT.
 
     F(y) = Integral e^(i y sigma) bump(sigma) sigma^power dsigma.  With
@@ -387,7 +372,7 @@ def _profile_fft(power: float, bump: BumpSpec, n: int, shift: float = 0.0):
     away.  shift = 1/2 gives the midpoint rule.
     """
     h = TWO_PI / (n * _PROFILE_STEP)
-    k = _trapezoid_indices(bump, h, shift)
+    k = _trapezoid_indices(h, shift)
     sigma = (k + shift) * h
     buf = np.zeros(n)
     buf[k % n] = h * bump(sigma) * sigma**power
@@ -400,20 +385,20 @@ def _profile_fft(power: float, bump: BumpSpec, n: int, shift: float = 0.0):
 
 
 @functools.lru_cache(maxsize=None)
-def _bump_moment(bump: BumpSpec, power: float) -> float:
+def _bump_moment(power: float) -> float:
     """Integral bump(sigma) sigma^power dsigma by the trapezoid rule at
     h = ``_moment_step(0, 0)``.
 
     The integrand is nonnegative, so this is F(0) = max_y |F(y)| for the
-    profile F of bump(sigma) sigma^power.  Cached per (bump, power).
+    profile F of bump(sigma) sigma^power.  Cached per power.
     """
     h = _moment_step(0.0, 0)
-    sigma = _trapezoid_indices(bump, h) * h
+    sigma = _trapezoid_indices(h) * h
     return float(np.dot(h * bump(sigma), sigma**power))
 
 
 @functools.lru_cache(maxsize=None)
-def _profile_budget(d: int, bump: BumpSpec, m: int) -> float:
+def _profile_budget(d: int, m: int) -> float:
     """Factor on _PROFILE_TAIL and _PROFILE_RTOL that bounds the errors of F_m.
 
     F_m enters the field of dimension d relative to F_0 with weight
@@ -424,62 +409,42 @@ def _profile_budget(d: int, bump: BumpSpec, m: int) -> float:
     2^j r sigma_lo >= u_cut): 24 in d = 2 and 4, 4 in d = 5.  The K Hankel
     tables share the errors allowed to F_0 evenly, so F_m, whose errors are
     measured against its own peak, gets 1 / (K w_m) of them; F_0 gets 1.
-    Cached per (d, bump, m).
+    Cached per (d, m).
     """
     if m == 0:
         return 1.0
     coeffs, _, u_cut = _hankel_series(0.5 * (d - 2))
-    x_min = max(4.0, u_cut / bump.support[0])
+    x_min = max(4.0, u_cut / BUMP_SUPPORT[0])
     power = 0.5 * (d - 1)
-    peaks = _bump_moment(bump, power - m) / _bump_moment(bump, power)
+    peaks = _bump_moment(power - m) / _bump_moment(power)
     weight = abs(coeffs[m - 1]) * x_min**-m * peaks
     return 1.0 / (len(coeffs) * weight)
 
 
-def _profile_table(d: int, bump: BumpSpec, m: int = 0):
+@functools.lru_cache(maxsize=None)
+def _profile_table(d: int, m: int = 0):
     """Table (step, values) of F_m(y) on y = 0, step, ..., y_max.
 
     F_m is the profile of bump(sigma) sigma^((d-1)/2 - m): m = 0 carries the
     two principal exponentials, m >= 1 the Hankel terms of the remainder.
-    Each table is built to the error it can put in the field: with
-    b = ``_profile_budget(d, bump, m)``, |F| over the last
-    _PROFILE_TAIL_SPAN units of y must be below b _PROFILE_TAIL of the peak,
-    so lookups beyond y_max may read zero, and the table must agree within
-    b _PROFILE_RTOL of the peak with the rule of half the step (the mean of
-    the table and the midpoint rule, so no transform of length 2n is
-    needed).  Starting from length _PROFILE_FFT_MIN, the FFT length n
-    doubles until both hold.  Tables are cached per (sigma power, bump), so
-    dimensions share them, with the two errors they achieved: a cached
-    table that misses a stricter budget is extended from twice its length,
-    since every shorter length missed a looser one.  Raises
-    RefineFailureError, with the relative error of the failing test, when
-    no length up to _PROFILE_FFT_MAX passes both.
+    One FFT of length _PROFILE_FFT builds it, and it must meet the error it
+    can put in the field: with b = ``_profile_budget(d, m)``, |F| over the
+    last _PROFILE_TAIL_SPAN units of y must be below b _PROFILE_TAIL of the
+    peak, so lookups beyond y_max may read zero, and the table must agree
+    within b _PROFILE_RTOL of the peak with the rule of half the step (the
+    mean of the table and the midpoint rule, so no transform of length 2n
+    is needed).  Cached per (d, m); raises RefineFailureError, with the
+    relative error of the failing check, when either misses.
     """
     power = 0.5 * (d - 1) - m
-    key = (power, bump)
-    budget = _profile_budget(d, bump, m)
-    tail_tol, step_tol = budget * _PROFILE_TAIL, budget * _PROFILE_RTOL
-    n, err = _PROFILE_FFT_MIN, math.inf
-    cached = _profile_cache.get(key)
-    if cached is not None:
-        table, tail_err, step_err = cached
-        if tail_err <= tail_tol and step_err <= step_tol:
-            return table
-        # the table came from FFT length 4 (entries - 1); that length and
-        # every shorter one missed this budget, so resume at twice it
-        n = 8 * (len(table[1]) - 1)
-        err = tail_err if tail_err > tail_tol else step_err
-    n_tail = round(_PROFILE_TAIL_SPAN / _PROFILE_STEP)
-    while n <= _PROFILE_FFT_MAX:
-        vals = _profile_fft(power, bump, n)
-        peak = float(np.abs(vals).max())
-        err = tail_err = float(np.abs(vals[-n_tail:]).max()) / peak
-        if tail_err <= tail_tol:
-            err = step_err = 0.5 * float(np.abs(_profile_fft(power, bump, n, 0.5) - vals).max()) / peak
-            if step_err <= step_tol:
-                _profile_cache[key] = ((_PROFILE_STEP, vals), tail_err, step_err)
-                return _profile_cache[key][0]
-        n *= 2
+    budget = _profile_budget(d, m)
+    vals = _profile_fft(power, _PROFILE_FFT)
+    peak = float(np.abs(vals).max())
+    err = float(np.abs(vals[-round(_PROFILE_TAIL_SPAN / _PROFILE_STEP):]).max()) / peak
+    if err <= budget * _PROFILE_TAIL:
+        err = 0.5 * float(np.abs(_profile_fft(power, _PROFILE_FFT, 0.5) - vals).max()) / peak
+        if err <= budget * _PROFILE_RTOL:
+            return _PROFILE_STEP, vals
     raise RefineFailureError("profile table did not converge", err)
 
 
@@ -538,7 +503,7 @@ def main_terms_grid(params: WaveParams, t, r_grid):
         raise OutOfRangeError("main terms need r >= 2^(-j+2); use propagate below that")
     d, j = params.d, params.j
     scale = 2.0**j
-    table = _profile_table(d, params.bump)
+    table = _profile_table(d)
     pref = (
         TWO_PI ** (-0.5 * (d + 1))
         * r_grid ** (-0.5 * (d - 1))
@@ -613,7 +578,7 @@ def _remainder_term(params: WaveParams, t, r_grid):
         return out
     scale = 2.0**j
     pref = _remainder_pref(params, r_grid)
-    far = scale * r_grid * params.bump.support[0] >= u_cut
+    far = scale * r_grid * BUMP_SUPPORT[0] >= u_cut
     if np.any(far):
         r = r_grid[far]
         w = np.broadcast_to(omega, r_grid.shape)[far]
@@ -621,7 +586,7 @@ def _remainder_term(params: WaveParams, t, r_grid):
         rot = np.exp(-1j * (0.5 * order + 0.25) * math.pi)
         acc = np.zeros(len(r), dtype=np.complex128)
         for m, a in enumerate(coeffs, start=1):
-            table = _profile_table(d, params.bump, m)
+            table = _profile_table(d, m)
             i_m = (1, 1j, -1, -1j)[m % 4]
             acc += a * (scale * r) ** (-m - 0.5) * (
                 i_m * rot * _profile_eval(table, y_plus)
@@ -639,8 +604,8 @@ def _remainder_term(params: WaveParams, t, r_grid):
             w, sel = float(omegas[i]), near[i]
             r = radii[i][sel]
             h = _moment_step(scale * (abs(w) + float(r.max())), 0)
-            sigma = _trapezoid_indices(params.bump, h) * h
-            phase = np.exp(1j * scale * w * sigma) * h * params.bump(sigma) * sigma ** (0.5 * d)
+            sigma = _trapezoid_indices(h) * h
+            phase = np.exp(1j * scale * w * sigma) * h * bump(sigma) * sigma ** (0.5 * d)
             outs[i, sel] = prefs[i][sel] * _kernel_sums(kernel, scale * r, sigma, phase)
     return out
 
@@ -657,8 +622,8 @@ def _truncation_bound(params: WaveParams, r_grid):
     scale = 2.0**j
     bound = np.zeros(r_grid.shape)
     for m, a in enumerate(tail, start=len(coeffs) + 1):
-        bound += a * (scale * r_grid) ** (-m - 0.5) * _bump_moment(params.bump, 0.5 * (d - 1) - m)
-    far = scale * r_grid * params.bump.support[0] >= u_cut
+        bound += a * (scale * r_grid) ** (-m - 0.5) * _bump_moment(0.5 * (d - 1) - m)
+    far = scale * r_grid * BUMP_SUPPORT[0] >= u_cut
     return np.where(far, math.sqrt(2.0 / math.pi) * _remainder_pref(params, r_grid) * bound, 0.0)
 
 
@@ -778,6 +743,6 @@ def data_norm_plancherel(params: WaveParams) -> float:
     """
     d, j = params.d, params.j
     h = _moment_step(0.0, 0)
-    sigma = _trapezoid_indices(params.bump, h) * h
-    integral = float(np.sum(h * params.bump(sigma) ** 2 * sigma ** (d - 1)))
+    sigma = _trapezoid_indices(h) * h
+    integral = float(np.sum(h * bump(sigma) ** 2 * sigma ** (d - 1)))
     return math.sqrt(TWO_PI ** (-d) * 2.0 ** (j * d) * integral)

@@ -232,11 +232,11 @@ def field_gauss_legendre(params, t: float, radii, n: int):
     ``exact_phase``.  Returns (values, bound), the bound being the sum of
     |weights| times the prefactor, the triangle bound on |u|.
     """
-    from fracsmooth import bessel
+    from fracsmooth import bessel, wave
 
     d, j = params.d, params.j
-    nodes, w = gauss_legendre(*params.bump.support, n)
-    weights = w * params.bump(nodes) * nodes ** (d - 1)
+    nodes, w = gauss_legendre(*wave.BUMP_SUPPORT, n)
+    weights = w * wave.bump(nodes) * nodes ** (d - 1)
     phase = exact_phase(2.0**j * (t - params.t_ref), nodes) * weights
     pref = (2.0 * math.pi) ** (-0.5 * d) * 2.0 ** (j * d)
     vals = np.array([pref * (bessel.radial_kernel(d, 2.0**j * r * nodes) @ phase) for r in radii])

@@ -67,6 +67,10 @@ def test_usage_errors(set_files, tmp_path, capsys):
         # fewer than 4 scales: rejected before any table or wave row
         ["verify-sharpness", "--set", set_files["cantor"], "--jmin", "8", "--jmax", "10"],
         ["verify-sharpness", "--set", set_files["cantor"], "--jmin", "12", "--jmax", "10"],
+        # scales finer than the doubles in [1, 2]: rejected before any overflow
+        ["wave-sim", "--d", "5", "--j", "300", "--times", "1.5"],
+        ["wave-sim", "--d", "4", "--j", "300", "--times", "1.0"],
+        ["wave-sim", "--d", "3", "--j", "1100"],
     ):
         assert cli.cli(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
@@ -74,6 +78,10 @@ def test_usage_errors(set_files, tmp_path, capsys):
     for command in ("set-info", "exponents"):
         assert cli.cli([command, "--set", set_files["cantor"], "--j", "3"]) == 2, command
         assert capsys.readouterr().err == "error: need j >= 4, got 3\n", command
+    # a window table past the tile budget is refused before any counting
+    assert cli.cli(["set-info", "--set", set_files["cantor"], "--j", "30"]) == 2
+    assert capsys.readouterr().err == (
+        "error: resolution too fine: 4294967263 family windows at j = 30, more than 40000000\n")
 
 
 def test_module_entry_point(set_files):

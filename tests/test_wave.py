@@ -16,21 +16,12 @@ SQ2PI = math.sqrt(2.0 / math.pi)
 
 
 def test_bump_profile_shape():
-    bump = wave.BumpSpec()
-    assert bump.support == (0.5, 2.0)
+    bump = wave.bump
+    assert wave.BUMP_SUPPORT == (0.5, 2.0)
     assert bump(1.25) == pytest.approx(1.0)
     assert bump(0.5) == 0.0 and bump(2.0) == 0.0 and bump(2.5) == 0.0
     x = np.linspace(0.5, 2.0, 101)
     assert np.all(bump(x) >= 0.0)
-
-
-def test_bump_support_must_stay_positive():
-    # the remainder profiles carry negative powers of sigma
-    with pytest.raises(OutOfRangeError):
-        wave.BumpSpec(0.5, 0.75)
-    with pytest.raises(OutOfRangeError):
-        wave.BumpSpec(0.75, 0.75)
-    assert wave.BumpSpec(0.76, 0.75).support[0] > 0.0
 
 
 def test_wave_params_validation():
@@ -40,6 +31,10 @@ def test_wave_params_validation():
         wave.WaveParams(d=6, j=8)
     with pytest.raises(OutOfRangeError):
         wave.WaveParams(d=3, j=1)
+    # scales below the spacing 2^-52 of the doubles in [1, 2]
+    assert wave.WaveParams(d=3, j=52).j == 52
+    with pytest.raises(OutOfRangeError):
+        wave.WaveParams(d=3, j=53)
     with pytest.raises(OutOfRangeError):
         wave.WaveParams(d=3, j=8, t_ref=2.5)
 
@@ -73,7 +68,7 @@ def test_propagate_origin_magnitude():
     params = wave.WaveParams(d=3, j=8, t_ref=1.3)
     row = wave.propagate(params, 1.3, np.array([0.0]))
     sigma = np.linspace(0.5, 2.0, 40001)
-    integrand = params.bump(sigma) * sigma**2
+    integrand = wave.bump(sigma) * sigma**2
     oracle = (2 * math.pi) ** -1.5 * SQ2PI * 2.0 ** (3 * 8) * np.trapezoid(integrand, sigma)
     assert row.values[0].imag == pytest.approx(0.0, abs=1e-9 * oracle)
     assert row.values[0].real == pytest.approx(oracle, rel=1e-6)
@@ -111,7 +106,7 @@ def test_kernel_series_matches_radial_kernel(d):
 
 
 def _kernel_cut_radius(params):
-    return wave._KERNEL_SERIES_CUTOFF / (2.0**params.j * params.bump.support[1])
+    return wave._KERNEL_SERIES_CUTOFF / (2.0**params.j * wave.BUMP_SUPPORT[1])
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -133,8 +128,8 @@ def test_propagate_moment_series_matches_per_radius_kernel(d, t):
     pref = (2 * math.pi) ** (-0.5 * d) * 2.0 ** (params.j * d)
     _, _, bound = wave._field_quadrature(params, t, grid, 0)
     h = wave._moment_step(scale * (abs(t - params.t_ref) + grid.max()), 1)
-    sigma = h * np.arange(math.ceil(params.bump.support[0] / h), math.floor(params.bump.support[1] / h) + 1)
-    phase = oracles.exact_phase(y, sigma) * h * params.bump(sigma) * sigma ** (d - 1)
+    sigma = h * np.arange(math.ceil(wave.BUMP_SUPPORT[0] / h), math.floor(wave.BUMP_SUPPORT[1] / h) + 1)
+    phase = oracles.exact_phase(y, sigma) * h * wave.bump(sigma) * sigma ** (d - 1)
     oracle = np.array([pref * (bessel.radial_kernel(d, scale * r * sigma) @ phase) for r in grid])
     for sel in (near, ~near):
         assert np.abs(row.values[sel] - oracle[sel]).max() <= 1e-10 * bound
@@ -208,123 +203,98 @@ def test_propagate_far_radii_match_dense_reference(d, j):
 # profile table
 # ---------------------------------------------------------------------------
 
-def _direct_profile(d, bump, ys, y_max):
+def _direct_profile(d, ys, y_max):
     """F(y) by composite Gauss-Legendre: the independent oracle for the FFT table."""
-    nodes, weights = oracles.gauss_legendre(*bump.support, 16 * math.ceil(1.0 + y_max))
-    amp = weights * bump(nodes) * nodes ** (0.5 * (d - 1))
+    nodes, weights = oracles.gauss_legendre(*wave.BUMP_SUPPORT, 16 * math.ceil(1.0 + y_max))
+    amp = weights * wave.bump(nodes) * nodes ** (0.5 * (d - 1))
     return backend.oscillatory_sum(ys, nodes, amp)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_profile_table_matches_direct_sum(d):
-    step, vals = wave._profile_table(d, wave.BumpSpec())
+    step, vals = wave._profile_table(d)
     assert step == 1.0 / 64.0 and len(vals) == 32769
     ys = step * np.arange(len(vals))[::64]
-    ref = _direct_profile(d, wave.BumpSpec(), ys, ys[-1])
+    ref = _direct_profile(d, ys, ys[-1])
     assert np.abs(vals[::64] - ref).max() <= 1e-12 * np.abs(vals).max()
 
 
 @pytest.mark.parametrize("m", [1, 6])
 def test_hankel_profile_tables_match_direct_sum(m):
     # F_m of d = 2 has the sigma power of F_0 in dimension 2 - 2m
-    step, vals = wave._profile_table(2, wave.BumpSpec(), m)
+    step, vals = wave._profile_table(2, m)
     ys = step * np.arange(len(vals))[::64]
-    ref = _direct_profile(2 - 2 * m, wave.BumpSpec(), ys, ys[-1])
+    ref = _direct_profile(2 - 2 * m, ys, ys[-1])
     assert np.abs(vals[::64] - ref).max() <= 1e-12 * np.abs(vals).max()
 
 
-def test_profile_tables_shared_across_dimensions():
-    # sigma^(3/2 - 1) in d = 4 is the principal power of d = 2
-    bump = wave.BumpSpec()
-    assert wave._profile_table(4, bump, 1) is wave._profile_table(2, bump)
-
-
-def test_profile_table_narrow_bump_extends_range():
-    # a narrow bump decays slowly in y: the table must reach y_max = 2048
-    bump = wave.BumpSpec(1.25, 0.25)
-    step, vals = wave._profile_table(3, bump)
-    y_max = step * (len(vals) - 1)
-    assert y_max >= 2048.0
-    assert np.abs(vals[-256:]).max() <= wave._PROFILE_TAIL * np.abs(vals).max()
-    idx = np.arange(0, len(vals), 512)
-    ref = _direct_profile(3, bump, step * idx, y_max)
-    assert np.abs(vals[idx] - ref).max() <= 1e-12 * np.abs(vals).max()
-
-
 def test_profile_table_refinement_is_bounded(monkeypatch):
-    # FFT lengths far too short to resolve the profile, with a cap after two
-    # doublings: the builder must give up with a typed error
-    monkeypatch.setattr(wave, "_profile_cache", {})
-    monkeypatch.setattr(wave, "_PROFILE_FFT_MIN", 2**10)
-    monkeypatch.setattr(wave, "_PROFILE_FFT_MAX", 2**12)
+    # an FFT length far too short to resolve the profile: the builder must
+    # give up with a typed error carrying the achieved error, and cache nothing
+    wave._profile_table.cache_clear()
+    monkeypatch.setattr(wave, "_PROFILE_FFT", 2**10)
     with pytest.raises(RefineFailureError) as info:
-        wave._profile_table(3, wave.BumpSpec())
+        wave._profile_table(3)
     err = info.value.achieved_error
     assert math.isfinite(err) and err > wave._PROFILE_RTOL
-    assert wave._profile_cache == {}
+    assert wave._profile_table.cache_info().currsize == 0
 
 
-def _assert_within_budget(d, bump, m):
-    table, tail_err, step_err = wave._profile_cache[(0.5 * (d - 1) - m, bump)]
-    budget = wave._profile_budget(d, bump, m)
-    assert tail_err <= budget * wave._PROFILE_TAIL
-    assert step_err <= budget * wave._PROFILE_RTOL
-    return table
+def _achieved_errors(d, m, n):
+    """(values, tail error, half-step error) of F_m at FFT length n, each
+    error relative to the peak, recomputed from the transforms."""
+    power = 0.5 * (d - 1) - m
+    vals = wave._profile_fft(power, n)
+    peak = np.abs(vals).max()
+    tail = np.abs(vals[-round(wave._PROFILE_TAIL_SPAN / wave._PROFILE_STEP):]).max() / peak
+    step = 0.5 * np.abs(wave._profile_fft(power, n, 0.5) - vals).max() / peak
+    return vals, tail, step
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_profile_tables_meet_their_budgets(d):
     # F_0 keeps the whole budget and the K Hankel tables split it by their
-    # weights w_m = |a_m| x_min^-m max|F_m| / max|F_0|; every F_m of the
-    # default bump passes at the first FFT length
-    bump = wave.BumpSpec()
+    # weights w_m = |a_m| x_min^-m max|F_m| / max|F_0|; every F_m meets it
+    # at the one FFT length
     coeffs, _, u_cut = wave._hankel_series(0.5 * (d - 2))
     x_min = 24.0 if u_cut else 4.0
-    peak_0 = np.abs(wave._profile_table(d, bump)[1]).max()
-    assert wave._profile_budget(d, bump, 0) == 1.0
+    peak_0 = np.abs(wave._profile_table(d)[1]).max()
+    assert wave._profile_budget(d, 0) == 1.0
     for m in range(len(coeffs) + 1):
-        table = wave._profile_table(d, bump, m)
+        table = wave._profile_table(d, m)
         assert len(table[1]) == 32769
-        assert _assert_within_budget(d, bump, m) is table
+        vals, tail, step = _achieved_errors(d, m, wave._PROFILE_FFT)
+        np.testing.assert_array_equal(table[1], vals)
+        budget = wave._profile_budget(d, m)
+        assert tail <= budget * wave._PROFILE_TAIL
+        assert step <= budget * wave._PROFILE_RTOL
         if m:
             weight = abs(coeffs[m - 1]) * x_min**-m * np.abs(table[1]).max() / peak_0
             share = 1.0 / (len(coeffs) * weight)
-            assert wave._profile_budget(d, bump, m) == pytest.approx(share, rel=1e-12)
-
-
-@pytest.mark.parametrize("loose_first", [True, False])
-def test_shared_profile_table_meets_each_budget(monkeypatch, loose_first):
-    # sigma^(-7/2) is F_4 of d = 2 and F_5 of d = 4.  From FFT length 2^14
-    # the looser d = 4 budget passes at once, the d = 2 one only at 2^15
-    monkeypatch.setattr(wave, "_profile_cache", {})
-    monkeypatch.setattr(wave, "_PROFILE_FFT_MIN", 2**14)
-    bump = wave.BumpSpec()
-    fresh = {}
-    for d, m in ((2, 4), (4, 5)):
-        wave._profile_cache.clear()
-        fresh[d] = wave._profile_table(d, bump, m)
-    assert len(fresh[4][1]) == 4097 and len(fresh[2][1]) == 8193
-    wave._profile_cache.clear()
-    requests = [(4, 5), (2, 4)] if loose_first else [(2, 4), (4, 5)]
-    got = {d: wave._profile_table(d, bump, m) for d, m in requests}
-    np.testing.assert_array_equal(got[2][1], fresh[2][1])
-    _assert_within_budget(2, bump, 4)
-    _assert_within_budget(4, bump, 5)
-    if not loose_first:
-        # a table built to the stricter budget serves the looser one as it is
-        assert got[4] is got[2]
+            assert budget == pytest.approx(share, rel=1e-12)
 
 
 def test_profile_budgets_keep_field_rows(monkeypatch):
     # rows from tables built to each one's budget against rows from tables
-    # built under the old rule (every table to 1e-9 of its own peak), on
-    # both sides of the Hankel lookup cutoff 2^j r = 24 and across the cone
+    # built under the old rule (every table to 1e-9 of its own peak, the FFT
+    # length doubling from 2^17), on both sides of the Hankel lookup cutoff
+    # 2^j r = 24 and across the cone
+    old_tables = {}
+
+    def old_rule(d, m=0):
+        power = 0.5 * (d - 1) - m
+        n = wave._PROFILE_FFT
+        while power not in old_tables:
+            vals, tail, step = _achieved_errors(d, m, n)
+            if tail <= wave._PROFILE_TAIL and step <= wave._PROFILE_RTOL:
+                old_tables[power] = (wave._PROFILE_STEP, vals)
+            n *= 2
+        return old_tables[power]
+
     times = np.array([1.0, 1.3, 1.62, 2.0])
-    rows, lengths = {"old": {}, "budget": {}}, {}
-    rules = {"old": lambda d, bump, m: 1.0, "budget": wave._profile_budget}
-    for rule, budget in rules.items():
-        monkeypatch.setattr(wave, "_profile_cache", {})
-        monkeypatch.setattr(wave, "_profile_budget", budget)
+    rows = {"old": {}, "budget": {}}
+    for rule, builder in (("old", old_rule), ("budget", wave._profile_table)):
+        monkeypatch.setattr(wave, "_profile_table", builder)
         for d in (2, 4):
             for j in range(8, 13):
                 params = wave.WaveParams(d=d, j=j)
@@ -336,10 +306,8 @@ def test_profile_budgets_keep_field_rows(monkeypatch):
                 ]))
                 grid = np.broadcast_to(radii, (len(times), len(radii)))
                 rows[rule][d, j] = wave.field_row_fast(params, times, grid).values
-        lengths[rule] = sorted(len(table[1]) for table, _, _ in wave._profile_cache.values())
     # the old rule doubled F_4 .. F_6 of d = 2
-    assert lengths["old"] == [32769] * 5 + [65537] * 3
-    assert lengths["budget"] == [32769] * 8
+    assert sorted(len(vals) for _, vals in old_tables.values()) == [32769] * 5 + [65537] * 3
     for key, old in rows["old"].items():
         diff = np.abs(rows["budget"][key] - old).max(axis=-1)
         assert np.all(diff <= 1e-13 * np.abs(old).max(axis=-1)), key
@@ -387,7 +355,7 @@ def test_shell_lower_bound_on_cone():
         grid = np.linspace(reg.r_lo, reg.r_hi, 9)
         tm, _, _ = wave.main_terms_grid(params, t, grid)
         # F(y) for |y| <= 2^-5 stays within 10% of F(0)
-        mass = np.trapezoid(params.bump(sigma) * sigma, sigma)
+        mass = np.trapezoid(wave.bump(sigma) * sigma, sigma)
         floor = 0.9 * (2 * math.pi) ** -2.0 * mass * grid ** (-1.0) * 2.0 ** (2 * j)
         assert np.all(np.abs(tm) >= floor)
 
@@ -420,7 +388,7 @@ def test_decomposition_identity_d2_with_remainder():
 
 
 def _hankel_cut_radius(params):
-    return wave._HANKEL_CUTOFF / (2.0**params.j * params.bump.support[0])
+    return wave._HANKEL_CUTOFF / (2.0**params.j * wave.BUMP_SUPPORT[0])
 
 
 def _direct_remainder(params, t, r_grid):
@@ -429,8 +397,8 @@ def _direct_remainder(params, t, r_grid):
     scale = 2.0**j
     omega = t - params.t_ref
     freq = scale * (abs(omega) + r_grid.max())
-    nodes, weights = oracles.gauss_legendre(*params.bump.support, max(2**16, 16 * math.ceil(1.0 + freq)))
-    phase = oracles.exact_phase(scale * omega, nodes) * weights * params.bump(nodes) * nodes ** (0.5 * d)
+    nodes, weights = oracles.gauss_legendre(*wave.BUMP_SUPPORT, max(2**16, 16 * math.ceil(1.0 + freq)))
+    phase = oracles.exact_phase(scale * omega, nodes) * weights * wave.bump(nodes) * nodes ** (0.5 * d)
     pref = (2 * math.pi) ** (-0.5 * d) * 2.0 ** (j * 0.5 * (d + 2)) * r_grid ** (-0.5 * (d - 2))
     return np.array([
         pref[i] * np.dot(bessel.bessel_remainder(0.5 * (d - 2), scale * r * nodes), phase)
@@ -460,9 +428,9 @@ def test_remainder_direct_radii_match_dense_reference(d, j):
     # |R(u)| <~ u^(-3/2): pref(r) (2^j r sigma_lo)^(-3/2) Integral bump sigma^(d/2)
     params = wave.WaveParams(d=d, j=j, t_ref=1.3)
     radii = np.linspace(params.min_asymptotic_r, _hankel_cut_radius(params), 9)[:-1]
-    lo, hi = params.bump.support
+    lo, hi = wave.BUMP_SUPPORT
     nodes, weights = oracles.gauss_legendre(lo, hi, 2**10)
-    mass = float(np.dot(weights, params.bump(nodes) * nodes ** (0.5 * d)))
+    mass = float(np.dot(weights, wave.bump(nodes) * nodes ** (0.5 * d)))
     pref = (2 * math.pi) ** (-0.5 * d) * 2.0 ** (j * 0.5 * (d + 2)) * radii ** (-0.5 * (d - 2))
     bound = pref * (2.0**j * radii * lo) ** -1.5 * mass
     for t in (0.0, 2.0):
@@ -526,7 +494,7 @@ def _batched_grid(params):
 def test_batched_rows_match_per_row_calls(d):
     params = wave.WaveParams(d=d, j=7, t_ref=1.0)
     times, grid = _batched_grid(params)
-    near = 2.0**params.j * grid * params.bump.support[0] < wave._HANKEL_CUTOFF
+    near = 2.0**params.j * grid * wave.BUMP_SUPPORT[0] < wave._HANKEL_CUTOFF
     assert near.all(axis=1).any() and near.any(axis=1).sum() > near.all(axis=1).sum()
     batched = wave.main_terms_grid(params, times, grid)
     row = wave.field_row_fast(params, times, grid)
@@ -749,3 +717,4 @@ def test_wave_field_serialization():
     assert len(csv.splitlines()) == 1 + 2 * len(grid)
     header = json.loads(fld.header_json())
     assert header["d"] == 3 and header["times"] == [1.5, 1.6]
+    assert header["bump_center"] == 1.25 and header["bump_half_width"] == 0.75
