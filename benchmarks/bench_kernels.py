@@ -1,6 +1,15 @@
 #!/usr/bin/env python3
-"""Benchmark: cold window-count tables, the wave profile table, data norms
-and the direct field quadrature at inner-disc and at far radii.
+"""Benchmark: process start-up, cold window-count tables, the wave profile
+table, data norms and the direct field quadrature at inner-disc and at far
+radii.
+
+Start-up is timed first, in fresh interpreters run one after another: the
+bare interpreter (``python -c pass``), ``import fracsmooth.cli,
+fracsmooth.harness`` and a whole ``set-info`` on union at j = 12, each the
+median and quartiles of 15 processes.  The record says whether
+``PYTHONDONTWRITEBYTECODE`` was set and whether ``src/fracsmooth`` had a
+``__pycache__``, since compiling the package from source costs each process
+tens of milliseconds.
 
 Each window-count table is one batched covering sweep over every level,
 in plain Python, at j = 12, 14 and 18 (about 2^(j+2) windows, never built):
@@ -8,8 +17,8 @@ the interval is counted in closed form, one count for every window inside
 it, and the other sets by a walk over each grid with a shared step cache
 that skips the windows missing the set.  Each profile table F_0 .. F_K of
 d = 2, 3 and 4 is built cold, one FFT of a fixed length checked against
-its error budget; the case prints each table's entry count and the peak
-RSS after the builds, and runs first, so that no later case sets that peak.
+its error budget; these run first among the in-process cases, so that the
+peak RSS recorded after each of them is theirs.
 The d = 2 data norm is mostly Hankel-term profile lookups.  The d = 3,
 j = 13 data norm is the heaviest call of the sharpness slopes; its inner
 disc r <= 2^(-j+2), 49 radii through ``propagate`` at t = 0, sums the
@@ -21,32 +30,89 @@ evaluate the radial kernel on blocks of radii x nodes through the one
 Bessel evaluator.  One window of the sharpness slopes (512 shells of 17 radii, d = 3, j = 13) is one
 ``field_row_fast`` lookup over the (times x radii) grid and one
 ``shell_lp_norm`` reduction; its profile table is built before the timing,
-so the case times the lookups.  Best of three cold runs each (the data
-norms with their cache cleared):
+so the case times the lookups.  Three cold runs each (the data norms with
+their cache cleared); the best is printed.
 
-    PYTHONPATH=src python benchmarks/bench_kernels.py
+Every case goes into one JSON record with its sizes and all its samples,
+beside the context: nproc, the git revision, the Python and NumPy versions
+and the bytecode state.  Run from the repository root:
+
+    PYTHONPATH=src python benchmarks/bench_kernels.py --out BENCH_<n>.json
+
+``--small`` runs each in-process case once at small sizes and each
+start-up command twice, to check the script and its record quickly.
 """
 
+import argparse
+import json
+import os
+import platform
 import resource
+import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from fracsmooth import sets, spectra, wave
 
+ROOT = Path(__file__).resolve().parents[1]
 
-def timeit(fn, *args, repeat=3):
-    best = float("inf")
+STARTUP = [
+    ("interpreter", ["-c", "pass"]),
+    ("import cli+harness", ["-c", "import fracsmooth.cli, fracsmooth.harness"]),
+    ("set-info union j=12", ["-m", "fracsmooth", "set-info", "--set", "perfbench/sets/union.json", "--j", "12"]),
+]
+
+SETS = [
+    ("interval", sets.FullInterval(1.0, 2.0)),
+    ("cantor 2,1/3", sets.CantorLike(1.0, 2.0, 2, 1.0 / 3.0)),
+    ("polyseq a=1", sets.PolySequence(1.0)),
+    ("union", sets.UnionSet((sets.CantorLike(1.0, 1.4, 2, 1.0 / 3.0),
+                             sets.CantorLike(1.6, 2.0, 3, 0.2)))),
+]
+
+
+def samples(fn, *args, repeat=3):
+    """Wall seconds of ``repeat`` calls of fn(*args)."""
+    out = []
     for _ in range(repeat):
         t0 = time.perf_counter()
         fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
+        out.append(time.perf_counter() - t0)
+    return out
+
+
+def summary(seconds):
+    """min, quartiles and median of a list of samples."""
+    q1, med, q3 = statistics.quantiles(seconds, n=4, method="inclusive") if len(seconds) > 1 else seconds * 3
+    return {"min_s": min(seconds), "q1_s": q1, "median_s": med, "q3_s": q3, "samples_s": seconds}
+
+
+def startup_runs(runs):
+    """Wall seconds of ``runs`` fresh processes per STARTUP command, the
+    commands taken in turn so that drift spreads over all of them."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    seconds = {name: [] for name, _ in STARTUP}
+    for _ in range(runs):
+        for name, argv in STARTUP:
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL)
+            seconds[name].append(time.perf_counter() - t0)
+    return seconds
 
 
 def cold_window_table(descriptor, j):
     spectra._window_table.cache_clear()
     spectra._window_table(descriptor, j)
+
+
+def family_windows(descriptor, j):
+    """Number of family windows the table at j counts."""
+    lo, hi = sets.bounds(descriptor)
+    return sum(len(spectra.family_starts(lo, hi, 2.0 ** (-m))) for m in range(j + 1))
 
 
 def cold_profile_table(d, m):
@@ -86,40 +152,77 @@ def window_shells(params, times, grid, p):
     wave.shell_lp_norm(rows, p, (grid[:, 0], grid[:, -1]))
 
 
-def main():
-    for d in (2, 3, 4):
-        for m in range(len(wave._hankel_series(0.5 * (d - 2))[0]) + 1):
-            t = timeit(cold_profile_table, d, m)
-            entries = len(cold_profile_table(d, m)[1])
-            print(f"{f'profile_table d={d} F_{m}':<32} {t*1e3:9.2f} ms  {entries} entries")
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(f"{'peak RSS after the tables':<32} {rss:9.2f} MB")
-    for label, s in [
-        ("interval", sets.FullInterval(1.0, 2.0)),
-        ("cantor 2,1/3", sets.CantorLike(1.0, 2.0, 2, 1.0 / 3.0)),
-        ("polyseq a=1", sets.PolySequence(1.0)),
-        ("union", sets.UnionSet((sets.CantorLike(1.0, 1.4, 2, 1.0 / 3.0),
-                                 sets.CantorLike(1.6, 2.0, 3, 0.2)))),
-    ]:
-        for j in (12, 14, 18):
-            t = timeit(cold_window_table, s, j)
-            print(f"{f'window table {label} j={j}':<32} {t*1e3:9.2f} ms")
-    t = timeit(cold_data_norm, 2, 6, 2.0)
-    print(f"{'data_norm d=2 j=6 p=2':<32} {t*1e3:9.2f} ms")
-    t = timeit(cold_data_norm, 3, 13, 3.0, 1.5)
-    print(f"{'data_norm d=3 j=13 p=3':<32} {t*1e3:9.2f} ms")
-    params = wave.WaveParams(d=3, j=13, t_ref=1.0)
-    times, grid = shell_grid(params, 512)
-    wave._profile_table(params.d)
-    t = timeit(window_shells, params, times, grid, 2.5)
-    print(f"{'window d=3 j=13, 512 shells':<32} {t*1e3:9.2f} ms")
-    t = timeit(cold_inner_disc, 3, 13, 1.5)
-    print(f"{'inner disc d=3 j=13, 49 radii':<32} {t*1e3:9.2f} ms")
-    t = timeit(cold_inner_disc, 2, 10, 1.0, 1.0)
-    print(f"{'inner disc d=2 j=10 at focus':<32} {t*1e3:9.2f} ms")
-    for d in (2, 3, 4, 5):
-        t = timeit(cold_far_radii, d, 10, 1.5)
-        print(f"{f'far radii d={d} j=10, 33 radii':<32} {t*1e3:9.2f} ms")
+def kernel_cases(small):
+    """(label, sizes, function, args) of each in-process case, profile tables
+    first; each is set up only when reached (the shell grid loads
+    numpy.random), so no later case's set-up counts in an earlier peak RSS."""
+    for d in (3,) if small else (2, 3, 4):
+        for m in range(1 if small else len(wave._hankel_series(0.5 * (d - 2))[0]) + 1):
+            yield (f"profile_table d={d} F_{m}", {"d": d, "m": m, "fft": wave._PROFILE_FFT},
+                   cold_profile_table, (d, m))
+    for label, s in SETS:
+        for j in (8,) if small else (12, 14, 18):
+            yield (f"window table {label} j={j}", {"set": label, "j": j, "windows": family_windows(s, j)},
+                   cold_window_table, (s, j))
+    norms = [(2, 6, 2.0, 1.0)] + ([] if small else [(3, 13, 3.0, 1.5)])
+    for d, j, p, t_ref in norms:
+        yield (f"data_norm d={d} j={j} p={p:g}", {"d": d, "j": j, "p": p, "t_ref": t_ref},
+               cold_data_norm, (d, j, p, t_ref))
+    j, n = (10, 8) if small else (13, 512)
+    params = wave.WaveParams(d=3, j=j, t_ref=1.0)
+    times, grid = shell_grid(params, n)
+    yield (f"window d=3 j={j}, {n} shells", {"d": 3, "j": j, "shells": n, "radii": grid.shape[1], "p": 2.5},
+           window_shells, (params, times, grid, 2.5))
+    for d, j, t_ref, t in [(3, 8 if small else 13, 1.5, 0.0), (2, 10, 1.0, 1.0)]:
+        label = f"inner disc d={d} j={j}" + (" at focus" if t == t_ref else ", 49 radii")
+        yield (label, {"d": d, "j": j, "t_ref": t_ref, "t": t, "radii": 49},
+               cold_inner_disc, (d, j, t_ref, t))
+    for d in (3,) if small else (2, 3, 4, 5):
+        yield (f"far radii d={d} j=10, 33 radii", {"d": d, "j": 10, "t": 1.5, "radii": 33},
+               cold_far_radii, (d, 10, 1.5))
+
+
+def context():
+    def git(*args):
+        proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    status = git("status", "--porcelain", "--", "src", "benchmarks")
+    return {
+        "revision": git("rev-parse", "HEAD"),
+        "uncommitted_changes": None if status is None else bool(status),
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        "pycache": (ROOT / "src" / "fracsmooth" / "__pycache__").is_dir(),
+    }
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", default=None, help="write the JSON record here")
+    ap.add_argument("--small", action="store_true", help="small sizes, one sample per case, two start-up runs")
+    args = ap.parse_args(argv)
+    runs = 2 if args.small else 15
+    record = {"context": context(), "cases": []}
+
+    timings = startup_runs(runs)
+    for name, cmd in STARTUP:
+        case = {"name": f"startup {name}", "sizes": {"argv": cmd, "runs": runs}, **summary(timings[name])}
+        record["cases"].append(case)
+        print(f"{case['name']:<40} {case['median_s']*1e3:9.2f} ms  quartiles {case['q1_s']*1e3:.2f}, "
+              f"{case['q3_s']*1e3:.2f} ms of {runs}")
+    for label, sizes, fn, fn_args in kernel_cases(args.small):
+        seconds = samples(fn, *fn_args, repeat=1 if args.small else 3)
+        if fn is cold_profile_table:
+            sizes["entries"] = len(wave._profile_table(*fn_args)[1])
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        record["cases"].append({"name": label, "sizes": sizes, **summary(seconds), "peak_rss_mb": rss})
+        print(f"{label:<40} {min(seconds)*1e3:9.2f} ms  peak RSS {rss:.1f} MB")
+    if args.out:
+        Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    return record
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
+from .records import record
 from .sets import first_point_geq
 
 # the benchmark records this name in each run's environment
@@ -25,7 +25,7 @@ BACKEND = "python"
 _ULP = 2.0**-52
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Grids:
     """Windows of one length per grid, as a sequence of their starts that is
     never built.

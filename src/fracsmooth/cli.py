@@ -321,6 +321,10 @@ def cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
+        # no deviation is <= nan, so such a check could never pass
+        tol = getattr(args, "tol", None)
+        if tol is not None and math.isnan(tol):
+            raise FracsmoothError("--tol must be a number, got nan")
         return _COMMANDS[args.command](args)
     except (RefineFailureError, DegenerateWindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

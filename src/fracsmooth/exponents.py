@@ -9,10 +9,10 @@ operations return the variable part only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import legendre, spectra
 from .errors import OutOfRangeError
+from .records import record
 from .sampled import SampledFunction
 
 
@@ -23,49 +23,6 @@ def eval_nu(nu, alpha: float) -> float:
     if alpha > nu.hi:
         return float(alpha)
     return float(nu(alpha))
-
-
-@dataclass(frozen=True)
-class ExponentQuery:
-    """Parameter bundle feeding the closed-form exponent formulas.
-
-    beta, gamma, gamma_circ are the box-counting, window-limit, and
-    uniform-over-scales dimension parameters of the time set.
-    """
-
-    d: int
-    p: float = 2.0
-    q: float = 2.0
-    beta: float = 0.0
-    gamma: float = 0.0
-    gamma_circ: float | None = None
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise OutOfRangeError("need d >= 2")
-        if not (1.0 <= self.p and 1.0 <= self.q):
-            raise OutOfRangeError("need p, q >= 1")
-        gc = self.gamma if self.gamma_circ is None else self.gamma_circ
-        object.__setattr__(self, "gamma_circ", gc)
-        if not 0.0 <= self.beta <= self.gamma <= gc <= 1.0:
-            raise OutOfRangeError("need 0 <= beta <= gamma <= gamma_circ <= 1")
-
-    def two_piece_profile(self, alpha_max: float = 4.0) -> SampledFunction:
-        """Dual profile of a maximal-spectrum set with these dimensions:
-        (1 - beta/gamma) alpha + beta up to gamma, then alpha."""
-        if self.gamma == 0.0:
-            return identity_profile(alpha_max)
-        slope = 1.0 - self.beta / self.gamma
-        grid = legendre.default_alpha_grid(alpha_max)
-        return SampledFunction(0.0, alpha_max, [max(slope * a + self.beta, a) for a in grid])
-
-    @property
-    def p_threshold(self) -> float:
-        return p_gamma(self.d, self.gamma)
-
-    @property
-    def q_threshold(self) -> float:
-        return q_gamma(self.d, self.gamma)
 
 
 def identity_profile(alpha_max: float = 4.0) -> SampledFunction:
@@ -178,7 +135,7 @@ def lam(descriptor, j: int, m: int, d: int, q: float) -> float:
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BookkeepingReport:
     j: int
     d: int

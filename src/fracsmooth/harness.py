@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
 
 from . import exponents, legendre, sets, spectra
 from .errors import DegenerateWindowError, OutOfRangeError, UnsupportedSetError
+from .records import field, record, replace
 
 
 # The experiment protocol: the alpha grid of the duality check, windows with
@@ -25,7 +25,7 @@ SHELL_POINTS = 17
 _TIME_BLOCK = 512
 
 
-@dataclass
+@record
 class ExperimentConfig:
     descriptor: object
     d: int = 3
@@ -45,7 +45,7 @@ class ExperimentConfig:
 # Duality
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class DualityReport:
     set_id: str
     j_list: list
@@ -105,7 +105,7 @@ def run_duality(config: ExperimentConfig) -> DualityReport:
 # Sharpness slopes
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class SlopeReport:
     set_id: str
     d: int
@@ -223,6 +223,8 @@ def run_sharpness_slope(config: ExperimentConfig) -> SlopeReport:
     """Measure the growth exponent of the shell-norm sums against scale."""
     if len(config.j_list) < 4:
         raise OutOfRangeError(f"slope fits need at least 4 scales, got j = {config.j_min}..{config.j_max}")
+    if not 2.0 <= config.p < math.inf:
+        raise OutOfRangeError(f"slope fits need 2 <= p < inf, got p = {config.p}")
     from . import wave
 
     d, p = config.d, config.p

@@ -8,9 +8,8 @@ theta on [0, 1] at step 1/256, alpha on [0, 4] at step 1/64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AdmissibilityError, InvalidSpectrumError
+from .records import record
 from .sampled import SampledFunction, common_grid, linspace
 
 THETA_STEP = 1.0 / 256.0
@@ -25,7 +24,7 @@ def default_alpha_grid(alpha_max: float = ALPHA_MAX) -> tuple:
     return linspace(0.0, alpha_max, int(round(alpha_max / ALPHA_STEP)) + 1)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConvexityCertificate:
     is_convex: bool
     max_violation: float
@@ -108,7 +107,7 @@ def nu_sharp_analytic(spectrum: SampledFunction, alpha_grid=None) -> SampledFunc
     return legendre_transform(nu_from_spectrum(spectrum), alpha_grid)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AdmissibilityReport:
     increasing_ok: bool
     increasing_witness: int

@@ -10,9 +10,9 @@ import functools
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .errors import FracsmoothError
+from .records import record
 
 
 def linspace(lo: float, hi: float, n: int) -> tuple:
@@ -21,7 +21,7 @@ def linspace(lo: float, hi: float, n: int) -> tuple:
     return tuple(lo + i * step for i in range(n - 1)) + (hi,)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SampledFunction:
     """Real function on [lo, hi], sampled uniformly, linearly interpolated."""
 
@@ -98,11 +98,6 @@ class SampledFunction:
         return json.dumps(
             {"lo": self.lo, "hi": self.hi, "values": list(self.values)}, sort_keys=True
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SampledFunction":
-        d = json.loads(text)
-        return cls(d["lo"], d["hi"], d["values"])
 
 
 def common_grid(fns) -> tuple:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .errors import InvalidResolutionError, InvalidSetError, OutOfRangeError
+from .records import record
 
 _INF = math.inf
 
@@ -28,7 +28,7 @@ _CANTOR_EPS = 1e-14
 _POLY_TAIL_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FullInterval:
     lo: float
     hi: float
@@ -38,7 +38,7 @@ class FullInterval:
             raise InvalidSetError(f"interval [{self.lo}, {self.hi}] not inside [1, 2]")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FinitePoints:
     points: tuple
 
@@ -53,7 +53,7 @@ class FinitePoints:
         object.__setattr__(self, "points", pts)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CantorLike:
     lo: float
     hi: float
@@ -73,7 +73,7 @@ class CantorLike:
         return math.log(self.branches) / math.log(1.0 / self.contraction)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PolySequence:
     exponent: float
 
@@ -86,7 +86,7 @@ class PolySequence:
         return 1.0 / (self.exponent + 1.0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnionSet:
     members: tuple
 
@@ -354,7 +354,7 @@ def bounds(s) -> tuple:
 # Rendering, covering numbers, separated subsets.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntervalList:
     """Sorted disjoint closed intervals covering a set at resolution delta.
 
@@ -368,15 +368,8 @@ class IntervalList:
     def __len__(self):
         return len(self.intervals)
 
-    def validate(self):
-        iv = self.intervals
-        if any(hi - lo > self.resolution for lo, hi in iv):
-            raise InvalidSetError("interval longer than resolution")
-        if any(b[0] <= a[1] for a, b in zip(iv, iv[1:])):
-            raise InvalidSetError("intervals not strictly separated")
 
-
-@dataclass(frozen=True)
+@record(frozen=True)
 class Discretization:
     """Maximal separated subset at scale 2^-j (points differ by > 2^-j)."""
 
@@ -441,9 +434,3 @@ def discretize(s, j: int) -> Discretization:
     if j < 0:
         raise OutOfRangeError(f"j must be >= 0, got {j}")
     return Discretization(tuple(_anchors(flatten(s), -_INF, 2.0 ** (-j))), j)
-
-
-# Does the set meet [lo, hi]?  One point query; the tests use it as a sanity check.
-def meets(s, lo: float, hi: float) -> bool:
-    flat = flatten(s)
-    return first_point_geq(flat, lo) <= hi

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import backend, legendre, sets
 from .errors import InvalidResolutionError, InvalidThetaError, OutOfRangeError
+from .records import field, record
 from .sampled import SampledFunction, linspace
 
 LOG2 = math.log(2.0)
@@ -144,7 +144,7 @@ def analytic_spectrum(descriptor) -> SampledFunction | None:
     return None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DimsEstimate:
     minkowski: float
     quasi_assouad: float
@@ -163,7 +163,7 @@ def dims(descriptor, j: int = 14) -> DimsEstimate:
     return DimsEstimate(mink, qa, j)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuasiRegularReport:
     is_regular: bool
     max_deviation: float
@@ -196,7 +196,7 @@ def quasi_regular_check(descriptor, j: int = 14, tolerance: float | None = None)
     )
 
 
-@dataclass
+@record
 class SpectrumReport:
     """Per-scale table of grid values with a point estimate.
 

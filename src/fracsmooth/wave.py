@@ -36,12 +36,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bessel
 from .errors import OutOfRangeError, RefineFailureError, UnsupportedOrderError
+from .records import record
 
 TWO_PI = 2.0 * math.pi
 
@@ -95,7 +95,7 @@ def bump(sigma):
 _J_MAX = 52
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WaveParams:
     d: int = 3
     j: int = 8
@@ -115,7 +115,7 @@ class WaveParams:
         return 2.0 ** (-self.j + 2)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegionSpec:
     """Shell J_t = [rho - 2^-j-5, rho + 2^-j-5] around the cone radius rho."""
 
@@ -135,7 +135,7 @@ def region(params: WaveParams, t) -> RegionSpec:
     return RegionSpec(t, rho - half, rho + half)
 
 
-@dataclass
+@record
 class WaveFieldRow:
     t: float
     r_grid: np.ndarray
@@ -144,7 +144,7 @@ class WaveFieldRow:
     params: WaveParams
 
 
-@dataclass
+@record
 class WaveField:
     params: WaveParams
     rows: list

@@ -11,7 +11,6 @@ window tables, and ``window_q_per_time``, a per-time loop, pins the blocked
 shell lookups of the sharpness slopes to one-row calls.
 """
 
-import dataclasses
 import math
 from decimal import Decimal, getcontext
 
@@ -167,6 +166,7 @@ def window_q_per_time(descriptor, params, p, window, points):
     and a 1-D grid per call, and the norms are added one at a time.
     """
     from fracsmooth import harness, sets, wave
+    from fracsmooth.records import replace
 
     j = params.j
     delta = 2.0**-j
@@ -181,7 +181,7 @@ def window_q_per_time(descriptor, params, p, window, points):
     points = np.asarray(points)
     pts = points[(points >= half[0]) & (points <= half[1])]
     pts = pts[np.abs(pts - t_ref) >= 0.25 * (hi - lo) - 1e-12]
-    params = dataclasses.replace(params, t_ref=t_ref)
+    params = replace(params, t_ref=t_ref)
     gp = wave.data_norm(params, p) ** p
     total = 0.0
     half_w = 2.0 ** (-j - 5)

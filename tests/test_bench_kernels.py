@@ -1,15 +1,25 @@
 """The kernel bench script calls package internals by name; each case must
-still run, so that a signature change fails here instead of in the script."""
+still run, so that a signature change fails here instead of in the script,
+and the JSON record it writes keeps its schema."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
 import pytest
 
-from fracsmooth import sets, wave
-
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+
+CONTEXT = {
+    "revision": (str, type(None)),
+    "uncommitted_changes": (bool, type(None)),
+    "nproc": int,
+    "python": str,
+    "numpy": str,
+    "pythondontwritebytecode": bool,
+    "pycache": bool,
+}
 
 
 @pytest.fixture(scope="module")
@@ -20,19 +30,31 @@ def bench():
     return module
 
 
-def test_bench_cases_run(bench):
-    params = wave.WaveParams(d=3, j=10)
-    times, grid = bench.shell_grid(params, 8)
-    assert grid.shape == (8, 17)
-    cases = [
-        (bench.cold_window_table, sets.CantorLike(1.0, 2.0, 2, 1.0 / 3.0), 8),
-        (bench.cold_profile_table, 3, 0),
-        (bench.cold_data_norm, 2, 6, 2.0),
-        (bench.cold_inner_disc, 3, 8, 1.5),
-        (bench.cold_far_radii, 3, 10, 1.5),
-        (bench.window_shells, params, times, grid, 2.5),
-    ]
-    for fn, *args in cases:
-        t = bench.timeit(fn, *args, repeat=1)
-        assert math.isfinite(t) and t >= 0.0, fn.__name__
-    assert len(bench.cold_profile_table(3, 0)[1]) == 32769
+def test_bench_cases_run(bench, tmp_path):
+    out = tmp_path / "bench.json"
+    record = bench.main(["--small", "--out", str(out)])
+    assert json.loads(out.read_text()) == record
+    assert set(record) == {"context", "cases"}
+    assert set(record["context"]) == set(CONTEXT)
+    for key, kind in CONTEXT.items():
+        assert isinstance(record["context"][key], kind), key
+    assert record["context"]["nproc"] >= 1
+    names = [case["name"] for case in record["cases"]]
+    assert names[:3] == [f"startup {name}" for name, _ in bench.STARTUP]
+    for prefix in ("profile_table", "window table", "data_norm", "window d=3", "inner disc", "far radii"):
+        assert any(name.startswith(prefix) for name in names), prefix
+    for case in record["cases"]:
+        startup = case["name"].startswith("startup")
+        keys = {"name", "sizes", "min_s", "q1_s", "median_s", "q3_s", "samples_s"}
+        assert set(case) == (keys if startup else keys | {"peak_rss_mb"}), case["name"]
+        seconds = case["samples_s"]
+        assert len(seconds) == (2 if startup else 1) and all(math.isfinite(t) and t > 0.0 for t in seconds)
+        assert case["min_s"] == min(seconds)
+        assert case["min_s"] <= case["q1_s"] <= case["median_s"] <= case["q3_s"] <= max(seconds)
+        assert isinstance(case["sizes"], dict) and case["sizes"]
+        if startup:
+            assert case["sizes"]["runs"] == 2
+        if case["name"].startswith("profile_table"):
+            assert case["sizes"]["entries"] == 32769
+        if case["name"].startswith("window table"):
+            assert case["sizes"]["windows"] > 0

@@ -71,6 +71,12 @@ def test_usage_errors(set_files, tmp_path, capsys):
         ["wave-sim", "--d", "5", "--j", "300", "--times", "1.5"],
         ["wave-sim", "--d", "4", "--j", "300", "--times", "1.0"],
         ["wave-sim", "--d", "3", "--j", "1100"],
+        # no window maximizes an infinite exponent, and no deviation is <= nan
+        ["verify-sharpness", "--set", set_files["cantor"], "--d", "3", "--p", "inf"],
+        ["verify-sharpness", "--set", set_files["cantor"], "--d", "3", "--p", "nan"],
+        ["verify-duality", "--set", set_files["cantor"], "--tol", "nan"],
+        ["verify-sharpness", "--set", set_files["cantor"], "--tol", "nan"],
+        ["verify-bookkeeping", "--set", set_files["cantor"], "--tol", "nan"],
     ):
         assert cli.cli(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
@@ -122,6 +128,23 @@ def test_import_loads_no_polynomial_or_fft():
         "print('fracsmooth.wave' in sys.modules, 'numpy.random' in sys.modules)"
     )
     assert _fresh_python(code) == "True False\n"
+
+
+def test_import_loads_no_dataclasses():
+    # records replace dataclasses: the CLI and the harness load neither it
+    # nor inspect (NumPy imports inspect), and no module loads dataclasses
+    code = (
+        "import sys, fracsmooth.cli, fracsmooth.harness; "
+        "print([m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules])"
+    )
+    assert _fresh_python(code) == "[]\n"
+    code = (
+        "import importlib, pkgutil, sys, fracsmooth, fracsmooth.wave; "
+        "print('dataclasses' in sys.modules); "
+        "[importlib.import_module('fracsmooth.' + m.name) for m in pkgutil.iter_modules(fracsmooth.__path__)]; "
+        "print('dataclasses' in sys.modules)"
+    )
+    assert _fresh_python(code) == "False\nFalse\n"
 
 
 CANTOR_JSON = str(Path(__file__).resolve().parents[1] / "perfbench" / "sets" / "cantor.json")

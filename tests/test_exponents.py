@@ -259,27 +259,3 @@ def test_bookkeeping_ratios(descriptor):
     seq = 0.5 * 4 * (0.5 - 0.25) + spectra.phi_at_scale(descriptor, alpha_q, 10) / 4.0
     lhs = math.log2(report.lambda_sum) / (2 * 10) - seq
     assert lhs <= math.log2(11) / 20 + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# ExponentQuery
-# ---------------------------------------------------------------------------
-
-def test_exponent_query_validation_and_profile():
-    q = exponents.ExponentQuery(d=3, p=2.5, q=4.0, beta=0.5, gamma=1.0)
-    assert q.gamma_circ == 1.0
-    assert q.p_threshold == exponents.p_gamma(3, 1.0)
-    assert q.q_threshold == exponents.q_gamma(3, 1.0)
-    prof = q.two_piece_profile()
-    assert exponents.eval_nu(prof, 0.0) == pytest.approx(0.5)
-    assert exponents.eval_nu(prof, 2.0) == pytest.approx(2.0)
-    # interpolated regime below p_gamma
-    p = 3.0
-    expected = (1.0 - 0.5) * exponents.s_p(3, p) + 0.5 / p
-    assert exponents.ls_exponent(3, p, prof) == pytest.approx(expected, abs=1e-9)
-    with pytest.raises(OutOfRangeError):
-        exponents.ExponentQuery(d=3, beta=0.7, gamma=0.5)
-    with pytest.raises(OutOfRangeError):
-        exponents.ExponentQuery(d=1)
-    point = exponents.ExponentQuery(d=3, beta=0.0, gamma=0.0)
-    assert exponents.eval_nu(point.two_piece_profile(), 1.3) == pytest.approx(1.3)

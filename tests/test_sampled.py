@@ -47,7 +47,10 @@ def test_common_grid_matches_numpy():
 
 
 def _profiles():
-    out = [exponents.identity_profile(), exponents.ExponentQuery(3, beta=0.3, gamma=0.8).two_piece_profile()]
+    # the two-piece profile (1 - beta/gamma) alpha + beta up to gamma, then alpha
+    beta, gamma = 0.3, 0.8
+    two_piece = [max((1.0 - beta / gamma) * a + beta, a) for a in legendre.default_alpha_grid()]
+    out = [exponents.identity_profile(), SampledFunction(0.0, 4.0, two_piece)]
     for descriptor in descriptor_zoo():
         spec = spectra.analytic_spectrum(descriptor)
         out += [spec, legendre.nu_sharp_analytic(spec)]

@@ -53,7 +53,9 @@ def test_json_rejects_garbage():
 
 def test_render_full_interval_tiles(full_interval):
     iv = sets.render(full_interval, 1.0 / 8.0)
-    iv.validate()
+    # tiles no longer than the resolution, and strictly separated
+    assert all(hi - lo <= iv.resolution for lo, hi in iv.intervals)
+    assert all(a[1] < b[0] for a, b in zip(iv.intervals, iv.intervals[1:]))
     assert len(iv) == 8
     arr = np.asarray(iv.intervals)
     assert np.all(arr[:, 1] - arr[:, 0] <= 1.0 / 8.0 + 1e-15)
@@ -80,7 +82,9 @@ def test_render_polyseq_structure(poly_one):
         n_star += 1
     assert n_star == 8
     iv = sets.render(poly_one, delta)
-    iv.validate()
+    # tiles no longer than the resolution, and strictly separated
+    assert all(hi - lo <= iv.resolution for lo, hi in iv.intervals)
+    assert all(a[1] < b[0] for a, b in zip(iv.intervals, iv.intervals[1:]))
     arr = np.asarray(iv.intervals)
     # isolated points 1 + 1/n for n < n_star appear as degenerate tiles
     for n in range(1, n_star):
@@ -98,7 +102,9 @@ def test_render_polyseq_structure(poly_one):
 @pytest.mark.parametrize("delta", [1.0 / 8.0, 2.0**-6, 2.0**-9])
 def test_render_invariants(descriptor, delta):
     iv = sets.render(descriptor, delta)
-    iv.validate()
+    # tiles no longer than the resolution, and strictly separated
+    assert all(hi - lo <= iv.resolution for lo, hi in iv.intervals)
+    assert all(a[1] < b[0] for a, b in zip(iv.intervals, iv.intervals[1:]))
     flat = sets.flatten(descriptor)
     arr = np.asarray(iv.intervals)
     # every tile starts and ends at set points
@@ -252,11 +258,6 @@ def test_separated_vs_cover_comparability(cantor_thirds):
     shrunk = np.sum((pts >= window[0] - sep) & (pts <= window[1] + sep))
     cover = sets.covering_number(cantor_thirds, window, sep)
     assert cover <= 3 * max(shrunk, 1)
-
-
-def test_meets(cantor_thirds):
-    assert sets.meets(cantor_thirds, 1.0, 1.1)
-    assert not sets.meets(cantor_thirds, 1.4, 1.6)
 
 
 def test_cantor_right_end_is_a_set_point():
