@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Benchmark: process start-up, cold window-count tables, the wave profile
-table, data norms and the direct field quadrature at inner-disc and at far
-radii.
+"""Benchmark: process start-up and cold wave processes, cold window-count
+tables, the wave profile table, data norms and the direct field quadrature
+at inner-disc and at far radii.
 
-Start-up is timed first, in fresh interpreters run one after another: the
-bare interpreter (``python -c pass``), ``import fracsmooth.cli,
-fracsmooth.harness`` and a whole ``set-info`` on union at j = 12, each the
-median and quartiles of 15 processes.  The record says whether
-``PYTHONDONTWRITEBYTECODE`` was set and whether ``src/fracsmooth`` had a
-``__pycache__``, since compiling the package from source costs each process
-tens of milliseconds.
+Fresh processes are timed first, run one after another: the bare
+interpreter (``python -c pass``), ``import fracsmooth.cli,
+fracsmooth.harness``, a whole ``set-info`` on union at j = 12, the same
+import with ``fracsmooth.wave``, a whole ``wave-sim`` at d = 2, j = 10 and
+one cold ``data_norm`` at d = 2, j = 6 (the two heaviest jobs of the
+benchmark's wave-fields workload), each the median and quartiles of 15
+processes.  A small helper (``python -S``, about 9 MB) starts each one and
+reads its peak resident set from ``wait4``, so that the peak is the
+process's own and not that of this script, whose pages a child started from
+it would count.  The record says whether ``PYTHONDONTWRITEBYTECODE`` was set
+and whether ``src/fracsmooth`` had a ``__pycache__``, since compiling the
+package from source costs each process tens of milliseconds.
 
 Each window-count table is one batched covering sweep over every level,
 in plain Python, at j = 12, 14 and 18 (about 2^(j+2) windows, never built):
@@ -35,12 +40,14 @@ their cache cleared); the best is printed.
 
 Every case goes into one JSON record with its sizes and all its samples,
 beside the context: nproc, the git revision, the Python and NumPy versions
-and the bytecode state.  Run from the repository root:
+and the bytecode state.  Each case is printed beside the same case of the
+newest ``BENCH_*.json`` committed at the repository root, with the ratio of
+the two.  Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --out BENCH_<n>.json
 
 ``--small`` runs each in-process case once at small sizes and each
-start-up command twice, to check the script and its record quickly.
+process twice, to check the script and its record quickly.
 """
 
 import argparse
@@ -64,7 +71,25 @@ STARTUP = [
     ("interpreter", ["-c", "pass"]),
     ("import cli+harness", ["-c", "import fracsmooth.cli, fracsmooth.harness"]),
     ("set-info union j=12", ["-m", "fracsmooth", "set-info", "--set", "perfbench/sets/union.json", "--j", "12"]),
+    ("import cli+harness+wave", ["-c", "import fracsmooth.cli, fracsmooth.harness, fracsmooth.wave"]),
+    ("wave-sim d=2 j=10", ["-m", "fracsmooth", "wave-sim", "--d", "2", "--j", "10", "--times", "1.45,1.62,1.38"]),
+    # as the benchmark's library job runs it: the CLI and harness imported first
+    ("data_norm d=2 j=6", ["-c", "import fracsmooth.cli, fracsmooth.harness; from fracsmooth import wave; "
+                                 "wave.data_norm(wave.WaveParams(d=2, j=6), 2.0)"]),
 ]
+
+# Starts argv[1:] with its output discarded, waits for it with wait4 and
+# prints its wall seconds and peak resident set in kB; a nonzero exit status
+# fails the helper.
+HELPER = (
+    "import os, sys, time\n"
+    "null = os.open(os.devnull, os.O_WRONLY)\n"
+    "t0 = time.perf_counter()\n"
+    "pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, null, 1)])\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(time.perf_counter() - t0, usage.ru_maxrss)\n"
+    "sys.exit(os.waitstatus_to_exitcode(status))\n"
+)
 
 SETS = [
     ("interval", sets.FullInterval(1.0, 2.0)),
@@ -92,16 +117,20 @@ def summary(seconds):
 
 
 def startup_runs(runs):
-    """Wall seconds of ``runs`` fresh processes per STARTUP command, the
-    commands taken in turn so that drift spreads over all of them."""
+    """(wall seconds, peak RSS in MB) of ``runs`` fresh processes per STARTUP
+    command, each started by HELPER, the commands taken in turn so that
+    drift spreads over all of them."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     seconds = {name: [] for name, _ in STARTUP}
+    rss = {name: [] for name, _ in STARTUP}
     for _ in range(runs):
         for name, argv in STARTUP:
-            t0 = time.perf_counter()
-            subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL)
-            seconds[name].append(time.perf_counter() - t0)
-    return seconds
+            proc = subprocess.run([sys.executable, "-S", "-c", HELPER, sys.executable, *argv], cwd=ROOT, env=env,
+                                  check=True, capture_output=True, text=True)
+            wall, maxrss_kb = proc.stdout.split()
+            seconds[name].append(float(wall))
+            rss[name].append(int(maxrss_kb) / 1024.0)
+    return seconds, rss
 
 
 def cold_window_table(descriptor, j):
@@ -199,27 +228,63 @@ def context():
     }
 
 
+def newest_committed():
+    """(name, record) of the committed BENCH_<n>.json with the largest n, or
+    (None, None) when there is none."""
+    proc = subprocess.run(["git", "ls-tree", "--name-only", "HEAD"], cwd=ROOT, capture_output=True, text=True)
+    names = [n for n in proc.stdout.split() if n.startswith("BENCH_") and n.endswith(".json") and n[6:-5].isdigit()]
+    if not names:
+        return None, None
+    name = max(names, key=lambda n: int(n[6:-5]))
+    text = subprocess.run(["git", "show", f"HEAD:{name}"], cwd=ROOT, capture_output=True, text=True).stdout
+    return name, json.loads(text)
+
+
+def case_key(case):
+    """(seconds, peak RSS in MB) printed for a case: the median of fresh
+    processes, the best of in-process runs."""
+    startup = case["name"].startswith("startup")
+    return case["median_s"] if startup else case["min_s"], case.get("peak_rss_mb")
+
+
+def compare_line(case, old):
+    """One printed line: the case beside the same case of ``old`` (or None)."""
+    seconds, rss = case_key(case)
+    line = f"{case['name']:<40} {seconds*1e3:9.2f} ms {rss:7.1f} MB"
+    if old is None:
+        return line + "   (not in the committed record)"
+    old_seconds, old_rss = case_key(old)
+    # BENCH_16.json has no peak RSS for its fresh processes
+    old_rss_text = " " * 10 if old_rss is None else f"{old_rss:7.1f} MB"
+    line += f" | {old_seconds*1e3:9.2f} ms {old_rss_text} | x{seconds / old_seconds:.2f}"
+    return line if old_rss is None else line + f", {rss - old_rss:+.1f} MB"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=None, help="write the JSON record here")
-    ap.add_argument("--small", action="store_true", help="small sizes, one sample per case, two start-up runs")
+    ap.add_argument("--small", action="store_true", help="small sizes, one sample per case, two runs per process")
     args = ap.parse_args(argv)
     runs = 2 if args.small else 15
     record = {"context": context(), "cases": []}
+    old_name, old_record = newest_committed()
+    old_cases = {c["name"]: c for c in old_record["cases"]} if old_record else {}
+    print(f"{'case':<40}{'this run':>24} | {old_name or 'no committed BENCH_*.json':>23} | ratio, RSS change")
 
-    timings = startup_runs(runs)
+    timings, peaks = startup_runs(runs)
     for name, cmd in STARTUP:
-        case = {"name": f"startup {name}", "sizes": {"argv": cmd, "runs": runs}, **summary(timings[name])}
+        case = {"name": f"startup {name}", "sizes": {"argv": cmd, "runs": runs}, **summary(timings[name]),
+                "peak_rss_mb": statistics.median(peaks[name]), "peak_rss_samples_mb": peaks[name]}
         record["cases"].append(case)
-        print(f"{case['name']:<40} {case['median_s']*1e3:9.2f} ms  quartiles {case['q1_s']*1e3:.2f}, "
-              f"{case['q3_s']*1e3:.2f} ms of {runs}")
+        print(compare_line(case, old_cases.get(case["name"])))
     for label, sizes, fn, fn_args in kernel_cases(args.small):
         seconds = samples(fn, *fn_args, repeat=1 if args.small else 3)
         if fn is cold_profile_table:
             sizes["entries"] = len(wave._profile_table(*fn_args)[1])
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        record["cases"].append({"name": label, "sizes": sizes, **summary(seconds), "peak_rss_mb": rss})
-        print(f"{label:<40} {min(seconds)*1e3:9.2f} ms  peak RSS {rss:.1f} MB")
+        case = {"name": label, "sizes": sizes, **summary(seconds), "peak_rss_mb": rss}
+        record["cases"].append(case)
+        print(compare_line(case, old_cases.get(label)))
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return record

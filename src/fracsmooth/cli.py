@@ -6,9 +6,12 @@ wave-sim, verify-duality, verify-sharpness, verify-bookkeeping.  Run as the
 Exit codes: 0 pass, 1 check failure, 2 usage error, 3 runtime failure
 (a refinement that exhausted its budget, or a degenerate window).
 Every verify-* command is deterministic: each accepts ``--seed``, so a
-script can pass it to all of them, and ignores it.  Only wave-sim and
-verify-sharpness load NumPy and ``wave``; the other commands run in plain
-Python.
+script can pass it to all of them, and ignores it.  Each command imports
+the modules it runs when it is called, so importing this module loads only
+``harness``, ``errors`` and ``records``.  Only wave-sim and verify-sharpness
+load NumPy and ``wave``, and wave-sim loads none of the covering modules
+(``sets``, ``backend``, ``spectra``, ``legendre``, ``exponents``,
+``sampled``); the other commands run in plain Python.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ import json
 import math
 import sys
 
-from . import exponents, harness, legendre, sets, spectra
+from . import harness
 from .errors import DegenerateWindowError, FracsmoothError, RefineFailureError
-from .sampled import SampledFunction
 
 
 _UNUSED_SEED = "accepted and ignored: this check is deterministic"
@@ -131,6 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_set_info(args) -> int:
+    from . import sets, spectra
+
     descriptor = sets.load_file(args.set)
     est = spectra.dims(descriptor, args.j)
     spec = spectra.analytic_spectrum(descriptor)
@@ -153,6 +157,8 @@ def cmd_set_info(args) -> int:
 
 
 def cmd_covering(args) -> int:
+    from . import sets
+
     descriptor = sets.load_file(args.set)
     if (args.j is None) == (args.delta is None):
         raise FracsmoothError("give exactly one of --j or --delta")
@@ -166,6 +172,8 @@ def cmd_covering(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import sets, spectra
+
     descriptor = sets.load_file(args.set)
     j = args.j
     grid = spectra.theta_grid(j)
@@ -179,6 +187,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_nu_sharp(args) -> int:
+    from . import sets, spectra
+
     descriptor = sets.load_file(args.set)
     grid = _parse_grid(args.alpha_grid)
     report = spectra.nu_sharp_empirical(descriptor, grid, list(range(args.jmin, args.jmax + 1)))
@@ -187,6 +197,9 @@ def cmd_nu_sharp(args) -> int:
 
 
 def cmd_legendre(args) -> int:
+    from . import legendre
+    from .sampled import SampledFunction
+
     with open(args.infile, "r", encoding="utf-8") as fh:
         f = SampledFunction.from_csv(fh.read())
     out = legendre.legendre_transform(f, _parse_grid(args.alpha_grid))
@@ -195,6 +208,8 @@ def cmd_legendre(args) -> int:
 
 
 def cmd_exponents(args) -> int:
+    from . import exponents, legendre, sets, spectra
+
     descriptor = sets.load_file(args.set)
     config = harness.ExperimentConfig(descriptor, d=args.d, j_max=args.j)
     if args.p is None and args.q is None:
@@ -267,6 +282,8 @@ def cmd_wave_sim(args) -> int:
 
 
 def cmd_verify_duality(args) -> int:
+    from . import sets
+
     descriptor = sets.load_file(args.set)
     config = harness.ExperimentConfig(descriptor, j_min=args.jmin, j_max=args.jmax, tolerance=args.tol)
     report = harness.run_duality(config)
@@ -275,6 +292,8 @@ def cmd_verify_duality(args) -> int:
 
 
 def cmd_verify_sharpness(args) -> int:
+    from . import sets
+
     descriptor = sets.load_file(args.set)
     config = harness.ExperimentConfig(descriptor, d=args.d, p=args.p, j_min=args.jmin, j_max=args.jmax)
     report = harness.run_sharpness_slope(config)
@@ -283,6 +302,8 @@ def cmd_verify_sharpness(args) -> int:
 
 
 def cmd_verify_bookkeeping(args) -> int:
+    from . import sets
+
     descriptor = sets.load_file(args.set)
     config = harness.ExperimentConfig(descriptor, d=args.d, p=args.p, q=args.q)
     report = harness.run_bookkeeping(config, j=args.j)
@@ -325,6 +346,11 @@ def cli(argv=None) -> int:
         tol = getattr(args, "tol", None)
         if tol is not None and math.isnan(tol):
             raise FracsmoothError("--tol must be a number, got nan")
+        # the exponents are defined for finite p and q only
+        for name in ("p", "q"):
+            value = getattr(args, name, None)
+            if value is not None and not math.isfinite(value):
+                raise FracsmoothError(f"--{name} must be a finite number, got {value!r}")
         return _COMMANDS[args.command](args)
     except (RefineFailureError, DegenerateWindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,15 +2,16 @@
 and scale bookkeeping.  The CLI wraps these; all outputs are plain CSV/JSON
 and every verdict is recomputable from the emitted tables.
 
-Only the sharpness slopes (``run_sharpness_slope``, ``_window_q`` and
-``_fit_line``) use NumPy and ``wave``, and they import them when called."""
+Each runner imports the modules it uses when it is called, so importing
+this module loads only ``errors`` and ``records``.  Only the sharpness
+slopes (``run_sharpness_slope``, ``_window_q`` and ``_fit_line``) use NumPy
+and ``wave``."""
 
 from __future__ import annotations
 
 import json
 import math
 
-from . import exponents, legendre, sets, spectra
 from .errors import DegenerateWindowError, OutOfRangeError, UnsupportedSetError
 from .records import field, record, replace
 
@@ -85,6 +86,8 @@ class DualityReport:
 
 def run_duality(config: ExperimentConfig) -> DualityReport:
     """Compare the finite-scale functional against the closed-form dual profile."""
+    from . import legendre, sets, spectra
+
     if not config.j_list:
         raise OutOfRangeError(f"empty scale range j = {config.j_min}..{config.j_max}")
     spec = spectra.analytic_spectrum(config.descriptor)
@@ -169,6 +172,8 @@ def choose_window(descriptor, j: int, alpha: float, min_factor: int):
     """(window, count): the smallest dyadic family window attaining the
     functional maximizer at exponent alpha, subject to 2^j |I| >= min_factor;
     of that length, the first window in shift order with the most points."""
+    from . import spectra
+
     maxima = spectra.window_count_maxima(descriptor, j)
     m_cap = j - int(math.ceil(math.log2(min_factor)))
     if m_cap < 0:
@@ -190,7 +195,7 @@ def _window_q(descriptor, params, p: float, window, points):
     bits of a one-row call, so the blocks do not change the sum."""
     import numpy as np
 
-    from . import wave
+    from . import sets, wave
 
     points = np.asarray(points)
     delta = 2.0**-params.j
@@ -225,7 +230,7 @@ def run_sharpness_slope(config: ExperimentConfig) -> SlopeReport:
         raise OutOfRangeError(f"slope fits need at least 4 scales, got j = {config.j_min}..{config.j_max}")
     if not 2.0 <= config.p < math.inf:
         raise OutOfRangeError(f"slope fits need 2 <= p < inf, got p = {config.p}")
-    from . import wave
+    from . import exponents, sets, spectra, wave
 
     d, p = config.d, config.p
     alpha = p * exponents.s_p(d, p)
@@ -257,6 +262,8 @@ def run_sharpness_slope(config: ExperimentConfig) -> SlopeReport:
 
 def run_exponent_table(config: ExperimentConfig, p_list=None, q_list=None) -> str:
     """CSV sweep of every closed-form exponent for the configured set."""
+    from . import exponents, legendre, spectra
+
     d = config.d
     if p_list is None:
         p_list = [2.0 + 0.5 * k for k in range(9)]
@@ -306,7 +313,11 @@ def run_exponent_table(config: ExperimentConfig, p_list=None, q_list=None) -> st
 # Bookkeeping
 # ---------------------------------------------------------------------------
 
-def run_bookkeeping(config: ExperimentConfig, j: int | None = None) -> exponents.BookkeepingReport:
+def run_bookkeeping(config: ExperimentConfig, j: int | None = None):
+    """The ``exponents.BookkeepingReport`` of the scale sums at j (default
+    min(j_max, 12))."""
+    from . import exponents
+
     if j is None:
         j = min(config.j_max, 12)
     return exponents.bookkeeping_sums(config.descriptor, j, config.d, config.p, config.q)

@@ -30,9 +30,10 @@ def bench():
     return module
 
 
-def test_bench_cases_run(bench, tmp_path):
+def test_bench_cases_run(bench, tmp_path, capsys):
     out = tmp_path / "bench.json"
     record = bench.main(["--small", "--out", str(out)])
+    printed = capsys.readouterr().out.splitlines()
     assert json.loads(out.read_text()) == record
     assert set(record) == {"context", "cases"}
     assert set(record["context"]) == set(CONTEXT)
@@ -40,13 +41,28 @@ def test_bench_cases_run(bench, tmp_path):
         assert isinstance(record["context"][key], kind), key
     assert record["context"]["nproc"] >= 1
     names = [case["name"] for case in record["cases"]]
-    assert names[:3] == [f"startup {name}" for name, _ in bench.STARTUP]
+    assert names[:len(bench.STARTUP)] == [f"startup {name}" for name, _ in bench.STARTUP]
     for prefix in ("profile_table", "window table", "data_norm", "window d=3", "inner disc", "far radii"):
         assert any(name.startswith(prefix) for name in names), prefix
+    # each case printed on one line beside the same case of the newest
+    # committed record, with the ratio of the two
+    old_name, old_record = bench.newest_committed()
+    old_names = {case["name"] for case in old_record["cases"]} if old_record else set()
+    assert old_name is None or old_name in printed[0]
+    assert len(printed) == 1 + len(record["cases"])
+    for case, line in zip(record["cases"], printed[1:]):
+        assert line.startswith(case["name"] + " ")
+        if case["name"] in old_names:
+            assert " | x" in line, line
+        else:
+            assert line.endswith("(not in the committed record)"), line
     for case in record["cases"]:
         startup = case["name"].startswith("startup")
-        keys = {"name", "sizes", "min_s", "q1_s", "median_s", "q3_s", "samples_s"}
-        assert set(case) == (keys if startup else keys | {"peak_rss_mb"}), case["name"]
+        keys = {"name", "sizes", "min_s", "q1_s", "median_s", "q3_s", "samples_s", "peak_rss_mb"}
+        assert set(case) == (keys | {"peak_rss_samples_mb"} if startup else keys), case["name"]
+        assert case["peak_rss_mb"] > 0.0
+        if startup:
+            assert len(case["peak_rss_samples_mb"]) == 2
         seconds = case["samples_s"]
         assert len(seconds) == (2 if startup else 1) and all(math.isfinite(t) and t > 0.0 for t in seconds)
         assert case["min_s"] == min(seconds)

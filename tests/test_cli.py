@@ -77,6 +77,14 @@ def test_usage_errors(set_files, tmp_path, capsys):
         ["verify-duality", "--set", set_files["cantor"], "--tol", "nan"],
         ["verify-sharpness", "--set", set_files["cantor"], "--tol", "nan"],
         ["verify-bookkeeping", "--set", set_files["cantor"], "--tol", "nan"],
+        # the exponents need finite p and q
+        ["exponents", "--set", set_files["cantor"], "--p", "inf"],
+        ["exponents", "--set", set_files["cantor"], "--p", "nan"],
+        ["exponents", "--set", set_files["cantor"], "--q", "inf"],
+        ["verify-bookkeeping", "--set", set_files["cantor"], "--p", "nan"],
+        ["verify-bookkeeping", "--set", set_files["cantor"], "--p", "inf"],
+        ["verify-bookkeeping", "--set", set_files["cantor"], "--q", "nan"],
+        ["verify-bookkeeping", "--set", set_files["cantor"], "--q", "inf"],
     ):
         assert cli.cli(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
@@ -112,14 +120,19 @@ def _fresh_python(code, *args):
     return proc.stdout
 
 
+COVERING_MODULES = ("sets", "backend", "spectra", "legendre", "exponents", "sampled")
+
+
 def test_import_loads_no_polynomial_or_fft():
     # NumPy and wave load only with the wave commands: a fresh interpreter
-    # imports neither with the CLI and the harness
+    # imports neither with the CLI and the harness, and of the package it
+    # loads only these two and the errors and records they need
     code = (
         "import sys, fracsmooth.cli, fracsmooth.harness; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' or m == 'fracsmooth.wave'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'fracsmooth')))"
     )
-    assert _fresh_python(code) == "[]\n"
+    assert _fresh_python(code) == str(sorted(
+        f"fracsmooth{m}" for m in ("", ".cli", ".harness", ".errors", ".records"))) + "\n"
     # the sharpness slopes load NumPy and wave, but not numpy.random
     code = (
         "import sys; from fracsmooth import harness, sets; "
@@ -163,17 +176,22 @@ CANTOR_JSON = str(Path(__file__).resolve().parents[1] / "perfbench" / "sets" / "
     (["wave-sim", "--d", "3", "--j", "6"], True),
 ])
 def test_covering_commands_load_no_numpy(tmp_path, argv, loads_numpy):
+    # and wave-sim, the control, loads none of the covering modules
     if argv == ["legendre"]:
         infile = tmp_path / "nu.csv"
         infile.write_text("x,value\n0.0,-1.0\n0.5,-0.25\n1.0,0.0\n")
         argv = argv + ["--infile", str(infile)]
     code = (
-        "import sys; from fracsmooth import cli; rc = cli.cli(sys.argv[1:]); "
-        "print(rc, any(m.split('.')[0] == 'numpy' for m in sys.modules))"
+        "import json, sys; from fracsmooth import cli; rc = cli.cli(sys.argv[1:]); "
+        "print(json.dumps([rc, any(m.split('.')[0] == 'numpy' for m in sys.modules), "
+        "[m for m in sys.modules if m.startswith('fracsmooth.')]]))"
     )
     out = tmp_path / "out.txt"
-    assert _fresh_python(code, *argv, "--out", str(out)) == f"0 {loads_numpy}\n"
+    rc, numpy_loaded, modules = json.loads(_fresh_python(code, *argv, "--out", str(out)))
+    assert (rc, numpy_loaded) == (0, loads_numpy)
     assert out.read_text()
+    if argv[0] == "wave-sim":
+        assert not {f"fracsmooth.{m}" for m in COVERING_MODULES} & set(modules)
 
 
 def test_set_info(set_files, tmp_path, capsys):

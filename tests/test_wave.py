@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -157,6 +158,46 @@ def test_propagate_near_refinement_is_bounded(monkeypatch):
     assert math.isfinite(err) and err > wave.QUAD_RTOL
 
 
+@pytest.mark.parametrize("columns", [None, 2])
+@pytest.mark.parametrize("radii", [1, 100])
+def test_kernel_sums_match_matmul(radii, columns):
+    # the einsum contraction against a plain matmul of the whole kernel
+    # matrix, for one weight per node and for one column per rule, on one
+    # radius and on radii spanning several blocks
+    rng = np.random.default_rng(5)
+    nodes = np.linspace(0.5, 2.0, 389)
+    shape = (len(nodes),) if columns is None else (len(nodes), columns)
+    phase = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x = np.linspace(4.0, 30.0, radii)
+    assert radii == 1 or radii > wave._KERNEL_BLOCK // len(nodes)
+    kernel = functools.partial(bessel.bessel_remainder, 0.0)
+    matrix = kernel(np.multiply.outer(x, nodes).ravel()).reshape(len(x), len(nodes))
+    sums = wave._kernel_sums(kernel, x, nodes, phase)
+    assert sums.shape == (radii,) + shape[1:] and sums.dtype == np.complex128
+    scale = np.abs(phase).sum(axis=0).max() * np.abs(matrix).max()
+    assert np.abs(sums - matrix.astype(np.complex128) @ phase).max() <= 1e-15 * scale
+
+
+# data_norm at d = 2 and 4 integrates the remainder's direct radii through
+# _kernel_sums; these are the bits of the matmul contraction it replaced
+DATA_NORM_BITS = {
+    (2, 6, 2.0): 9.780174620758347,
+    (2, 6, 4.0): 16.468944668972245,
+    (2, 8, 2.0): 39.120698484094675,
+    (2, 8, 4.0): 93.14863149347921,
+    (4, 6, 2.0): 132.0271779315463,
+    (4, 6, 4.0): 218.46185648250778,
+    (4, 8, 2.0): 2112.434846849229,
+    (4, 8, 4.0): 4938.46741672644,
+}
+
+
+@pytest.mark.parametrize("key", sorted(DATA_NORM_BITS))
+def test_data_norm_bits_pinned(key):
+    d, j, p = key
+    assert wave.data_norm(wave.WaveParams(d=d, j=j), p) == DATA_NORM_BITS[key]
+
+
 def _dense_error(params, t, radii):
     """max |propagate - dense Gauss-Legendre| over max(row maximum, 1e-4 bound)."""
     row = wave.propagate(params, t, radii)
@@ -240,14 +281,41 @@ def test_profile_table_refinement_is_bounded(monkeypatch):
     assert wave._profile_table.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("power", [0.5, -4.5])
+def test_profile_transforms_keep_one_pass_bits(power):
+    # the transforms pad the samples to the FFT length and twist the
+    # midpoint rule block by block; both give the bits of a transform of
+    # the full-length sample array twisted in one pass
+    n = wave._PROFILE_FFT
+    for shift in (0.0, 0.5):
+        h = 2.0 * math.pi / (n * wave._PROFILE_STEP)
+        k = wave._trapezoid_indices(h, shift)
+        sigma = (k + shift) * h
+        full = np.zeros(n)
+        full[k] = h * wave.bump(sigma) * sigma**power
+        ref = np.conj(np.fft.rfft(full)[: n // 4 + 1])
+        ref *= np.exp(2.0 * math.pi * 1j * shift / n * np.arange(len(ref)))
+        vals = wave._profile_fft(power, n, shift, np.empty(n // 2 + 1, dtype=np.complex128))
+        np.testing.assert_array_equal(vals, ref)
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8192, 32769])
+def test_profile_blocks_cover_the_range(n):
+    blocks = wave._profile_blocks(n)
+    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
+    assert all(b.stop - b.start == wave._PROFILE_BLOCK for b in blocks[:-1])
+    assert len(blocks) == 1 or blocks[-1].stop - blocks[-1].start >= wave._PROFILE_BLOCK
+
+
 def _achieved_errors(d, m, n):
     """(values, tail error, half-step error) of F_m at FFT length n, each
     error relative to the peak, recomputed from the transforms."""
     power = 0.5 * (d - 1) - m
-    vals = wave._profile_fft(power, n)
+    vals, mid = (wave._profile_fft(power, n, shift, np.empty(n // 2 + 1, dtype=np.complex128))
+                 for shift in (0.0, 0.5))
     peak = np.abs(vals).max()
     tail = np.abs(vals[-round(wave._PROFILE_TAIL_SPAN / wave._PROFILE_STEP):]).max() / peak
-    step = 0.5 * np.abs(wave._profile_fft(power, n, 0.5) - vals).max() / peak
+    step = 0.5 * np.abs(mid - vals).max() / peak
     return vals, tail, step
 
 
