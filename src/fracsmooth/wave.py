@@ -76,7 +76,7 @@ _HANKEL_RTOL = 0.1 * QUAD_RTOL
 # a BLAS product: OpenBLAS hands even a matrix-vector product of one such
 # block to a second thread, which then spins beside this one.  The 31
 # blocks of one d = 2, j = 6 data norm took 0.001 s on one thread, and in
-# some runs 0.08-0.3 s on two.  The one BLAS call left, ``_bump_moment``'s
+# some runs 0.18 s on two.  The one BLAS call left, ``_bump_moment``'s
 # dot product of a few hundred terms, runs on the calling thread.
 _KERNEL_BLOCK = 2**14
 _MOMENT_BLOCK = 2**12
