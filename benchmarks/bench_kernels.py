@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Benchmark: process start-up and cold wave processes, cold window-count
-tables, the wave profile table, data norms and the direct field quadrature
-at inner-disc and at far radii.
+"""Benchmark: process start-up and cold wave processes, a whole sharpness
+check at large scales, cold window-count tables, the wave profile table,
+data norms, the direct field quadrature at inner-disc and at far radii, and
+the perfbench workloads end to end.
 
 Fresh processes are timed first, run one after another: the bare
 interpreter (``python -c pass``), ``import fracsmooth.cli,
@@ -9,7 +10,9 @@ fracsmooth.harness``, a whole ``set-info`` on union at j = 12, the same
 import with ``fracsmooth.wave``, a whole ``wave-sim`` at d = 2, j = 10 and
 one cold ``data_norm`` at d = 2, j = 6 (the two heaviest jobs of the
 benchmark's wave-fields workload), each the median and quartiles of 15
-processes.  A small helper (``python -S``, about 9 MB) starts each one and
+processes.  Then three processes of ``verify-sharpness`` on cantor at
+d = 3, p = 2.5, j = 8..18, whose peak is set by its data norms and window
+tables.  A small helper (``python -S``, about 9 MB) starts each one and
 reads its peak resident set from ``wait4``, so that the peak is the
 process's own and not that of this script, whose pages a child started from
 it would count.  The record says whether ``PYTHONDONTWRITEBYTECODE`` was set
@@ -22,32 +25,43 @@ the interval is counted in closed form, one count for every window inside
 it, and the other sets by a walk over each grid with a shared step cache
 that skips the windows missing the set.  Each profile table F_0 .. F_K of
 d = 2, 3 and 4 is built cold, one FFT of a fixed length checked against
-its error budget; these run first among the in-process cases, so that the
-peak RSS recorded after each of them is theirs.
+its error budget.
 The d = 2 data norm is mostly Hankel-term profile lookups.  The d = 3,
 j = 13 data norm is the heaviest call of the sharpness slopes; its inner
 disc r <= 2^(-j+2), 49 radii through ``propagate`` at t = 0, sums the
 kernel's power series as sigma-moments by the trapezoid rule in sigma, on
 nodes sized to the frequency 2^j t_ref instead of evaluating the kernel per
-radius and node.  The same disc at the focus t = t_ref (d = 2, j = 10) has
+radius and node.  The d = 3, j = 18 data norm walks about 1.4M radii in
+blocks.  The same disc at the focus t = t_ref (d = 2, j = 10) has
 the fewest nodes.  Far radii (33 in [0.45, 0.55] at j = 10, t = 1.5)
 evaluate the radial kernel on blocks of radii x nodes through the one
 Bessel evaluator.  One window of the sharpness slopes (512 shells of 17 radii, d = 3, j = 13) is one
 ``field_row_fast`` lookup over the (times x radii) grid and one
 ``shell_lp_norm`` reduction; its profile table is built before the timing,
 so the case times the lookups.  Three cold runs each (the data norms with
-their cache cleared); the best is printed.
+their cache cleared); the best is printed.  One more cold run of each,
+untimed, under ``tracemalloc`` gives the case's own ``traced_peak_mb``,
+the peak of what Python and NumPy allocate during the call; the process's
+``ru_maxrss``, recorded too as ``peak_rss_mb``, never falls, so after the
+largest case it says nothing about the later ones.
+
+Last, each workload of ``BENCHMARK.json`` runs through ``perfbench/run.py``
+in its own process at the seeds PERFBENCH_SEEDS and ``--seconds 32``, and
+once more with ``--trace 1``: the record keeps each end-to-end metric's
+median, quartiles and spread over the seeds, and the traced run's per-layer
+metrics.  These take about ten minutes.
 
 Every case goes into one JSON record with its sizes and all its samples,
 beside the context: nproc, the git revision, the Python and NumPy versions
-and the bytecode state.  Each case is printed beside the same case of the
-newest ``BENCH_*.json`` committed at the repository root, with the ratio of
-the two.  Run from the repository root:
+and the bytecode state.  Each case and each workload metric is printed
+beside the same one of the newest ``BENCH_*.json`` committed at the
+repository root, with the ratio of the two.  Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --out BENCH_<n>.json
 
-``--small`` runs each in-process case once at small sizes and each
-process twice, to check the script and its record quickly.
+``--small`` runs each in-process case once at small sizes, each process
+twice and ``verify-sharpness`` at j = 8..12, and no perfbench runs, to
+check the script and its record quickly.
 """
 
 import argparse
@@ -58,7 +72,9 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +93,25 @@ STARTUP = [
     ("data_norm d=2 j=6", ["-c", "import fracsmooth.cli, fracsmooth.harness; from fracsmooth import wave; "
                                  "wave.data_norm(wave.WaveParams(d=2, j=6), 2.0)"]),
 ]
+
+# whole commands at large scales, each timed like STARTUP but in its own
+# number of runs: (label, argv, runs), and their --small stand-ins (j = 8..11
+# would fail the check: four scales fit a slope 0.24 below the prediction)
+LARGE = [
+    ("verify-sharpness cantor d=3 p=2.5 j=8..18",
+     ["-m", "fracsmooth", "verify-sharpness", "--set", "perfbench/sets/cantor.json", "--d", "3", "--p", "2.5",
+      "--jmin", "8", "--jmax", "18"], 3),
+]
+LARGE_SMALL = [
+    ("verify-sharpness cantor d=3 p=2.5 j=8..12",
+     ["-m", "fracsmooth", "verify-sharpness", "--set", "perfbench/sets/cantor.json", "--d", "3", "--p", "2.5",
+      "--jmin", "8", "--jmax", "12"], 2),
+]
+
+# perfbench runs per workload: these seeds at --seconds PERFBENCH_SECONDS
+# with --trace 0, then one run with --trace 1 at the first seed
+PERFBENCH_SEEDS = (1, 2, 3)
+PERFBENCH_SECONDS = 32
 
 # Starts argv[1:] with its output discarded, waits for it with wait4 and
 # prints its wall seconds and peak resident set in kB; a nonzero exit status
@@ -116,21 +151,32 @@ def summary(seconds):
     return {"min_s": min(seconds), "q1_s": q1, "median_s": med, "q3_s": q3, "samples_s": seconds}
 
 
-def startup_runs(runs):
-    """(wall seconds, peak RSS in MB) of ``runs`` fresh processes per STARTUP
-    command, each started by HELPER, the commands taken in turn so that
-    drift spreads over all of them."""
+def startup_runs(commands, runs):
+    """(wall seconds, peak RSS in MB) of ``runs`` fresh processes per
+    (name, argv) command, each started by HELPER, the commands taken in turn
+    so that drift spreads over all of them."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    seconds = {name: [] for name, _ in STARTUP}
-    rss = {name: [] for name, _ in STARTUP}
+    seconds = {name: [] for name, _ in commands}
+    rss = {name: [] for name, _ in commands}
     for _ in range(runs):
-        for name, argv in STARTUP:
+        for name, argv in commands:
             proc = subprocess.run([sys.executable, "-S", "-c", HELPER, sys.executable, *argv], cwd=ROOT, env=env,
                                   check=True, capture_output=True, text=True)
             wall, maxrss_kb = proc.stdout.split()
             seconds[name].append(float(wall))
             rss[name].append(int(maxrss_kb) / 1024.0)
     return seconds, rss
+
+
+def traced_peak_mb(fn, *args):
+    """Peak of the memory that Python and NumPy allocate during one call of
+    fn(*args), in MB, as ``tracemalloc`` counts it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def cold_window_table(descriptor, j):
@@ -193,7 +239,7 @@ def kernel_cases(small):
         for j in (8,) if small else (12, 14, 18):
             yield (f"window table {label} j={j}", {"set": label, "j": j, "windows": family_windows(s, j)},
                    cold_window_table, (s, j))
-    norms = [(2, 6, 2.0, 1.0)] + ([] if small else [(3, 13, 3.0, 1.5)])
+    norms = [(2, 6, 2.0, 1.0)] + ([] if small else [(3, 13, 3.0, 1.5), (3, 18, 2.5, 1.0)])
     for d, j, p, t_ref in norms:
         yield (f"data_norm d={d} j={j} p={p:g}", {"d": d, "j": j, "p": p, "t_ref": t_ref},
                cold_data_norm, (d, j, p, t_ref))
@@ -240,24 +286,68 @@ def newest_committed():
     return name, json.loads(text)
 
 
+def fresh_process(case):
+    return case["name"].startswith(("startup ", "process "))
+
+
 def case_key(case):
-    """(seconds, peak RSS in MB) printed for a case: the median of fresh
-    processes, the best of in-process runs."""
-    startup = case["name"].startswith("startup")
-    return case["median_s"] if startup else case["min_s"], case.get("peak_rss_mb")
+    """(seconds, memory in MB) printed for a case: the median and the peak
+    RSS of fresh processes, the best and the traced peak of in-process runs."""
+    if fresh_process(case):
+        return case["median_s"], case.get("peak_rss_mb")
+    return case["min_s"], case.get("traced_peak_mb")
 
 
 def compare_line(case, old):
     """One printed line: the case beside the same case of ``old`` (or None)."""
-    seconds, rss = case_key(case)
-    line = f"{case['name']:<40} {seconds*1e3:9.2f} ms {rss:7.1f} MB"
+    seconds, mem = case_key(case)
+    line = f"{case['name']:<50} {seconds*1e3:10.2f} ms {mem:7.1f} MB"
     if old is None:
         return line + "   (not in the committed record)"
-    old_seconds, old_rss = case_key(old)
-    # BENCH_16.json has no peak RSS for its fresh processes
-    old_rss_text = " " * 10 if old_rss is None else f"{old_rss:7.1f} MB"
-    line += f" | {old_seconds*1e3:9.2f} ms {old_rss_text} | x{seconds / old_seconds:.2f}"
-    return line if old_rss is None else line + f", {rss - old_rss:+.1f} MB"
+    old_seconds, old_mem = case_key(old)
+    # older records have no peak RSS for their fresh processes and no traced
+    # peak for their in-process cases
+    old_mem_text = " " * 10 if old_mem is None else f"{old_mem:7.1f} MB"
+    line += f" | {old_seconds*1e3:10.2f} ms {old_mem_text} | x{seconds / old_seconds:.2f}"
+    return line if old_mem is None else line + f", {mem - old_mem:+.1f} MB"
+
+
+def perfbench_run(workload, seed, trace):
+    """The record that ``perfbench/run.py`` writes for one run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run.json"
+        subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                        "--seconds", str(PERFBENCH_SECONDS), "--trace", str(trace), "--out", str(out)],
+                       cwd=ROOT, check=True, capture_output=True, text=True)
+        return json.loads(out.read_text())
+
+
+def perfbench_summary(workload, runs, traced):
+    """One workload's record: each end-to-end metric's median, quartiles and
+    spread (quartile distance over median) over the untraced ``runs``, and
+    the per-layer metrics of the ``traced`` run."""
+    metrics = {}
+    for name in runs[0]["end_to_end"]:
+        values = [run["end_to_end"][name]["value"] for run in runs]
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        metrics[name] = {"unit": runs[0]["end_to_end"][name]["unit"], "median": med, "q1": q1, "q3": q3,
+                         "spread": (q3 - q1) / med if med else 0.0, "samples": values}
+    return {"workload": workload, "seeds": [run["environment"]["seed"] for run in runs],
+            "seconds": PERFBENCH_SECONDS, "end_to_end": metrics,
+            "traced": {name: m["value"] for name, m in traced["metrics"].items()}}
+
+
+def perfbench_lines(summary, old):
+    """Printed lines of one workload: each metric's median and spread beside
+    the same workload of ``old`` (or None)."""
+    lines = []
+    for name, m in summary["end_to_end"].items():
+        line = f"perfbench {summary['workload']} {name:<12} {m['median']:10.4g} {m['unit']:<5} ±{m['spread']:.3f}"
+        if old is not None:
+            o = old["end_to_end"][name]
+            line += f" | {o['median']:10.4g} {o['unit']:<5} ±{o['spread']:.3f}"
+        lines.append(line)
+    return lines
 
 
 def main(argv=None):
@@ -266,25 +356,38 @@ def main(argv=None):
     ap.add_argument("--small", action="store_true", help="small sizes, one sample per case, two runs per process")
     args = ap.parse_args(argv)
     runs = 2 if args.small else 15
-    record = {"context": context(), "cases": []}
+    record = {"context": context(), "cases": [], "perfbench": []}
     old_name, old_record = newest_committed()
     old_cases = {c["name"]: c for c in old_record["cases"]} if old_record else {}
-    print(f"{'case':<40}{'this run':>24} | {old_name or 'no committed BENCH_*.json':>23} | ratio, RSS change")
+    print(f"{'case':<50}{'this run':>26} | {old_name or 'no committed BENCH_*.json':>23} | ratio, RSS change")
 
-    timings, peaks = startup_runs(runs)
-    for name, cmd in STARTUP:
-        case = {"name": f"startup {name}", "sizes": {"argv": cmd, "runs": runs}, **summary(timings[name]),
-                "peak_rss_mb": statistics.median(peaks[name]), "peak_rss_samples_mb": peaks[name]}
-        record["cases"].append(case)
-        print(compare_line(case, old_cases.get(case["name"])))
+    groups = [("startup", STARTUP, runs)]
+    groups += [("process", [(name, cmd)], n) for name, cmd, n in (LARGE_SMALL if args.small else LARGE)]
+    for prefix, commands, n in groups:
+        timings, peaks = startup_runs(commands, n)
+        for name, cmd in commands:
+            case = {"name": f"{prefix} {name}", "sizes": {"argv": cmd, "runs": n}, **summary(timings[name]),
+                    "peak_rss_mb": statistics.median(peaks[name]), "peak_rss_samples_mb": peaks[name]}
+            record["cases"].append(case)
+            print(compare_line(case, old_cases.get(case["name"])))
     for label, sizes, fn, fn_args in kernel_cases(args.small):
         seconds = samples(fn, *fn_args, repeat=1 if args.small else 3)
         if fn is cold_profile_table:
             sizes["entries"] = len(wave._profile_table(*fn_args)[1])
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        case = {"name": label, "sizes": sizes, **summary(seconds), "peak_rss_mb": rss}
+        case = {"name": label, "sizes": sizes, **summary(seconds), "peak_rss_mb": rss,
+                "traced_peak_mb": traced_peak_mb(fn, *fn_args)}
         record["cases"].append(case)
         print(compare_line(case, old_cases.get(label)))
+    old_perfbench = {w["workload"]: w for w in (old_record or {}).get("perfbench", [])}
+    for workload in () if args.small else json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]:
+        name = workload["name"]
+        runs_e2e = [perfbench_run(name, seed, 0) for seed in PERFBENCH_SEEDS]
+        traced = perfbench_run(name, PERFBENCH_SEEDS[0], 1)
+        entry = perfbench_summary(name, runs_e2e, traced)
+        record["perfbench"].append(entry)
+        for line in perfbench_lines(entry, old_perfbench.get(name)):
+            print(line)
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return record

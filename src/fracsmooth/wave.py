@@ -686,6 +686,13 @@ def field_row_fast(params: WaveParams, t, r_grid) -> WaveFieldRow:
 # this many steps per unit there
 _BAND_HALFWIDTH_UNITS = 128.0
 _FINE_STEP_DIVISOR = 64.0
+# radii per block of norm_lp's pieces.  In d = 2 and 4, _remainder_term
+# sizes its direct-quadrature step from the largest near radius in the call
+# (2^j r < 24), so a block boundary among those radii would change their
+# bits: every near radius of a piece must fall in the piece's first block.
+# Pieces start at r >= 2^(-j+2), so that is at most 20 * 64 + 1 = 1 281
+# radii, at the band step 2^-j / 64.
+_NORM_BLOCK = 2**12
 
 
 def shell_lp_norm(row: WaveFieldRow, p: float, r_range):
@@ -698,8 +705,10 @@ def shell_lp_norm(row: WaveFieldRow, p: float, r_range):
     numbers or one bound per row.  Returns a float for one row and an array
     of n floats for n rows.  The root is taken on Python floats, one row at
     a time, so every row gets the bits of a one-row call.  Requires, in
-    every row, at least 3 radii and grid step <= 2^-j / 32 inside r_range.
+    every row, at least 3 radii and grid step <= 2^-j / 32 inside r_range,
+    and raises OutOfRangeError unless p is in [1, inf].
     """
+    _check_p(p)
     r = row.r_grid
     lo = np.asarray(r_range[0], dtype=np.float64)[..., None]
     hi = np.asarray(r_range[1], dtype=np.float64)[..., None]
@@ -723,36 +732,87 @@ def shell_lp_norm(row: WaveFieldRow, p: float, r_range):
     return np.array([a ** (1.0 / p) for a in areas.tolist()])
 
 
+def _check_p(p: float):
+    if not p >= 1.0:
+        raise OutOfRangeError(f"need p in [1, inf], got {p}")
+
+
+def _piece_norm(field, lo: float, hi: float, num: int, p: float, d: int) -> float:
+    """Trapezoid sum of |u|^p r^(d-1) over the grid np.linspace(lo, hi, num),
+    or max |u| there for p = inf, in blocks of _NORM_BLOCK radii.
+
+    ``field`` maps a block of radii to the field values there.  Radius k is
+    k step + lo, step = (hi - lo) / (num - 1), and the last one is hi, as
+    in ``np.linspace``.  Each block's trapezoid terms, and the one joining
+    it to the previous block, go into one array summed as ``np.trapezoid``
+    sums its terms, so the sum keeps the bits of one pass over the grid.
+    """
+    step = (hi - lo) / (num - 1)
+    terms = np.empty(num - 1)
+    peak = 0.0
+    for k0 in range(0, num, _NORM_BLOCK):
+        r = np.arange(k0, min(k0 + _NORM_BLOCK, num), dtype=np.float64)
+        r *= step
+        r += lo
+        if k0 + len(r) == num:
+            r[-1] = hi
+        v = np.abs(field(r))
+        if math.isinf(p):
+            peak = max(peak, float(v.max()))
+            continue
+        f = v**p * r ** (d - 1)
+        if k0:
+            terms[k0 - 1] = (r[0] - r_last) * (f[0] + f_last) / 2.0
+        terms[k0:k0 + len(r) - 1] = np.diff(r) * (f[1:] + f[:-1]) / 2.0
+        r_last, f_last = r[-1], f[-1]
+    return peak if math.isinf(p) else float(terms.sum())
+
+
 def norm_lp(params: WaveParams, t: float, p: float, r_max: float | None = None) -> float:
     """Lp norm (radial convention) of the field at time t over [0, r_max].
 
     The grid is fine (step 2^-j / _FINE_STEP_DIVISOR) within
     _BAND_HALFWIDTH_UNITS * 2^-j of the light cone r = |t - t0| and has step
     2^-j elsewhere; radii below 2^(-j+2) go through the direct quadrature path.
-    Every piece, the inner disc included, stops at r_max.
+    Every piece, the inner disc included, stops at r_max.  Each piece is
+    walked in blocks of _NORM_BLOCK radii (``_piece_norm``), so no array as
+    long as a piece's grid is built beside its trapezoid terms, and the norm
+    keeps the bits of one pass over each piece.  That needs every radius of
+    a piece with a directly integrated remainder (2^j r < 24 in d = 2 and 4)
+    in the piece's first block; see _NORM_BLOCK.  Raises OutOfRangeError
+    unless p is in [1, inf], t is finite and r_max is positive and finite.
     """
-    d, j = params.d, params.j
-    rho = abs(t - params.t_ref)
+    _check_p(p)
+    if not math.isfinite(t):
+        raise OutOfRangeError(f"need a finite time, got {t}")
     if r_max is None:
         r_max = params.t_ref + 4.0
+    elif not 0.0 < r_max < math.inf:
+        raise OutOfRangeError(f"need 0 < r_max < inf, got {r_max}")
+    d, j = params.d, params.j
+    rho = abs(t - params.t_ref)
     h = 2.0**-j
     r_switch = params.min_asymptotic_r
     band_lo = min(r_max, max(r_switch, rho - _BAND_HALFWIDTH_UNITS * h))
     band_hi = min(r_max, rho + _BAND_HALFWIDTH_UNITS * h)
 
-    inner_grid = np.linspace(0.0, min(r_switch, r_max), 49)
-    pieces = [(inner_grid, np.abs(propagate(params, t, inner_grid).values))]
+    def direct(r):
+        return propagate(params, t, r).values
+
+    def lookups(r):
+        return field_row_fast(params, t, r).values
+
+    pieces = [(direct, 0.0, min(r_switch, r_max), 49)]
     for lo, hi, step in ((r_switch, band_lo, h), (band_lo, band_hi, h / _FINE_STEP_DIVISOR),
                          (band_hi, r_max, h)):
         if hi > lo:
-            g = np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / step)) + 1))
-            pieces.append((g, np.abs(field_row_fast(params, t, g).values)))
-
+            pieces.append((lookups, lo, hi, max(2, int(math.ceil((hi - lo) / step)) + 1)))
+    norms = [_piece_norm(field, lo, hi, num, p, d) for field, lo, hi, num in pieces]
     if math.isinf(p):
-        return max(float(v.max()) for _, v in pieces)
+        return max(norms)
     total = 0.0
-    for g, v in pieces:
-        total += float(np.trapezoid(v**p * g ** (d - 1), g))
+    for area in norms:
+        total += area
     return total ** (1.0 / p)
 
 

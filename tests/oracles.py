@@ -158,6 +158,40 @@ def trapezoid_norm(r, vals, p: float, d: int) -> float:
     return float(np.trapezoid(np.abs(vals) ** p * np.asarray(r) ** (d - 1), r) ** (1.0 / p))
 
 
+def norm_lp_one_pass(params, t: float, p: float, r_max: float | None = None) -> float:
+    """``wave.norm_lp`` as one pass over each whole piece of its grid.
+
+    A reference for the blocked walk, not for the field values: each piece
+    is one ``np.linspace`` grid, one ``wave.propagate`` or
+    ``wave.field_row_fast`` call over all of it, and one ``np.trapezoid``.
+    """
+    from fracsmooth import wave
+
+    d, j = params.d, params.j
+    rho = abs(t - params.t_ref)
+    if r_max is None:
+        r_max = params.t_ref + 4.0
+    h = 2.0**-j
+    r_switch = params.min_asymptotic_r
+    band_lo = min(r_max, max(r_switch, rho - wave._BAND_HALFWIDTH_UNITS * h))
+    band_hi = min(r_max, rho + wave._BAND_HALFWIDTH_UNITS * h)
+
+    inner_grid = np.linspace(0.0, min(r_switch, r_max), 49)
+    pieces = [(inner_grid, np.abs(wave.propagate(params, t, inner_grid).values))]
+    for lo, hi, step in ((r_switch, band_lo, h), (band_lo, band_hi, h / wave._FINE_STEP_DIVISOR),
+                         (band_hi, r_max, h)):
+        if hi > lo:
+            g = np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / step)) + 1))
+            pieces.append((g, np.abs(wave.field_row_fast(params, t, g).values)))
+
+    if math.isinf(p):
+        return max(float(v.max()) for _, v in pieces)
+    total = 0.0
+    for g, v in pieces:
+        total += float(np.trapezoid(v**p * g ** (d - 1), g))
+    return total ** (1.0 / p)
+
+
 def window_q_per_time(descriptor, params, p, window, points):
     """``harness._window_q`` as one field row and one shell norm per time.
 

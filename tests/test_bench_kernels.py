@@ -35,13 +35,17 @@ def test_bench_cases_run(bench, tmp_path, capsys):
     record = bench.main(["--small", "--out", str(out)])
     printed = capsys.readouterr().out.splitlines()
     assert json.loads(out.read_text()) == record
-    assert set(record) == {"context", "cases"}
+    assert set(record) == {"context", "cases", "perfbench"}
+    # --small makes no perfbench runs
+    assert record["perfbench"] == []
     assert set(record["context"]) == set(CONTEXT)
     for key, kind in CONTEXT.items():
         assert isinstance(record["context"][key], kind), key
     assert record["context"]["nproc"] >= 1
     names = [case["name"] for case in record["cases"]]
     assert names[:len(bench.STARTUP)] == [f"startup {name}" for name, _ in bench.STARTUP]
+    assert names[len(bench.STARTUP):len(bench.STARTUP) + len(bench.LARGE_SMALL)] == \
+        [f"process {name}" for name, _, _ in bench.LARGE_SMALL]
     for prefix in ("profile_table", "window table", "data_norm", "window d=3", "inner disc", "far radii"):
         assert any(name.startswith(prefix) for name in names), prefix
     # each case printed on one line beside the same case of the newest
@@ -57,12 +61,15 @@ def test_bench_cases_run(bench, tmp_path, capsys):
         else:
             assert line.endswith("(not in the committed record)"), line
     for case in record["cases"]:
-        startup = case["name"].startswith("startup")
+        startup = bench.fresh_process(case)
         keys = {"name", "sizes", "min_s", "q1_s", "median_s", "q3_s", "samples_s", "peak_rss_mb"}
-        assert set(case) == (keys | {"peak_rss_samples_mb"} if startup else keys), case["name"]
+        assert set(case) == keys | ({"peak_rss_samples_mb"} if startup else {"traced_peak_mb"}), case["name"]
         assert case["peak_rss_mb"] > 0.0
         if startup:
             assert len(case["peak_rss_samples_mb"]) == 2
+        else:
+            # each in-process case's own peak, below the process's
+            assert 0.0 < case["traced_peak_mb"] < case["peak_rss_mb"], case["name"]
         seconds = case["samples_s"]
         assert len(seconds) == (2 if startup else 1) and all(math.isfinite(t) and t > 0.0 for t in seconds)
         assert case["min_s"] == min(seconds)
@@ -74,3 +81,26 @@ def test_bench_cases_run(bench, tmp_path, capsys):
             assert case["sizes"]["entries"] == 32769
         if case["name"].startswith("window table"):
             assert case["sizes"]["windows"] > 0
+
+
+def test_perfbench_summary(bench):
+    def run(seed, wall, rss):
+        e2e = {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}
+        return {"environment": {"seed": seed}, "end_to_end": e2e}
+
+    runs = [run(1, 2.0, 30.0), run(2, 1.0, 31.0), run(3, 4.0, 30.5)]
+    traced = {"metrics": {"wave.main_terms_grid.calls": {"value": 7, "unit": "count"}}}
+    entry = bench.perfbench_summary("slope-sweep", runs, traced)
+    assert entry["workload"] == "slope-sweep" and entry["seeds"] == [1, 2, 3]
+    assert entry["seconds"] == bench.PERFBENCH_SECONDS == 32
+    wall = entry["end_to_end"]["wall_s"]
+    assert (wall["q1"], wall["median"], wall["q3"]) == (1.5, 2.0, 3.0)
+    assert wall["spread"] == 0.75 and wall["samples"] == [2.0, 1.0, 4.0] and wall["unit"] == "s"
+    assert entry["end_to_end"]["peak_rss_mb"]["median"] == 30.5
+    assert entry["traced"] == {"wave.main_terms_grid.calls": 7}
+    assert len(bench.PERFBENCH_SEEDS) >= 3
+    json.dumps(entry)
+    lines = bench.perfbench_lines(entry, None)
+    assert [line.split()[:3] for line in lines] == [["perfbench", "slope-sweep", "wall_s"],
+                                                    ["perfbench", "slope-sweep", "peak_rss_mb"]]
+    assert all(" | " in line for line in bench.perfbench_lines(entry, entry))

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -755,6 +756,111 @@ def test_norm_lp_stops_at_r_max():
     assert all(a < b for a, b in zip(norms, norms[1:]))
     # the default r_max lies beyond the band, where clipping changes nothing
     assert wave.norm_lp(params, 0.0, 2.0) == wave.norm_lp(params, 0.0, 2.0, r_max=params.t_ref + 4.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("j", [6, 8, 11])
+def test_norm_lp_keeps_one_pass_bits(d, j):
+    # t = t_ref puts the radii with a directly integrated remainder (d = 2
+    # and 4) in the fine band; r_max = 0.45 clips the pieces below the cone
+    params = wave.WaveParams(d=d, j=j, t_ref=1.5)
+    for t in (0.0, params.t_ref, params.t_ref + 0.3):
+        for r_max in (None, 0.45):
+            for p in (2.0, 2.5, 4.0, math.inf):
+                assert wave.norm_lp(params, t, p, r_max) == oracles.norm_lp_one_pass(params, t, p, r_max), (t, r_max, p)
+
+
+@pytest.mark.parametrize("d, block", [(2, 1281), (4, 1281), (3, 100), (5, 64)])
+def test_norm_lp_keeps_bits_in_small_blocks(monkeypatch, d, block):
+    # many block edges in every piece; in d = 2 and 4 the least block that
+    # holds every direct remainder radius of the band
+    monkeypatch.setattr(wave, "_NORM_BLOCK", block)
+    params = wave.WaveParams(d=d, j=8, t_ref=1.5)
+    for t in (0.0, params.t_ref):
+        for p in (2.5, math.inf):
+            assert wave.norm_lp(params, t, p) == oracles.norm_lp_one_pass(params, t, p), (t, p)
+
+
+def test_piece_norm_walks_the_linspace_grid(monkeypatch):
+    # radius k is k step + lo as in np.linspace, and the last one is hi even
+    # where (num - 1) step + lo rounds elsewhere; blocks of 7 radii
+    monkeypatch.setattr(wave, "_NORM_BLOCK", 7)
+    rng = np.random.default_rng(5)
+    moved = 0
+    for _ in range(200):
+        lo = float(rng.uniform(0.0, 1.0))
+        hi = lo + float(rng.uniform(0.0, 3.0))
+        num = int(rng.integers(2, 60))
+        grid = np.linspace(lo, hi, num)
+        moved += (num - 1) * ((hi - lo) / (num - 1)) + lo != hi
+        seen = []
+
+        def field(r):
+            seen.append(r.copy())
+            return (r - 0.3) * (1.7 - r) + 1j * r * r
+
+        vals = np.abs(field(grid))
+        seen.clear()
+        assert wave._piece_norm(field, lo, hi, num, 2.5, 3) == float(np.trapezoid(vals**2.5 * grid**2, grid))
+        assert np.array_equal(np.concatenate(seen), grid)
+        assert wave._piece_norm(field, lo, hi, num, math.inf, 3) == float(vals.max())
+    assert moved
+
+
+def test_norm_block_holds_every_direct_remainder_radius():
+    # in d = 2 and 4 the remainder is integrated directly at 4 <= 2^j r < x_cut,
+    # one step per call; the band's step 2^-j / 64 puts the most radii
+    # there, both ends counted, since rounding may put r = x_cut 2^-j on
+    # either side
+    bound = 0
+    for d in (2, 4):
+        x_cut = wave._hankel_series(0.5 * (d - 2))[2] / wave.BUMP_SUPPORT[0]
+        bound = max(bound, round((x_cut - 4.0) * wave._FINE_STEP_DIVISOR) + 1)
+        for j in (6, 11, 20):
+            params = wave.WaveParams(d=d, j=j, t_ref=1.5)
+            h = 2.0**-j
+            hi = wave._BAND_HALFWIDTH_UNITS * h
+            band = np.linspace(params.min_asymptotic_r, hi, round((hi - 4.0 * h) / h * wave._FINE_STEP_DIVISOR) + 1)
+            assert np.count_nonzero(band / h < x_cut) <= bound
+    assert bound == 1281
+    assert wave._NORM_BLOCK >= bound
+
+
+def test_data_norm_working_memory():
+    # with the table warm, the blocked walk needs no array as long as a piece
+    # beside its trapezoid terms (22.5 MB in one pass over each piece)
+    params = wave.WaveParams(d=3, j=16, t_ref=1.5)
+    wave.data_norm(wave.WaveParams(d=3, j=6, t_ref=1.5), 2.5)
+    tracemalloc.start()
+    try:
+        wave.data_norm.__wrapped__(params, 2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"p": math.nan}, {"p": 0.0}, {"p": -1.0}, {"p": 0.5},
+    {"t": math.nan}, {"t": math.inf}, {"t": -math.inf},
+    {"r_max": math.nan}, {"r_max": 0.0}, {"r_max": -1.0}, {"r_max": math.inf},
+])
+def test_norm_lp_rejects_bad_inputs(kwargs):
+    params = wave.WaveParams(d=3, j=6)
+    args = {"t": 0.0, "p": 2.0, "r_max": None, **kwargs}
+    with pytest.raises(OutOfRangeError):
+        wave.norm_lp(params, args["t"], args["p"], args["r_max"])
+
+
+@pytest.mark.parametrize("p", [math.nan, 0.0, -1.0, 0.5])
+def test_shell_norm_rejects_bad_p(p):
+    params = wave.WaveParams(d=3, j=6)
+    rho, half = 0.5, 2.0 ** (-params.j - 5)
+    grid = np.linspace(rho - half, rho + half, 17)
+    row = wave.field_row_fast(params, params.t_ref + rho, grid)
+    assert wave.shell_lp_norm(row, 1.0, (grid[0], grid[-1])) > 0.0
+    with pytest.raises(OutOfRangeError):
+        wave.shell_lp_norm(row, p, (grid[0], grid[-1]))
 
 
 def test_mass_concentrates_on_cone():
