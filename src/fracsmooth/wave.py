@@ -690,8 +690,9 @@ _FINE_STEP_DIVISOR = 64.0
 # sizes its direct-quadrature step from the largest near radius in the call
 # (2^j r < 24), so a block boundary among those radii would change their
 # bits: every near radius of a piece must fall in the piece's first block.
-# Pieces start at r >= 2^(-j+2), so that is at most 20 * 64 + 1 = 1 281
-# radii, at the band step 2^-j / 64.
+# Pieces start at r >= 2^(-j+2), so at the band step 2^-j / 64 that is
+# 20 * 64 radii, or 1 281 counting r = 24 2^-j, which rounding may put on
+# either side.
 _NORM_BLOCK = 2**12
 
 
@@ -748,7 +749,7 @@ def _piece_norm(field, lo: float, hi: float, num: int, p: float, d: int) -> floa
     sums its terms, so the sum keeps the bits of one pass over the grid.
     """
     step = (hi - lo) / (num - 1)
-    terms = np.empty(num - 1)
+    terms = np.empty(0 if math.isinf(p) else num - 1)
     peak = 0.0
     for k0 in range(0, num, _NORM_BLOCK):
         r = np.arange(k0, min(k0 + _NORM_BLOCK, num), dtype=np.float64)
