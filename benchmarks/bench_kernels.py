@@ -49,7 +49,7 @@ Last, each workload of ``BENCHMARK.json`` runs through ``perfbench/run.py``
 in its own process at the seeds PERFBENCH_SEEDS and ``--seconds 32``, and
 once more with ``--trace 1``: the record keeps each end-to-end metric's
 median, quartiles and spread over the seeds, and the traced run's per-layer
-metrics.  These take about ten minutes.
+metrics.  These take about fifteen minutes on 2 cores.
 
 Every case goes into one JSON record with its sizes and all its samples,
 beside the context: nproc, the git revision, the Python and NumPy versions
@@ -337,12 +337,12 @@ def perfbench_summary(workload, runs, traced):
             "traced": {name: m["value"] for name, m in traced["metrics"].items()}}
 
 
-def perfbench_lines(summary, old):
+def perfbench_lines(entry, old):
     """Printed lines of one workload: each metric's median and spread beside
     the same workload of ``old`` (or None)."""
     lines = []
-    for name, m in summary["end_to_end"].items():
-        line = f"perfbench {summary['workload']} {name:<12} {m['median']:10.4g} {m['unit']:<5} ±{m['spread']:.3f}"
+    for name, m in entry["end_to_end"].items():
+        line = f"perfbench {entry['workload']} {name:<12} {m['median']:10.4g} {m['unit']:<5} ±{m['spread']:.3f}"
         if old is not None:
             o = old["end_to_end"][name]
             line += f" | {o['median']:10.4g} {o['unit']:<5} ±{o['spread']:.3f}"
