@@ -23,7 +23,13 @@ Each window-count table is one batched covering sweep over every level,
 in plain Python, at j = 12, 14 and 18 (about 2^(j+2) windows, never built):
 the interval is counted in closed form, one count for every window inside
 it, and the other sets by a walk over each grid with a shared step cache
-that skips the windows missing the set.  Each profile table F_0 .. F_K of
+that skips the windows missing the set.  The tables of cantor, polyseq and
+union at j = 13 are also built to level 8 only, the levels from which the
+sharpness slopes choose their window at that scale.  The cantor, polyseq
+and union jobs of the benchmark's slope-sweep workload (d = 3, j = 8..13)
+then run in this process with their window tables cold, their data norms
+and profile table warm from an untimed first run: the covering side of a
+slope job.  Each profile table F_0 .. F_K of
 d = 2, 3 and 4 is built cold, one FFT of a fixed length checked against
 its error budget.
 The d = 2 data norm is mostly Hankel-term profile lookups.  The d = 3,
@@ -79,7 +85,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fracsmooth import sets, spectra, wave
+from fracsmooth import harness, sets, spectra, wave
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -125,6 +131,9 @@ HELPER = (
     "print(time.perf_counter() - t0, usage.ru_maxrss)\n"
     "sys.exit(os.waitstatus_to_exitcode(status))\n"
 )
+
+# the covering-heavy jobs of the benchmark's slope-sweep workload: (set, p)
+SLOPE_JOBS = [("cantor", 2.5), ("polyseq", 3.0), ("union", 2.5)]
 
 SETS = [
     ("interval", sets.FullInterval(1.0, 2.0)),
@@ -179,15 +188,23 @@ def traced_peak_mb(fn, *args):
         tracemalloc.stop()
 
 
-def cold_window_table(descriptor, j):
-    spectra._window_table.cache_clear()
-    spectra._window_table(descriptor, j)
+def cold_window_table(descriptor, j, top=None):
+    spectra._window_tables.clear()
+    spectra._window_table(descriptor, j, j if top is None else top)
 
 
-def family_windows(descriptor, j):
-    """Number of family windows the table at j counts."""
+def family_windows(descriptor, j, top=None):
+    """Number of family windows the table at j counts, to level top (default j)."""
     lo, hi = sets.bounds(descriptor)
-    return sum(len(spectra.family_starts(lo, hi, 2.0 ** (-m))) for m in range(j + 1))
+    return sum(len(spectra.family_starts(lo, hi, 2.0 ** (-m))) for m in range((j if top is None else top) + 1))
+
+
+def slope_jobs(configs):
+    """The sharpness slopes of ``configs`` with every window table cold; the
+    profile table and the data norms stay warm from an earlier run."""
+    spectra._window_tables.clear()
+    for config in configs:
+        harness.run_sharpness_slope(config)
 
 
 def cold_profile_table(d, m):
@@ -239,6 +256,17 @@ def kernel_cases(small):
         for j in (8,) if small else (12, 14, 18):
             yield (f"window table {label} j={j}", {"set": label, "j": j, "windows": family_windows(s, j)},
                    cold_window_table, (s, j))
+    j, top = (8, 3) if small else (13, 8)
+    for label, s in SETS[1:]:
+        yield (f"window table {label} j={j} top={top}",
+               {"set": label, "j": j, "top": top, "windows": family_windows(s, j, top)},
+               cold_window_table, (s, j, top))
+    j_max = 11 if small else 13
+    configs = [harness.ExperimentConfig(sets.load_file(ROOT / "perfbench" / "sets" / f"{name}.json"), d=3, p=p,
+                                        j_min=8, j_max=j_max) for name, p in SLOPE_JOBS]
+    slope_jobs(configs)
+    yield (f"slope jobs cantor+polyseq+union j=8..{j_max}, warm", {"d": 3, "j": [8, j_max], "jobs": len(configs)},
+           slope_jobs, (configs,))
     norms = [(2, 6, 2.0, 1.0)] + ([] if small else [(3, 13, 3.0, 1.5), (3, 18, 2.5, 1.0)])
     for d, j, p, t_ref in norms:
         yield (f"data_norm d={d} j={j} p={p:g}", {"d": d, "j": j, "p": p, "t_ref": t_ref},

@@ -16,7 +16,7 @@ import math
 from bisect import bisect_left, bisect_right
 
 from .records import record
-from .sets import first_point_geq
+from .sets import cursor
 
 # the benchmark records this name in each run's environment
 BACKEND = "python"
@@ -72,7 +72,8 @@ def cover_counts(types, params, pool, windows, delta) -> list:
       point skips, by index arithmetic, to the first window ending at or
       after the next set point p, so only windows that meet the set run a
       sweep.  That window starts at or before p, so its sweep starts at p
-      with no point query.
+      with no point query.  The point queries left go through one
+      ``sets.cursor``, so each resumes the Cantor descents of the last.
     """
     delta = float(delta)
     if len(types) == 1 and types[0] == 0 and 0.0 < delta <= 1.0 and (delta / _ULP).is_integer():
@@ -116,21 +117,23 @@ def _interval_part(interval, off, length, k_lo, k_hi) -> list:
 
 def _sweeper(flat, delta):
     """sweep(x, hi, p) -> (greedy count of set /\\ [x, hi], first set point >= x),
-    with the step and first-point caches of one cover_counts call; a caller
-    that knows the first set point p >= x passes it."""
+    with the step and first-point caches and the one point-query cursor of a
+    cover_counts call; a caller that knows the first set point p >= x passes
+    it."""
     step, first = {}, {}
+    first_geq = cursor(flat)[0]
 
     def sweep(x, hi, p=None):
         if p is None:
             p = first.get(x)
         if p is None:
-            p = first[x] = first_point_geq(flat, x)
+            p = first[x] = first_geq(x)
         q, count = p, 0
         while q <= hi:
             count += 1
             nxt = step.get(q)
             if nxt is None:
-                nxt = step[q] = first_point_geq(flat, math.nextafter(q + delta, math.inf))
+                nxt = step[q] = first_geq(math.nextafter(q + delta, math.inf))
             q = nxt
         return count, p
 

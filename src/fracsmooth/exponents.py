@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from . import legendre, spectra
+from . import spectra
 from .errors import OutOfRangeError
 from .records import record
 from .sampled import SampledFunction
@@ -23,11 +23,6 @@ def eval_nu(nu, alpha: float) -> float:
     if alpha > nu.hi:
         return float(alpha)
     return float(nu(alpha))
-
-
-def identity_profile(alpha_max: float = 4.0) -> SampledFunction:
-    """The profile nu(alpha) = alpha of a single point."""
-    return SampledFunction(0.0, alpha_max, legendre.default_alpha_grid(alpha_max))
 
 
 def s_p(d: int, p: float) -> float:

@@ -171,13 +171,14 @@ def _fit_line(xs, ys):
 def choose_window(descriptor, j: int, alpha: float, min_factor: int):
     """(window, count): the smallest dyadic family window attaining the
     functional maximizer at exponent alpha, subject to 2^j |I| >= min_factor;
-    of that length, the first window in shift order with the most points."""
+    of that length, the first window in shift order with the most points.
+    It reads the window table at levels m <= m_cap only."""
     from . import spectra
 
-    maxima = spectra.window_count_maxima(descriptor, j)
     m_cap = j - int(math.ceil(math.log2(min_factor)))
     if m_cap < 0:
         raise DegenerateWindowError(f"no window satisfies 2^{j} |I| >= {min_factor}")
+    maxima = spectra.window_count_maxima(descriptor, j, top=m_cap)
     scores = [alpha * m + math.log2(maxima[m]) for m in range(m_cap + 1)]
     best = max(scores)
     m_star = max(m for m, s in enumerate(scores) if s >= best - 1e-12)
@@ -225,7 +226,12 @@ def _window_q(descriptor, params, p: float, window, points):
 
 
 def run_sharpness_slope(config: ExperimentConfig) -> SlopeReport:
-    """Measure the growth exponent of the shell-norm sums against scale."""
+    """Measure the growth exponent of the shell-norm sums against scale.
+
+    ``predicted`` reads every level of the window table at j_max, so it is
+    computed first, after the scales are checked, and that one full table
+    serves the window choice at j_max; every other scale builds its table
+    only to the levels the choice reads."""
     if len(config.j_list) < 4:
         raise OutOfRangeError(f"slope fits need at least 4 scales, got j = {config.j_min}..{config.j_max}")
     if not 2.0 <= config.p < math.inf:
@@ -234,9 +240,10 @@ def run_sharpness_slope(config: ExperimentConfig) -> SlopeReport:
 
     d, p = config.d, config.p
     alpha = p * exponents.s_p(d, p)
+    scales = [wave.WaveParams(d=d, j=j, t_ref=1.0) for j in config.j_list]
+    predicted = spectra.phi_at_scale(config.descriptor, alpha, config.j_max)
     log2_q, windows, log2_q_full = [], [], []
-    for j in config.j_list:
-        params = wave.WaveParams(d=d, j=j, t_ref=1.0)
+    for j, params in zip(config.j_list, scales):
         window, _ = choose_window(config.descriptor, j, alpha, MIN_WINDOW_FACTOR)
         points = sets.discretize(config.descriptor, j).points
         q_val = _window_q(config.descriptor, params, p, window, points)
@@ -249,7 +256,6 @@ def run_sharpness_slope(config: ExperimentConfig) -> SlopeReport:
             log2_q_full.append(math.log2(q_full))
     slope, intercept = _fit_line(config.j_list, log2_q)
     slope_full, _ = _fit_line(config.j_list, log2_q_full)
-    predicted = spectra.phi_at_scale(config.descriptor, alpha, config.j_max)
     return SlopeReport(
         sets.dumps(config.descriptor), d, p, config.j_list, log2_q,
         slope, intercept, predicted, windows, log2_q_full, slope_full,

@@ -4,8 +4,10 @@ Five generators are supported: full intervals, finite point sets, Cantor-type
 self-similar sets, polynomially decaying sequences {1} u {1 + n^(-a)}, and
 finite unions of these.  All quantitative operations (rendering, greedy
 delta-covers, maximal separated subsets) are driven by two exact primitives,
-``first_point_geq`` and ``last_point_leq``, so covering counts are never
-perturbed by an intermediate rasterization.
+the first set point >= x and the last set point <= x, so covering counts are
+never perturbed by an intermediate rasterization.  A sweep asks them on one
+``cursor``, whose Cantor queries resume from the branches of the one before;
+``first_point_geq`` and ``last_point_leq`` ask once, on a fresh cursor.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
+from functools import partial
 
 from .errors import InvalidResolutionError, InvalidSetError, OutOfRangeError
 from .records import record
@@ -205,21 +208,32 @@ def flatten(s):
 
 
 # ---------------------------------------------------------------------------
-# Exact point queries on the flattened form.
+# Exact point queries on the flattened form, through resumable cursors.
 # ---------------------------------------------------------------------------
 
-def _cantor_first_geq(lo, hi, m, c, x):
+def _cantor_first_geq(stack, m, c, x):
+    """Smallest point >= x of the Cantor part whose base interval is stack[0].
+
+    ``stack`` holds the branches (lo, hi) of the part's last descent, the
+    base first.  The query pops the branches that do not hold x in (lo, hi]
+    and descends from the deepest one left, pushing each branch it enters.
+    The branches holding x are the ones a descent from the base enters, with
+    the bounds of the same arithmetic, so the answer does not depend on the
+    queries before it.
+    """
+    lo, hi = stack[0]
     if x <= lo:
         return lo
-    if x > hi:
+    if not x <= hi:
         return _INF
-    while True:
+    lo, hi = stack[-1]
+    while not lo < x <= hi:
+        stack.pop()
+        lo, hi = stack[-1]
+    while hi - lo > _CANTOR_EPS:
         width = hi - lo
-        if width <= _CANTOR_EPS:
-            return x if x >= lo else lo
         gap_step = width * (1.0 - c) / (m - 1)
         child_len = width * c
-        descended = False
         for k in range(m):
             u = lo + k * gap_step
             # the last child ends at its parent's end: u + child_len can round
@@ -228,36 +242,46 @@ def _cantor_first_geq(lo, hi, m, c, x):
             if x <= u:
                 return u
             if x <= v:
-                lo, hi = u, v
-                descended = True
                 break
-        if not descended:
-            return _INF
+        lo, hi = u, v
+        stack.append((lo, hi))
+    return x
 
 
-def _cantor_last_leq(lo, hi, m, c, x):
+def _cantor_last_leq(stack, m, c, x):
+    """Largest point <= x of the Cantor part: ``_cantor_first_geq`` mirrored,
+    on the branches holding x in [lo, hi)."""
+    lo, hi = stack[0]
     if x >= hi:
         return hi
-    if x < lo:
+    if not x >= lo:
         return -_INF
-    while True:
+    lo, hi = stack[-1]
+    while not lo <= x < hi:
+        stack.pop()
+        lo, hi = stack[-1]
+    while hi - lo > _CANTOR_EPS:
         width = hi - lo
-        if width <= _CANTOR_EPS:
-            return x if x <= hi else hi
         gap_step = width * (1.0 - c) / (m - 1)
         child_len = width * c
-        descended = False
         for k in range(m - 1, -1, -1):
             u = lo + k * gap_step
             v = u + child_len if k < m - 1 else hi
             if x >= v:
                 return v
             if x >= u:
-                lo, hi = u, v
-                descended = True
                 break
-        if not descended:
-            return -_INF
+        lo, hi = u, v
+        stack.append((lo, hi))
+    return x
+
+
+def _interval_first_geq(lo, hi, x):
+    return lo if x <= lo else (x if x <= hi else _INF)
+
+
+def _interval_last_leq(lo, hi, x):
+    return hi if x >= hi else (x if x >= lo else -_INF)
 
 
 def _poly_first_geq(a, x):
@@ -301,48 +325,74 @@ def _poly_last_leq(a, x):
     return best
 
 
-def first_point_geq(flat, x) -> float:
-    """Smallest set point >= x, or +inf when none exists."""
+def _points_first_geq(pool, off, end, x):
+    idx = bisect_left(pool, x, off, end)
+    return pool[idx] if idx < end else _INF
+
+
+def _points_last_leq(pool, off, end, x):
+    idx = bisect_right(pool, x, off, end)
+    return pool[idx - 1] if idx > off else -_INF
+
+
+def cursor(flat) -> tuple:
+    """(first_geq, last_leq) on the flattened set ``flat``: x -> the smallest
+    set point >= x (+inf when none) and x -> the largest set point <= x
+    (-inf when none).
+
+    Each Cantor part keeps the stack of branches of its last descent, which
+    both queries share, and resumes from the deepest branch holding x: the
+    queries of one sweep share most of their path from the base.  A fresh
+    cursor descends from the base.  Every answer is exact and does not depend
+    on the queries before it.
+    """
     types, params, pool = flat
-    best = _INF
-    for i in range(len(types)):
-        code = types[i]
-        p = params[i]
+    parts = []
+    for code, p in zip(types, params):
         if code == 0:
-            cand = p[0] if x <= p[0] else (x if x <= p[1] else _INF)
+            args = (p[0], p[1])
+            parts.append((partial(_interval_first_geq, *args), partial(_interval_last_leq, *args)))
         elif code == 1:
-            cand = _cantor_first_geq(p[0], p[1], int(p[2]), p[3], x)
+            args = ([(p[0], p[1])], int(p[2]), p[3])
+            parts.append((partial(_cantor_first_geq, *args), partial(_cantor_last_leq, *args)))
         elif code == 2:
-            cand = _poly_first_geq(p[0], x)
+            parts.append((partial(_poly_first_geq, p[0]), partial(_poly_last_leq, p[0])))
         else:
-            off, cnt = int(p[0]), int(p[1])
-            idx = bisect_left(pool, x, off, off + cnt)
-            cand = pool[idx] if idx < off + cnt else _INF
-        if cand < best:
-            best = cand
-    return best
+            args = (pool, int(p[0]), int(p[0]) + int(p[1]))
+            parts.append((partial(_points_first_geq, *args), partial(_points_last_leq, *args)))
+    if len(parts) == 1:
+        return parts[0]
+    firsts, lasts = zip(*parts)
+
+    def first_geq(x):
+        best = _INF
+        for query in firsts:
+            cand = query(x)
+            if cand < best:
+                best = cand
+        return best
+
+    def last_leq(x):
+        best = -_INF
+        for query in lasts:
+            cand = query(x)
+            if cand > best:
+                best = cand
+        return best
+
+    return first_geq, last_leq
+
+
+def first_point_geq(flat, x) -> float:
+    """Smallest set point >= x, or +inf when none exists: one query on a
+    fresh cursor."""
+    return cursor(flat)[0](x)
 
 
 def last_point_leq(flat, x) -> float:
-    """Largest set point <= x, or -inf when none exists."""
-    types, params, pool = flat
-    best = -_INF
-    for i in range(len(types)):
-        code = types[i]
-        p = params[i]
-        if code == 0:
-            cand = p[1] if x >= p[1] else (x if x >= p[0] else -_INF)
-        elif code == 1:
-            cand = _cantor_last_leq(p[0], p[1], int(p[2]), p[3], x)
-        elif code == 2:
-            cand = _poly_last_leq(p[0], x)
-        else:
-            off, cnt = int(p[0]), int(p[1])
-            idx = bisect_right(pool, x, off, off + cnt)
-            cand = pool[idx - 1] if idx > off else -_INF
-        if cand > best:
-            best = cand
-    return best
+    """Largest set point <= x, or -inf when none exists: one query on a
+    fresh cursor."""
+    return cursor(flat)[1](x)
 
 
 def bounds(s) -> tuple:
@@ -385,14 +435,16 @@ _MAX_TILES = 40_000_000
 
 def _anchors(flat, x, delta, hi=_INF):
     """Greedy anchors in [x, hi]: the first set point >= x, then each first set
-    point beyond the last anchor + delta; more than _MAX_TILES of them raise."""
-    p, n = first_point_geq(flat, x), 0
+    point beyond the last anchor + delta, all queried on one cursor; more
+    than _MAX_TILES of them raise."""
+    first_geq = cursor(flat)[0]
+    p, n = first_geq(x), 0
     while p <= hi and p != _INF:
         n += 1
         if n > _MAX_TILES:
             raise InvalidResolutionError("resolution too fine for this set")
         yield p
-        p = first_point_geq(flat, math.nextafter(p + delta, _INF))
+        p = first_geq(math.nextafter(p + delta, _INF))
 
 
 def render(s, delta: float) -> IntervalList:
@@ -404,7 +456,8 @@ def render(s, delta: float) -> IntervalList:
     if not (0.0 < delta <= 1.0):
         raise InvalidResolutionError(f"delta must be in (0, 1], got {delta}")
     flat = flatten(s)
-    tiles = tuple((p, last_point_leq(flat, p + delta)) for p in _anchors(flat, -_INF, delta))
+    last_leq = cursor(flat)[1]
+    tiles = tuple((p, last_leq(p + delta)) for p in _anchors(flat, -_INF, delta))
     return IntervalList(tiles, delta)
 
 

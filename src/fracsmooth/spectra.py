@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from functools import lru_cache
 
 from . import backend, legendre, sets
 from .errors import InvalidResolutionError, InvalidThetaError, OutOfRangeError
@@ -46,42 +45,62 @@ def family_starts(lo: float, hi: float, length: float) -> backend.Grids:
     return backend.Grids(tuple(parts))
 
 
-@lru_cache(maxsize=128)
-def _window_table(descriptor, j: int) -> tuple:
-    """(maxima, windows): per level m = 0..j, the count maximum over the
+# (descriptor, j) -> the deepest window table built at scale j, least
+# recently used first; it serves every request up to its top level
+_window_tables = {}
+_WINDOW_TABLES_MAX = 128
+
+
+def _window_table(descriptor, j: int, top: int) -> tuple:
+    """(maxima, windows): per level m = 0..top, the count maximum over the
     family windows of length 2^-m and the first window attaining it, in
     shift order.
 
-    One ``backend.cover_counts`` call counts every level, grid by grid,
-    without building the windows: it counts a single interval in closed
-    form, and walks each other grid with one step cache for all windows and
-    levels, skipping the windows that miss the set.  The counts are those
-    of ``sets._greedy_count`` in each window.  More than ``sets._MAX_TILES``
-    windows, one count each, raise InvalidResolutionError before counting.
+    A table of the same (descriptor, j) that reaches level top serves the
+    request; otherwise one ``backend.cover_counts`` call counts levels
+    0..top, grid by grid, without building the windows: it counts a single
+    interval in closed form, and walks each other grid with one step cache
+    for all windows and levels, skipping the windows that miss the set.
+    The counts are those of ``sets._greedy_count`` in each window, whichever
+    levels share the call, so a level reads the same from every table.  More
+    than ``sets._MAX_TILES`` family windows at levels 0..j, one count each,
+    raise InvalidResolutionError before counting, whatever the top, so the
+    scales refused do not depend on the caller.
     """
-    flat = sets.flatten(descriptor)
-    smin = sets.first_point_geq(flat, -math.inf)
-    smax = sets.last_point_leq(flat, math.inf)
-    levels = [family_starts(smin, smax, 2.0 ** (-m)) for m in range(j + 1)]
-    grids = backend.Grids(tuple(part for level in levels for part in level.parts))
-    if len(grids) > sets._MAX_TILES:
-        raise InvalidResolutionError(
-            f"resolution too fine: {len(grids)} family windows at j = {j}, more than {sets._MAX_TILES}")
-    counts = backend.cover_counts(*flat, grids, 2.0 ** (-j))
-    table, start = [], 0
-    for m, level in enumerate(levels):
-        level_counts = counts[start:start + len(level)]
-        start += len(level)
-        x = level[level_counts.index(max(level_counts))]
-        table.append((max(level_counts), (x, x + 2.0 ** (-m))))
-    return tuple(zip(*table))
+    key = (descriptor, j)
+    table = _window_tables.get(key)
+    if table is None or len(table[0]) <= top:
+        flat = sets.flatten(descriptor)
+        smin = sets.first_point_geq(flat, -math.inf)
+        smax = sets.last_point_leq(flat, math.inf)
+        levels = [family_starts(smin, smax, 2.0 ** (-m)) for m in range(j + 1)]
+        family = sum(len(level) for level in levels)
+        if family > sets._MAX_TILES:
+            raise InvalidResolutionError(
+                f"resolution too fine: {family} family windows at j = {j}, more than {sets._MAX_TILES}")
+        levels = levels[:top + 1]
+        grids = backend.Grids(tuple(part for level in levels for part in level.parts))
+        counts = backend.cover_counts(*flat, grids, 2.0 ** (-j))
+        rows, start = [], 0
+        for m, level in enumerate(levels):
+            level_counts = counts[start:start + len(level)]
+            start += len(level)
+            x = level[level_counts.index(max(level_counts))]
+            rows.append((max(level_counts), (x, x + 2.0 ** (-m))))
+        table = tuple(zip(*rows))
+    _window_tables.pop(key, None)
+    _window_tables[key] = table
+    if len(_window_tables) > _WINDOW_TABLES_MAX:
+        del _window_tables[next(iter(_window_tables))]
+    return table[0][:top + 1], table[1][:top + 1]
 
 
-def window_count_maxima(descriptor, j: int) -> tuple:
-    """max over family windows of length 2^-m of N(E /\\ I, 2^-j), m = 0..j."""
+def window_count_maxima(descriptor, j: int, *, top: int | None = None) -> tuple:
+    """max over family windows of length 2^-m of N(E /\\ I, 2^-j), m = 0..top
+    (default j)."""
     if j < 2:
         raise OutOfRangeError(f"need j >= 2, got {j}")
-    return _window_table(descriptor, j)[0]
+    return _window_table(descriptor, j, j if top is None else top)[0]
 
 
 def best_window(descriptor, j: int, m: int):
@@ -89,7 +108,7 @@ def best_window(descriptor, j: int, m: int):
     order, attaining the count maximum at scale 2^-j."""
     if not 0 <= m <= j:
         raise OutOfRangeError(f"need 0 <= m <= j, got m={m}, j={j}")
-    maxima, windows = _window_table(descriptor, j)
+    maxima, windows = _window_table(descriptor, j, m)
     return windows[m], maxima[m]
 
 
@@ -101,18 +120,22 @@ def phi_at_scale(descriptor, alpha: float, j: int) -> float:
     """
     if j < 2:
         raise OutOfRangeError(f"need j >= 2, got {j}")
-    maxima = _window_table(descriptor, j)[0]
+    maxima = _window_table(descriptor, j, j)[0]
     return max((alpha * m + math.log2(n)) / j for m, n in enumerate(maxima))
 
 
 def assouad_spectrum_empirical(descriptor, theta: float, j: int) -> float:
-    """Window exponent at scale j for windows of length 2^-ceil(theta j)."""
+    """Window exponent at scale j for windows of length 2^-ceil(theta j).
+
+    It asks for the table to level max(m, j - 4): the thetas of
+    ``theta_grid`` and ``dims`` read levels up to j - 4, so their calls at
+    one scale share one table."""
     if not 0.0 <= theta < 1.0:
         raise InvalidThetaError(f"theta must be in [0, 1), got {theta}")
     m = math.ceil(theta * j)
     if m > j - 1:
         raise InvalidThetaError(f"theta={theta} leaves no room at scale j={j}")
-    maxima = _window_table(descriptor, j)[0]
+    maxima = _window_table(descriptor, j, max(m, j - 4))[0]
     return math.log2(maxima[m]) / (j - m)
 
 

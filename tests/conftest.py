@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fracsmooth import sets
+from fracsmooth import backend, legendre, sets
+from fracsmooth.sampled import SampledFunction
 
 
 def _fail_skip(report):
@@ -23,6 +24,20 @@ def pytest_runtest_makereport(item, call):
 @pytest.hookimpl(hookwrapper=True)
 def pytest_make_collect_report(collector):
     _fail_skip((yield).get_result())
+
+
+@pytest.fixture
+def kernel_windows(monkeypatch):
+    """The number of windows of each ``backend.cover_counts`` call the test
+    makes, in call order."""
+    kernel, windows = backend.cover_counts, []
+
+    def counting(*args):
+        windows.append(len(args[3]))
+        return kernel(*args)
+
+    monkeypatch.setattr(backend, "cover_counts", counting)
+    return windows
 
 
 @pytest.fixture
@@ -65,3 +80,8 @@ def descriptor_zoo():
         sets.UnionSet((sets.CantorLike(1.0, 1.4, 2, 1.0 / 3.0), sets.PolySequence(2.0))),
         sets.UnionSet((sets.FinitePoints((1.05,)), sets.FullInterval(1.5, 1.75))),
     ]
+
+
+def identity_profile(alpha_max: float = 4.0) -> SampledFunction:
+    """The profile nu(alpha) = alpha of a single point."""
+    return SampledFunction(0.0, alpha_max, legendre.default_alpha_grid(alpha_max))

@@ -87,6 +87,60 @@ def poly_points(a: float, n_max: int):
     return sorted(set([1.0] + [1.0 + float(n) ** (-a) for n in range(1, n_max + 1)]))
 
 
+def cantor_first_geq(lo, hi, m, c, x):
+    """Smallest point >= x of the Cantor set on [lo, hi] with m branches of
+    contraction c, by a descent from [lo, hi]: the reference for the
+    resumable queries of ``sets.cursor``."""
+    if x <= lo:
+        return lo
+    if x > hi:
+        return math.inf
+    while True:
+        width = hi - lo
+        if width <= 1e-14:
+            return x if x >= lo else lo
+        gap_step = width * (1.0 - c) / (m - 1)
+        child_len = width * c
+        descended = False
+        for k in range(m):
+            u = lo + k * gap_step
+            v = u + child_len if k < m - 1 else hi
+            if x <= u:
+                return u
+            if x <= v:
+                lo, hi = u, v
+                descended = True
+                break
+        if not descended:
+            return math.inf
+
+
+def cantor_last_leq(lo, hi, m, c, x):
+    """Largest point <= x of the same Cantor set, by a descent from [lo, hi]."""
+    if x >= hi:
+        return hi
+    if x < lo:
+        return -math.inf
+    while True:
+        width = hi - lo
+        if width <= 1e-14:
+            return x if x <= hi else hi
+        gap_step = width * (1.0 - c) / (m - 1)
+        child_len = width * c
+        descended = False
+        for k in range(m - 1, -1, -1):
+            u = lo + k * gap_step
+            v = u + child_len if k < m - 1 else hi
+            if x >= v:
+                return v
+            if x >= u:
+                lo, hi = u, v
+                descended = True
+                break
+        if not descended:
+            return -math.inf
+
+
 def greedy_cover_points(pts, lo: float, hi: float, delta: float) -> int:
     """Greedy minimal cover of a finite point list clipped to [lo, hi]."""
     count, i, n = 0, 0, len(pts)
@@ -158,12 +212,14 @@ def trapezoid_norm(r, vals, p: float, d: int) -> float:
     return float(np.trapezoid(np.abs(vals) ** p * np.asarray(r) ** (d - 1), r) ** (1.0 / p))
 
 
-def norm_lp_one_pass(params, t: float, p: float, r_max: float | None = None) -> float:
-    """``wave.norm_lp`` as one pass over each whole piece of its grid.
+def norm_lp_one_pass(params, t: float, ps, r_max: float | None = None) -> list:
+    """``wave.norm_lp`` for each p of ``ps``, as one pass over each whole
+    piece of its grid.
 
     A reference for the blocked walk, not for the field values: each piece
-    is one ``np.linspace`` grid, one ``wave.propagate`` or
-    ``wave.field_row_fast`` call over all of it, and one ``np.trapezoid``.
+    is one ``np.linspace`` grid and one ``wave.propagate`` or
+    ``wave.field_row_fast`` call over all of it, shared by every p, and one
+    ``np.trapezoid`` per p.
     """
     from fracsmooth import wave
 
@@ -184,12 +240,16 @@ def norm_lp_one_pass(params, t: float, p: float, r_max: float | None = None) -> 
             g = np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / step)) + 1))
             pieces.append((g, np.abs(wave.field_row_fast(params, t, g).values)))
 
-    if math.isinf(p):
-        return max(float(v.max()) for _, v in pieces)
-    total = 0.0
-    for g, v in pieces:
-        total += float(np.trapezoid(v**p * g ** (d - 1), g))
-    return total ** (1.0 / p)
+    norms = []
+    for p in ps:
+        if math.isinf(p):
+            norms.append(max(float(v.max()) for _, v in pieces))
+            continue
+        total = 0.0
+        for g, v in pieces:
+            total += float(np.trapezoid(v**p * g ** (d - 1), g))
+        norms.append(total ** (1.0 / p))
+    return norms
 
 
 def window_q_per_time(descriptor, params, p, window, points):

@@ -13,6 +13,7 @@ import pytest
 from fracsmooth import bessel, cli, exponents, harness, legendre, sets, spectra, wave
 from fracsmooth.sampled import SampledFunction
 
+from conftest import identity_profile
 from oracles import j_series_decimal
 
 BETA = math.log(2.0) / math.log(3.0)
@@ -122,7 +123,7 @@ def test_criterion_04_exponent_identities():
             want = 1.0 / p if p <= p_crit else exponents.s_p(d, p)
             branch_ok = branch_ok and abs(got - want) <= 1e-12
 
-    identity = exponents.identity_profile(12.0)
+    identity = identity_profile(12.0)
     collapse_ok = True
     for d in (2, 3, 4):
         for gamma in (0.0, 0.5, 1.0):

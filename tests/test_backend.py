@@ -74,9 +74,9 @@ def test_window_table_matches_scalar_counts(descriptor, j, monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(backend, "cover_counts", recording)
-    spectra._window_table.cache_clear()
+    spectra._window_tables.clear()
     spectra.window_count_maxima(descriptor, j)
-    spectra._window_table.cache_clear()
+    spectra._window_tables.clear()
     assert len(calls) == 1
     (types, params, pool, grids, delta), counts = calls[0]
     flat = sets.flatten(descriptor)
@@ -100,7 +100,7 @@ def test_window_table_matches_scalar_counts(descriptor, j, monkeypatch):
 def test_window_table_maxima_and_first_windows(descriptor, j):
     # the maxima are those of the wider family, and each level's window is
     # the first maximum, in shift order, of a scan over the windows in [1, 2]
-    spectra._window_table.cache_clear()
+    spectra._window_tables.clear()
     assert list(spectra.window_count_maxima(descriptor, j)) == family_count_maxima(descriptor, j, 2)
     flat = sets.flatten(descriptor)
     first = []
@@ -116,6 +116,36 @@ def test_window_table_maxima_and_first_windows(descriptor, j):
     for m in (-1, j + 1):
         with pytest.raises(OutOfRangeError):
             spectra.best_window(descriptor, j, m)
+
+
+@pytest.mark.parametrize("j", [10, 14])
+@pytest.mark.parametrize("descriptor", descriptor_zoo())
+def test_truncated_table_levels_equal_the_full_table(descriptor, j, kernel_windows):
+    spectra._window_tables.clear()
+    full = spectra._window_table(descriptor, j, j)
+    smin, smax = sets.bounds(descriptor)
+    for top in (0, j - 5, j - 4):
+        spectra._window_tables.clear()
+        assert spectra._window_table(descriptor, j, top) == (full[0][:top + 1], full[1][:top + 1])
+        # built anew, counting the family windows of levels 0..top only
+        assert kernel_windows[-1] == sum(len(spectra.family_starts(smin, smax, 2.0**-m)) for m in range(top + 1))
+    assert len(kernel_windows) == 4
+    spectra._window_tables.clear()
+
+
+def test_deeper_tables_serve_shallower_requests(cantor_thirds, kernel_windows):
+    spectra._window_tables.clear()
+    shallow = spectra.window_count_maxima(cantor_thirds, 12, top=3)
+    deeper = spectra.window_count_maxima(cantor_thirds, 12, top=4)
+    full = spectra.window_count_maxima(cantor_thirds, 12)
+    assert len(kernel_windows) == 3 and (len(shallow), len(deeper), len(full)) == (4, 5, 13)
+    assert full[:4] == shallow and full[:5] == deeper
+    # the full table replaced the shallow one, and serves every later request
+    assert spectra.window_count_maxima(cantor_thirds, 12, top=7) == full[:8]
+    assert spectra.best_window(cantor_thirds, 12, 5)[1] == full[5]
+    harness.choose_window(cantor_thirds, 12, 1.0, 32)
+    spectra.quasi_regular_check(cantor_thirds, 12)
+    assert len(kernel_windows) == 3 and len(spectra._window_tables) == 1
 
 
 def test_grids_sequence():

@@ -7,11 +7,11 @@ from fracsmooth import exponents, legendre, sets, spectra
 from fracsmooth.errors import OutOfRangeError
 from fracsmooth.sampled import SampledFunction
 
-from conftest import descriptor_zoo
+from conftest import descriptor_zoo, identity_profile
 
 BETA = math.log(2) / math.log(3)
 
-identity = exponents.identity_profile()
+identity = identity_profile()
 
 
 def constant_profile(beta, alpha_max=4.0):

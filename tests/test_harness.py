@@ -60,6 +60,14 @@ def test_choose_window_reads_the_window_table(cantor_thirds, monkeypatch):
         assert (window, count) == spectra.best_window(cantor_thirds, 10, m)
 
 
+def test_sharpness_slope_counts_only_the_levels_read(cantor_thirds, kernel_windows):
+    # the full table at j_max, and levels m <= j - 5 below it: 33 704 family
+    # windows where building every level at every scale counts 64 431
+    spectra._window_tables.clear()
+    harness.run_sharpness_slope(harness.ExperimentConfig(cantor_thirds, d=3, p=2.5, j_min=8, j_max=13))
+    assert (len(kernel_windows), sum(kernel_windows)) == (6, 33_704)
+
+
 def test_sharpness_point_set(single_point):
     cfg = harness.ExperimentConfig(single_point, d=3, p=4.0, j_min=8, j_max=11)
     report = harness.run_sharpness_slope(cfg)

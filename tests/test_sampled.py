@@ -13,7 +13,7 @@ from fracsmooth import exponents, harness, legendre, sets, spectra
 from fracsmooth.errors import FracsmoothError
 from fracsmooth.sampled import SampledFunction, common_grid, linspace
 
-from conftest import descriptor_zoo
+from conftest import descriptor_zoo, identity_profile
 from oracles import lower_convex_envelope
 
 
@@ -50,7 +50,7 @@ def _profiles():
     # the two-piece profile (1 - beta/gamma) alpha + beta up to gamma, then alpha
     beta, gamma = 0.3, 0.8
     two_piece = [max((1.0 - beta / gamma) * a + beta, a) for a in legendre.default_alpha_grid()]
-    out = [exponents.identity_profile(), SampledFunction(0.0, 4.0, two_piece)]
+    out = [identity_profile(), SampledFunction(0.0, 4.0, two_piece)]
     for descriptor in descriptor_zoo():
         spec = spectra.analytic_spectrum(descriptor)
         out += [spec, legendre.nu_sharp_analytic(spec)]

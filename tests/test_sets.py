@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsmooth import sets
 from fracsmooth.errors import InvalidResolutionError, InvalidSetError, OutOfRangeError
 
 from conftest import descriptor_zoo
-from oracles import greedy_cover_points, poly_points
+from oracles import cantor_first_geq, cantor_last_leq, greedy_cover_points, poly_points
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +269,46 @@ def test_cantor_right_end_is_a_set_point():
     assert sets.first_point_geq(flat, s.hi) == s.hi
     assert sets.last_point_leq(flat, math.inf) == s.hi
     assert sets.covering_number(s, (s.hi, 2.0), 2.0**-10) == 1
+
+
+# ---------------------------------------------------------------------------
+# resumable point queries against the descent from the base interval
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _cantor_parts(draw):
+    m = draw(st.integers(2, 5))
+    c = draw(st.just(1.0 / m) | st.floats(1e-3, 1.0 / m))
+    lo = draw(st.floats(1.0, 1.9))
+    return sets.CantorLike(lo, draw(st.floats(lo + 0.01, 2.0)), m, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_cantor_parts(), min_size=1, max_size=2), st.lists(st.floats(0.95, 2.05), min_size=1, max_size=25),
+       st.data())
+def test_cursor_matches_root_descent(parts, seeds, data):
+    # one cursor answers sorted, reversed and shuffled probe sequences of
+    # branch ends, gap points and their neighbours, each query alone and the
+    # two alternating on the branches they share
+    args = [(s.lo, s.hi, s.branches, s.contraction) for s in parts]
+
+    def first(x):
+        return min(cantor_first_geq(*a, x) for a in args)
+
+    def last(x):
+        return max(cantor_last_leq(*a, x) for a in args)
+
+    probes = []
+    for x in seeds:
+        u, v = first(x), last(x)
+        ends = [y for y in (u, v) if math.isfinite(y)]
+        for y in [x, *ends] + ([0.5 * (u + v)] if len(ends) == 2 else []):
+            probes += [math.nextafter(y, -math.inf), y, math.nextafter(y, math.inf)]
+    shuffled = data.draw(st.permutations(probes))
+    descriptor = parts[0] if len(parts) == 1 else sets.UnionSet(tuple(parts))
+    first_geq, last_leq = sets.cursor(sets.flatten(descriptor))
+    for sequence in (sorted(probes), sorted(probes, reverse=True), shuffled):
+        assert [first_geq(x) for x in sequence] == [first(x) for x in sequence]
+        assert [last_leq(x) for x in sequence] == [last(x) for x in sequence]
+    for i, x in enumerate(shuffled):
+        assert (first_geq, last_leq)[i % 2](x) == (first, last)[i % 2](x)

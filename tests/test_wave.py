@@ -764,10 +764,11 @@ def test_norm_lp_keeps_one_pass_bits(d, j):
     # t = t_ref puts the radii with a directly integrated remainder (d = 2
     # and 4) in the fine band; r_max = 0.45 clips the pieces below the cone
     params = wave.WaveParams(d=d, j=j, t_ref=1.5)
+    ps = (2.0, 2.5, 4.0, math.inf)
     for t in (0.0, params.t_ref, params.t_ref + 0.3):
         for r_max in (None, 0.45):
-            for p in (2.0, 2.5, 4.0, math.inf):
-                assert wave.norm_lp(params, t, p, r_max) == oracles.norm_lp_one_pass(params, t, p, r_max), (t, r_max, p)
+            for p, norm in zip(ps, oracles.norm_lp_one_pass(params, t, ps, r_max)):
+                assert wave.norm_lp(params, t, p, r_max) == norm, (t, r_max, p)
 
 
 @pytest.mark.parametrize("d, block", [(2, 1281), (4, 1281), (3, 100), (5, 64)])
@@ -776,9 +777,10 @@ def test_norm_lp_keeps_bits_in_small_blocks(monkeypatch, d, block):
     # holds every direct remainder radius of the band
     monkeypatch.setattr(wave, "_NORM_BLOCK", block)
     params = wave.WaveParams(d=d, j=8, t_ref=1.5)
+    ps = (2.5, math.inf)
     for t in (0.0, params.t_ref):
-        for p in (2.5, math.inf):
-            assert wave.norm_lp(params, t, p) == oracles.norm_lp_one_pass(params, t, p), (t, p)
+        for p, norm in zip(ps, oracles.norm_lp_one_pass(params, t, ps)):
+            assert wave.norm_lp(params, t, p) == norm, (t, p)
 
 
 def test_piece_norm_walks_the_linspace_grid(monkeypatch):
