@@ -188,15 +188,15 @@ def traced_peak_mb(fn, *args):
         tracemalloc.stop()
 
 
-def cold_window_table(descriptor, j, top=None):
+def cold_window_table(descriptor, j, top):
     spectra._window_tables.clear()
-    spectra._window_table(descriptor, j, j if top is None else top)
+    spectra._window_table(descriptor, j, top)
 
 
-def family_windows(descriptor, j, top=None):
-    """Number of family windows the table at j counts, to level top (default j)."""
+def family_windows(descriptor, top):
+    """Number of family windows a table counts at levels 0..top."""
     lo, hi = sets.bounds(descriptor)
-    return sum(len(spectra.family_starts(lo, hi, 2.0 ** (-m))) for m in range((j if top is None else top) + 1))
+    return sum(len(spectra.family_starts(lo, hi, 2.0 ** (-m))) for m in range(top + 1))
 
 
 def slope_jobs(configs):
@@ -255,11 +255,11 @@ def kernel_cases(small):
     for label, s in SETS:
         for j in (8,) if small else (12, 14, 18):
             yield (f"window table {label} j={j}", {"set": label, "j": j, "windows": family_windows(s, j)},
-                   cold_window_table, (s, j))
+                   cold_window_table, (s, j, j))
     j, top = (8, 3) if small else (13, 8)
     for label, s in SETS[1:]:
         yield (f"window table {label} j={j} top={top}",
-               {"set": label, "j": j, "top": top, "windows": family_windows(s, j, top)},
+               {"set": label, "j": j, "top": top, "windows": family_windows(s, top)},
                cold_window_table, (s, j, top))
     j_max = 11 if small else 13
     configs = [harness.ExperimentConfig(sets.load_file(ROOT / "perfbench" / "sets" / f"{name}.json"), d=3, p=p,

@@ -172,7 +172,8 @@ def choose_window(descriptor, j: int, alpha: float, min_factor: int):
     """(window, count): the smallest dyadic family window attaining the
     functional maximizer at exponent alpha, subject to 2^j |I| >= min_factor;
     of that length, the first window in shift order with the most points.
-    It reads the window table at levels m <= m_cap only."""
+    It reads the window table only at the allowed levels,
+    m <= j - ceil(log2(min_factor))."""
     from . import spectra
 
     m_cap = j - int(math.ceil(math.log2(min_factor)))
