@@ -5,17 +5,19 @@ data norms, the direct field quadrature at inner-disc and at far radii, and
 the perfbench workloads end to end.
 
 Fresh processes are timed first, run one after another: the bare
-interpreter (``python -c pass``), ``import fracsmooth.cli,
-fracsmooth.harness``, a whole ``set-info`` on union at j = 12, the same
+interpreter (``python -c pass``), a bare ``import numpy`` (the control:
+NumPy imported before the package keeps OpenBLAS's default threads),
+``import fracsmooth.cli, fracsmooth.harness``, a whole ``set-info`` on
+union at j = 12, the same
 import with ``fracsmooth.wave``, a whole ``wave-sim`` at d = 2, j = 10 and
 one cold ``data_norm`` at d = 2, j = 6 (the two heaviest jobs of the
 benchmark's wave-fields workload), each the median and quartiles of 15
 processes.  Then three processes of ``verify-sharpness`` on cantor at
 d = 3, p = 2.5, j = 8..18, whose peak is set by its data norms and window
 tables.  A small helper (``python -S``, about 9 MB) starts each one and
-reads its peak resident set from ``wait4``, so that the peak is the
-process's own and not that of this script, whose pages a child started from
-it would count.  The record says whether ``PYTHONDONTWRITEBYTECODE`` was set
+reads its peak resident set and its CPU time (user plus system, over all
+its threads) from ``wait4``, so that both are the process's own and not
+those of this script, whose pages a child started from it would count.  The record says whether ``PYTHONDONTWRITEBYTECODE`` was set
 and whether ``src/fracsmooth`` had a ``__pycache__``, since compiling the
 package from source costs each process tens of milliseconds.
 
@@ -51,11 +53,17 @@ the peak of what Python and NumPy allocate during the call; the process's
 ``ru_maxrss``, recorded too as ``peak_rss_mb``, never falls, so after the
 largest case it says nothing about the later ones.
 
-Last, each workload of ``BENCHMARK.json`` runs through ``perfbench/run.py``
+Then each workload of ``BENCHMARK.json`` runs through ``perfbench/run.py``
 in its own process at the seeds PERFBENCH_SEEDS and ``--seconds 32``, and
 once more with ``--trace 1``: the record keeps each end-to-end metric's
 median, quartiles and spread over the seeds, and the traced run's per-layer
-metrics.  These take about fifteen minutes on 2 cores.
+metrics.  These take about fifteen minutes on 2 cores.  Then the tier-1
+suite runs once, and the record keeps its wall time, its outcome counts and
+its seconds per test file from ``--durations=0``.
+
+This script imports the package before NumPy, so the in-process cases run
+with the BLAS threads that the package's NumPy loader chooses, as every
+fracsmooth process does.
 
 Every case goes into one JSON record with its sizes and all its samples,
 beside the context: nproc, the git revision, the Python and NumPy versions
@@ -66,14 +74,15 @@ repository root, with the ratio of the two.  Run from the repository root:
     PYTHONPATH=src python benchmarks/bench_kernels.py --out BENCH_<n>.json
 
 ``--small`` runs each in-process case once at small sizes, each process
-twice and ``verify-sharpness`` at j = 8..12, and no perfbench runs, to
-check the script and its record quickly.
+twice and ``verify-sharpness`` at j = 8..12, and neither perfbench runs
+nor the tier-1 suite, to check the script and its record quickly.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -83,14 +92,18 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
-
+# the package before NumPy, so that its loader sets the BLAS threads of the
+# in-process cases as it does in every fracsmooth process
 from fracsmooth import harness, sets, spectra, wave
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
 STARTUP = [
     ("interpreter", ["-c", "pass"]),
+    # the control: NumPy imported first keeps OpenBLAS's default threads
+    ("import numpy", ["-c", "import numpy"]),
     ("import cli+harness", ["-c", "import fracsmooth.cli, fracsmooth.harness"]),
     ("set-info union j=12", ["-m", "fracsmooth", "set-info", "--set", "perfbench/sets/union.json", "--j", "12"]),
     ("import cli+harness+wave", ["-c", "import fracsmooth.cli, fracsmooth.harness, fracsmooth.wave"]),
@@ -120,15 +133,15 @@ PERFBENCH_SEEDS = (1, 2, 3)
 PERFBENCH_SECONDS = 32
 
 # Starts argv[1:] with its output discarded, waits for it with wait4 and
-# prints its wall seconds and peak resident set in kB; a nonzero exit status
-# fails the helper.
+# prints its wall seconds, peak resident set in kB and CPU seconds (user plus
+# system, over all its threads); a nonzero exit status fails the helper.
 HELPER = (
     "import os, sys, time\n"
     "null = os.open(os.devnull, os.O_WRONLY)\n"
     "t0 = time.perf_counter()\n"
     "pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, null, 1)])\n"
     "_, status, usage = os.wait4(pid, 0)\n"
-    "print(time.perf_counter() - t0, usage.ru_maxrss)\n"
+    "print(time.perf_counter() - t0, usage.ru_maxrss, usage.ru_utime + usage.ru_stime)\n"
     "sys.exit(os.waitstatus_to_exitcode(status))\n"
 )
 
@@ -161,20 +174,22 @@ def summary(seconds):
 
 
 def startup_runs(commands, runs):
-    """(wall seconds, peak RSS in MB) of ``runs`` fresh processes per
-    (name, argv) command, each started by HELPER, the commands taken in turn
-    so that drift spreads over all of them."""
+    """(wall seconds, peak RSS in MB, CPU seconds) of ``runs`` fresh
+    processes per (name, argv) command, each started by HELPER, the commands
+    taken in turn so that drift spreads over all of them."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     seconds = {name: [] for name, _ in commands}
     rss = {name: [] for name, _ in commands}
+    cpu = {name: [] for name, _ in commands}
     for _ in range(runs):
         for name, argv in commands:
             proc = subprocess.run([sys.executable, "-S", "-c", HELPER, sys.executable, *argv], cwd=ROOT, env=env,
                                   check=True, capture_output=True, text=True)
-            wall, maxrss_kb = proc.stdout.split()
+            wall, maxrss_kb, cpu_s = proc.stdout.split()
             seconds[name].append(float(wall))
             rss[name].append(int(maxrss_kb) / 1024.0)
-    return seconds, rss
+            cpu[name].append(float(cpu_s))
+    return seconds, rss, cpu
 
 
 def traced_peak_mb(fn, *args):
@@ -326,18 +341,29 @@ def case_key(case):
     return case["min_s"], case.get("traced_peak_mb")
 
 
+def cpu_text(case):
+    """A fresh process's median CPU time, blank for in-process cases and for
+    records older than BENCH_23.json."""
+    cpu = case.get("cpu_median_s")
+    return " " * 16 if cpu is None else f" cpu {cpu*1e3:8.2f} ms"
+
+
 def compare_line(case, old):
     """One printed line: the case beside the same case of ``old`` (or None)."""
     seconds, mem = case_key(case)
-    line = f"{case['name']:<50} {seconds*1e3:10.2f} ms {mem:7.1f} MB"
+    line = f"{case['name']:<50} {seconds*1e3:10.2f} ms {mem:7.1f} MB{cpu_text(case)}"
     if old is None:
         return line + "   (not in the committed record)"
     old_seconds, old_mem = case_key(old)
     # older records have no peak RSS for their fresh processes and no traced
     # peak for their in-process cases
     old_mem_text = " " * 10 if old_mem is None else f"{old_mem:7.1f} MB"
-    line += f" | {old_seconds*1e3:10.2f} ms {old_mem_text} | x{seconds / old_seconds:.2f}"
-    return line if old_mem is None else line + f", {mem - old_mem:+.1f} MB"
+    line += f" | {old_seconds*1e3:10.2f} ms {old_mem_text}{cpu_text(old)} | x{seconds / old_seconds:.2f}"
+    if old_mem is not None:
+        line += f", {mem - old_mem:+.1f} MB"
+    if "cpu_median_s" in case and "cpu_median_s" in old:
+        line += f", cpu x{case['cpu_median_s'] / old['cpu_median_s']:.2f}"
+    return line
 
 
 def perfbench_run(workload, seed, trace):
@@ -378,6 +404,41 @@ def perfbench_lines(entry, old):
     return lines
 
 
+def tier1_run():
+    """One run of the tier-1 suite, as ROADMAP.md gives it, with per-test
+    durations: its wall seconds, exit code, outcome counts and seconds per
+    test file."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+                           "--durations=0", "--durations-min=0"], cwd=ROOT, env=env, capture_output=True, text=True)
+    return {"wall_s": time.perf_counter() - t0, "exit_code": proc.returncode, **tier1_summary(proc.stdout)}
+
+
+def tier1_summary(text):
+    """Outcome counts from pytest's last line, and the seconds per test file
+    summed over the setup, call and teardown lines of ``--durations=0``,
+    slowest file first."""
+    files = {}
+    for line in text.splitlines():
+        m = re.match(r"([0-9.]+)s (?:setup|call|teardown) +([^:\s]+)::", line)
+        if m:
+            files[m[2]] = files.get(m[2], 0.0) + float(m[1])
+    last = text.strip().splitlines()[-1] if text.strip() else ""
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|skipped|errors?|xfailed|xpassed)", last)}
+    return {"counts": counts, "files_s": dict(sorted(files.items(), key=lambda kv: -kv[1]))}
+
+
+def tier1_line(entry, old):
+    """The printed line of the tier-1 run beside that of ``old`` (or None)."""
+    counts = ", ".join(f"{n} {kind}" for kind, n in entry["counts"].items())
+    line = f"{'tier-1 suite':<50} {entry['wall_s']:10.2f} s  {counts}"
+    if old is None:
+        return line + "   (not in the committed record)"
+    old_counts = ", ".join(f"{n} {kind}" for kind, n in old["counts"].items())
+    return line + f" | {old['wall_s']:10.2f} s  {old_counts} | x{entry['wall_s'] / old['wall_s']:.2f}"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=None, help="write the JSON record here")
@@ -387,15 +448,16 @@ def main(argv=None):
     record = {"context": context(), "cases": [], "perfbench": []}
     old_name, old_record = newest_committed()
     old_cases = {c["name"]: c for c in old_record["cases"]} if old_record else {}
-    print(f"{'case':<50}{'this run':>26} | {old_name or 'no committed BENCH_*.json':>23} | ratio, RSS change")
+    print(f"{'case':<50}{'this run':>42} | {old_name or 'no committed BENCH_*.json':>39} | ratio, RSS change")
 
     groups = [("startup", STARTUP, runs)]
     groups += [("process", [(name, cmd)], n) for name, cmd, n in (LARGE_SMALL if args.small else LARGE)]
     for prefix, commands, n in groups:
-        timings, peaks = startup_runs(commands, n)
+        timings, peaks, cpu = startup_runs(commands, n)
         for name, cmd in commands:
             case = {"name": f"{prefix} {name}", "sizes": {"argv": cmd, "runs": n}, **summary(timings[name]),
-                    "peak_rss_mb": statistics.median(peaks[name]), "peak_rss_samples_mb": peaks[name]}
+                    "peak_rss_mb": statistics.median(peaks[name]), "peak_rss_samples_mb": peaks[name],
+                    "cpu_median_s": statistics.median(cpu[name]), "cpu_samples_s": cpu[name]}
             record["cases"].append(case)
             print(compare_line(case, old_cases.get(case["name"])))
     for label, sizes, fn, fn_args in kernel_cases(args.small):
@@ -416,6 +478,10 @@ def main(argv=None):
         record["perfbench"].append(entry)
         for line in perfbench_lines(entry, old_perfbench.get(name)):
             print(line)
+    # never under --small, which the suite itself runs
+    record["tier1"] = None if args.small else tier1_run()
+    if record["tier1"]:
+        print(tier1_line(record["tier1"], (old_record or {}).get("tier1")))
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return record

@@ -186,7 +186,7 @@ def oscillatory_sum(omegas, nodes, amp):
 
     ``amp`` already contains quadrature weights and all smooth factors.
     """
-    import numpy as np
+    from ._numpy import np
 
     omegas = np.asarray(omegas, dtype=np.float64)
     nodes = np.asarray(nodes, dtype=np.float64)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from ._numpy import np
 from .errors import OutOfRangeError, UnsupportedOrderError
 
 # Integer orders switch from the power series to the asymptotic Hankel

@@ -253,9 +253,8 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_wave_sim(args) -> int:
-    import numpy as np
-
     from . import wave
+    from ._numpy import np
 
     params = wave.WaveParams(d=args.d, j=args.j, t_ref=args.t_ref)
     try:

@@ -159,7 +159,7 @@ class SlopeReport:
 
 
 def _fit_line(xs, ys):
-    import numpy as np
+    from ._numpy import np
 
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -195,9 +195,8 @@ def _window_q(descriptor, params, p: float, window, points):
     grid: one ``field_row_fast`` lookup and one ``shell_lp_norm`` reduction
     per block, summed as p-th powers in time order.  Both give every row the
     bits of a one-row call, so the blocks do not change the sum."""
-    import numpy as np
-
     from . import sets, wave
+    from ._numpy import np
 
     points = np.asarray(points)
     delta = 2.0**-params.j

@@ -132,7 +132,11 @@ def assouad_spectrum_empirical(descriptor, theta: float, j: int) -> float:
     one scale share one table."""
     if not 0.0 <= theta < 1.0:
         raise InvalidThetaError(f"theta must be in [0, 1), got {theta}")
-    m = math.ceil(theta * j)
+    # the least integer >= theta j, where a product within rounding of an
+    # integer is that integer: (7 / 25) * 25 is 7.000000000000001
+    m = round(theta * j)
+    if not math.isclose(theta * j, m, rel_tol=1e-12):
+        m = math.ceil(theta * j)
     if m > j - 1:
         raise InvalidThetaError(f"theta={theta} leaves no room at scale j={j}")
     maxima = _window_table(descriptor, j, max(m, j - 4))[0]

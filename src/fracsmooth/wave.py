@@ -37,9 +37,8 @@ import functools
 import json
 import math
 
-import numpy as np
-
 from . import bessel
+from ._numpy import np
 from .errors import OutOfRangeError, RefineFailureError, UnsupportedOrderError
 from .records import record
 
@@ -73,11 +72,13 @@ _HANKEL_RTOL = 0.1 * QUAD_RTOL
 # radius x node elements per block of the direct kernel quadratures, and
 # moment x node elements per block of the near-radius moments (small enough
 # to stay in cache).  Every sum here is elementwise or ``np.einsum``, never
-# a BLAS product: OpenBLAS hands even a matrix-vector product of one such
-# block to a second thread, which then spins beside this one.  The 31
-# blocks of one d = 2, j = 6 data norm took 0.001 s on one thread, and in
-# some runs 0.18 s on two.  The one BLAS call left, ``_bump_moment``'s
-# dot product of a few hundred terms, runs on the calling thread.
+# a BLAS product.  NumPy loads with one BLAS thread (``_numpy``), but a
+# caller may choose more, and then OpenBLAS hands even a matrix-vector
+# product of one such block to a second thread, which spins beside this
+# one: the 31 blocks of one d = 2, j = 6 data norm took 0.001 s on one
+# thread, and in some runs 0.18 s on two.  The one BLAS call left,
+# ``_bump_moment``'s dot product of a few hundred terms, runs on the
+# calling thread.
 _KERNEL_BLOCK = 2**14
 _MOMENT_BLOCK = 2**12
 

@@ -5,6 +5,7 @@ and the JSON record it writes keeps its schema."""
 import importlib.util
 import json
 import math
+import statistics
 from pathlib import Path
 
 import pytest
@@ -35,9 +36,9 @@ def test_bench_cases_run(bench, tmp_path, capsys):
     record = bench.main(["--small", "--out", str(out)])
     printed = capsys.readouterr().out.splitlines()
     assert json.loads(out.read_text()) == record
-    assert set(record) == {"context", "cases", "perfbench"}
-    # --small makes no perfbench runs
-    assert record["perfbench"] == []
+    assert set(record) == {"context", "cases", "perfbench", "tier1"}
+    # --small makes no perfbench runs and does not run the suite
+    assert record["perfbench"] == [] and record["tier1"] is None
     assert set(record["context"]) == set(CONTEXT)
     for key, kind in CONTEXT.items():
         assert isinstance(record["context"][key], kind), key
@@ -65,10 +66,12 @@ def test_bench_cases_run(bench, tmp_path, capsys):
     for case in record["cases"]:
         startup = bench.fresh_process(case)
         keys = {"name", "sizes", "min_s", "q1_s", "median_s", "q3_s", "samples_s", "peak_rss_mb"}
-        assert set(case) == keys | ({"peak_rss_samples_mb"} if startup else {"traced_peak_mb"}), case["name"]
+        fresh = {"peak_rss_samples_mb", "cpu_median_s", "cpu_samples_s"}
+        assert set(case) == keys | (fresh if startup else {"traced_peak_mb"}), case["name"]
         assert case["peak_rss_mb"] > 0.0
         if startup:
-            assert len(case["peak_rss_samples_mb"]) == 2
+            assert len(case["peak_rss_samples_mb"]) == len(case["cpu_samples_s"]) == 2
+            assert case["cpu_median_s"] == statistics.median(case["cpu_samples_s"]) > 0.0
         else:
             # each in-process case's own peak, below the process's
             assert 0.0 < case["traced_peak_mb"] < case["peak_rss_mb"], case["name"]
@@ -106,3 +109,23 @@ def test_perfbench_summary(bench):
     assert [line.split()[:3] for line in lines] == [["perfbench", "slope-sweep", "wall_s"],
                                                     ["perfbench", "slope-sweep", "peak_rss_mb"]]
     assert all(" | " in line for line in bench.perfbench_lines(entry, entry))
+
+
+def test_tier1_summary(bench):
+    text = "\n".join([
+        "........ [100%]",
+        "============================= slowest durations ==============================",
+        "1.50s call     tests/test_wave.py::test_a[2]",
+        "0.25s setup    tests/test_wave.py::test_a[2]",
+        "0.00s teardown tests/test_wave.py::test_a[2]",
+        "0.75s call     tests/test_cli.py::test_b",
+        "3 failed, 616 passed, 1 skipped in 45.67s",
+    ])
+    entry = {"wall_s": 46.0, "exit_code": 1, **bench.tier1_summary(text)}
+    assert entry["counts"] == {"failed": 3, "passed": 616, "skipped": 1}
+    assert entry["files_s"] == {"tests/test_wave.py": 1.75, "tests/test_cli.py": 0.75}
+    assert list(entry["files_s"]) == ["tests/test_wave.py", "tests/test_cli.py"]
+    assert bench.tier1_summary("") == {"counts": {}, "files_s": {}}
+    assert bench.tier1_line(entry, None).endswith("(not in the committed record)")
+    assert bench.tier1_line(entry, entry).endswith(" | x1.00")
+    json.dumps(entry)

@@ -134,6 +134,27 @@ def test_assouad_polyseq_saturated(poly_one):
     assert abs(val - min(0.5 / 0.25, 1.0)) <= 0.1
 
 
+def test_assouad_theta_reads_its_own_level():
+    # (7/25) * 25 and (14/25) * 25 round above 7 and 14; their spectra once
+    # read levels 8 and 15, so theta = 0.28 and 0.32 printed the same value
+    s = sets.CantorLike(1.0, 1.01, 2, 1.0 / 3.0)
+    maxima = spectra.window_count_maxima(s, 25, top=21)
+    for k in (7, 8, 14, 15):
+        assert spectra.assouad_spectrum_empirical(s, k / 25, 25) == math.log2(maxima[k]) / (25 - k)
+    assert spectra.assouad_spectrum_empirical(s, 0.28, 25) != spectra.assouad_spectrum_empirical(s, 0.32, 25)
+
+
+def test_assouad_theta_grid_levels(monkeypatch):
+    # a table whose level m holds 2^(m (j - m)) makes the spectrum read m
+    monkeypatch.setattr(spectra, "_window_table",
+                        lambda descriptor, j, top: ([2.0 ** (m * (j - m)) for m in range(top + 1)], None))
+    for j in range(4, 60):
+        levels = [spectra.assouad_spectrum_empirical(None, theta, j) for theta in spectra.theta_grid(j)]
+        assert levels == list(range(j - 3)), j
+        assert spectra.assouad_spectrum_empirical(None, 1.0 - 4.0 / j, j) == j - 4
+        assert spectra.assouad_spectrum_empirical(None, 0.5 / j, j) == 1
+
+
 def test_assouad_rejects_bad_theta(full_interval):
     with pytest.raises(InvalidThetaError):
         spectra.assouad_spectrum_empirical(full_interval, 1.0, 10)
