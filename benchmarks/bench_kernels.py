@@ -8,18 +8,19 @@ Fresh processes are timed first, run one after another: the bare
 interpreter (``python -c pass``), a bare ``import numpy`` (the control:
 NumPy imported before the package keeps OpenBLAS's default threads),
 ``import fracsmooth.cli, fracsmooth.harness``, a whole ``set-info`` on
-union at j = 12, the same
-import with ``fracsmooth.wave``, a whole ``wave-sim`` at d = 2, j = 10 and
-one cold ``data_norm`` at d = 2, j = 6 (the two heaviest jobs of the
-benchmark's wave-fields workload), each the median and quartiles of 15
-processes.  Then three processes of ``verify-sharpness`` on cantor at
-d = 3, p = 2.5, j = 8..18, whose peak is set by its data norms and window
-tables.  A small helper (``python -S``, about 9 MB) starts each one and
-reads its peak resident set and its CPU time (user plus system, over all
-its threads) from ``wait4``, so that both are the process's own and not
-those of this script, whose pages a child started from it would count.  The record says whether ``PYTHONDONTWRITEBYTECODE`` was set
-and whether ``src/fracsmooth`` had a ``__pycache__``, since compiling the
-package from source costs each process tens of milliseconds.
+union at j = 12, the same import with ``fracsmooth.wave``, a whole
+``wave-sim`` at d = 2, j = 10 and one cold ``data_norm`` at d = 2, j = 6
+(the two heaviest jobs of the benchmark's wave-fields workload), each the
+median and quartiles of 15 processes.  Then three processes of
+``verify-sharpness`` on cantor at d = 3, p = 2.5, j = 8..18, whose peak is
+set by its data norms and window tables.  A small helper (``python -S``,
+about 9 MB) starts each one and reads its peak resident set and its CPU
+time (user plus system, over all its threads) from ``wait4``, so that both
+are the process's own and not those of this script, whose pages a child
+started from it would count.  The record says whether
+``PYTHONDONTWRITEBYTECODE`` was set and whether ``src/fracsmooth`` had a
+``__pycache__``, since compiling the package from source costs each
+process tens of milliseconds.
 
 Each window-count table is one batched covering sweep over every level,
 in plain Python, at j = 12, 14 and 18 (about 2^(j+2) windows, never built):
@@ -173,11 +174,16 @@ def summary(seconds):
     return {"min_s": min(seconds), "q1_s": q1, "median_s": med, "q3_s": q3, "samples_s": seconds}
 
 
+def src_env():
+    """This environment with the checkout's ``src`` first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+
+
 def startup_runs(commands, runs):
     """(wall seconds, peak RSS in MB, CPU seconds) of ``runs`` fresh
     processes per (name, argv) command, each started by HELPER, the commands
     taken in turn so that drift spreads over all of them."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    env = src_env()
     seconds = {name: [] for name, _ in commands}
     rss = {name: [] for name, _ in commands}
     cpu = {name: [] for name, _ in commands}
@@ -408,10 +414,10 @@ def tier1_run():
     """One run of the tier-1 suite, as ROADMAP.md gives it, with per-test
     durations: its wall seconds, exit code, outcome counts and seconds per
     test file."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                           "--durations=0", "--durations-min=0"], cwd=ROOT, env=env, capture_output=True, text=True)
+                           "--durations=0", "--durations-min=0"], cwd=ROOT, env=src_env(),
+                          capture_output=True, text=True)
     return {"wall_s": time.perf_counter() - t0, "exit_code": proc.returncode, **tier1_summary(proc.stdout)}
 
 
@@ -431,12 +437,13 @@ def tier1_summary(text):
 
 def tier1_line(entry, old):
     """The printed line of the tier-1 run beside that of ``old`` (or None)."""
-    counts = ", ".join(f"{n} {kind}" for kind, n in entry["counts"].items())
-    line = f"{'tier-1 suite':<50} {entry['wall_s']:10.2f} s  {counts}"
+    def text(run):
+        return f"{run['wall_s']:10.2f} s  " + ", ".join(f"{n} {kind}" for kind, n in run["counts"].items())
+
+    line = f"{'tier-1 suite':<50} {text(entry)}"
     if old is None:
         return line + "   (not in the committed record)"
-    old_counts = ", ".join(f"{n} {kind}" for kind, n in old["counts"].items())
-    return line + f" | {old['wall_s']:10.2f} s  {old_counts} | x{entry['wall_s'] / old['wall_s']:.2f}"
+    return line + f" | {text(old)} | x{entry['wall_s'] / old['wall_s']:.2f}"
 
 
 def main(argv=None):

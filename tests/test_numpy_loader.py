@@ -16,8 +16,8 @@ import fracsmooth
 SRC = Path(fracsmooth.__file__).resolve().parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-# prints whether os.environ is unchanged by the imports, the variables the
-# loader reads, and the threads of the process, which OpenBLAS's own start
+# prints whether the imports left os.environ unchanged, the variables the
+# loader reads, and the process's thread count (OpenBLAS starts all but one)
 THREADS = (
     "import json, os; before = dict(os.environ); {imports}; "
     "print(json.dumps([dict(os.environ) == before, {{k: os.environ.get(k) for k in {names!r}}}, "
@@ -58,8 +58,12 @@ def test_only_the_loader_imports_numpy():
     importers = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            names = [a.name for a in node.names] if isinstance(node, ast.Import) else \
-                [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level else []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
             if any(n == "numpy" or n.startswith("numpy.") for n in names):
                 importers.append(path.name)
     assert set(importers) == {"_numpy.py"}
