@@ -13,20 +13,23 @@ union at j = 12, the same import with ``fracsmooth.wave``, a whole
 (the two heaviest jobs of the benchmark's wave-fields workload), each the
 median and quartiles of 15 processes.  Then three processes of
 ``verify-sharpness`` on cantor at d = 3, p = 2.5, j = 8..18, whose peak is
-set by its data norms and window tables.  A small helper (``python -S``,
-about 9 MB) starts each one and reads its peak resident set and its CPU
-time (user plus system, over all its threads) from ``wait4``, so that both
-are the process's own and not those of this script, whose pages a child
-started from it would count.  The record says whether
+set by its data norms and window tables, and three each of
+``verify-duality`` on cantor at j = 20..22 and on union at j = 22, whose
+full window tables make them the covering side at large scales.  A small
+helper (``python -S``, about 9 MB) starts each one and reads its peak
+resident set and its CPU time (user plus system, over all its threads)
+from ``wait4``, so that both are the process's own and not those of this
+script, whose pages a child started from it would count.  The record says whether
 ``PYTHONDONTWRITEBYTECODE`` was set and whether ``src/fracsmooth`` had a
 ``__pycache__``, since compiling the package from source costs each
 process tens of milliseconds.
 
 Each window-count table is one batched covering sweep over every level,
-in plain Python, at j = 12, 14 and 18 (about 2^(j+2) windows, never built):
-the interval is counted in closed form, one count for every window inside
-it, and the other sets by a walk over each grid with a shared step cache
-that skips the windows missing the set.  The tables of cantor, polyseq and
+in plain Python, at j = 12, 14 and 18 (about 2^(j+2) windows, never built),
+keeping one count maximum per grid: the interval is counted in closed form,
+the first window inside it standing for all of them, and the other sets by
+a walk over each grid with a shared step cache that skips the windows
+missing the set.  The tables of cantor, polyseq and
 union at j = 13 are also built to level 8 only, the levels from which the
 sharpness slopes choose their window at that scale.  The cantor, polyseq
 and union jobs of the benchmark's slope-sweep workload (d = 3, j = 8..13)
@@ -75,8 +78,9 @@ repository root, with the ratio of the two.  Run from the repository root:
     PYTHONPATH=src python benchmarks/bench_kernels.py --out BENCH_<n>.json
 
 ``--small`` runs each in-process case once at small sizes, each process
-twice and ``verify-sharpness`` at j = 8..12, and neither perfbench runs
-nor the tier-1 suite, to check the script and its record quickly.
+twice, ``verify-sharpness`` at j = 8..12 and ``verify-duality`` at
+j = 10..12 and 12, and neither perfbench runs nor the tier-1 suite, to
+check the script and its record quickly.
 """
 
 import argparse
@@ -121,11 +125,19 @@ LARGE = [
     ("verify-sharpness cantor d=3 p=2.5 j=8..18",
      ["-m", "fracsmooth", "verify-sharpness", "--set", "perfbench/sets/cantor.json", "--d", "3", "--p", "2.5",
       "--jmin", "8", "--jmax", "18"], 3),
+    ("verify-duality cantor j=20..22",
+     ["-m", "fracsmooth", "verify-duality", "--set", "perfbench/sets/cantor.json", "--jmin", "20", "--jmax", "22"], 3),
+    ("verify-duality union j=22",
+     ["-m", "fracsmooth", "verify-duality", "--set", "perfbench/sets/union.json", "--jmin", "22", "--jmax", "22"], 3),
 ]
 LARGE_SMALL = [
     ("verify-sharpness cantor d=3 p=2.5 j=8..12",
      ["-m", "fracsmooth", "verify-sharpness", "--set", "perfbench/sets/cantor.json", "--d", "3", "--p", "2.5",
       "--jmin", "8", "--jmax", "12"], 2),
+    ("verify-duality cantor j=10..12",
+     ["-m", "fracsmooth", "verify-duality", "--set", "perfbench/sets/cantor.json", "--jmin", "10", "--jmax", "12"], 2),
+    ("verify-duality union j=12",
+     ["-m", "fracsmooth", "verify-duality", "--set", "perfbench/sets/union.json", "--jmin", "12", "--jmax", "12"], 2),
 ]
 
 # perfbench runs per workload: these seeds at --seconds PERFBENCH_SECONDS

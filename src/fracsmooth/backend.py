@@ -1,5 +1,5 @@
-"""The covering kernel: greedy covering counts for a batch of windows, in
-plain Python.
+"""The covering kernel: the maxima of greedy covering counts over grids of
+windows, in plain Python.
 
 Importing this module loads no NumPy.  ``j0_array``, ``j1_array`` and
 ``oscillatory_sum`` are the array functions of the earlier NumPy backend,
@@ -14,6 +14,8 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
+from itertools import chain
+from operator import itemgetter
 
 from .records import record
 from .sets import cursor
@@ -27,8 +29,7 @@ _ULP = 2.0**-52
 
 @record(frozen=True)
 class Grids:
-    """Windows of one length per grid, as a sequence of their starts that is
-    never built.
+    """Windows of one length per grid, never built.
 
     Part (off, length, k_lo, k_hi) holds the windows [x, x + length] with
     x = off + k * length, k = k_lo..k_hi; the parts follow one another.
@@ -39,21 +40,16 @@ class Grids:
     def __len__(self):
         return sum(k_hi - k_lo + 1 for _, _, k_lo, k_hi in self.parts)
 
-    def __getitem__(self, i: int) -> float:
-        for off, length, k_lo, k_hi in self.parts:
-            if 0 <= i <= k_hi - k_lo:
-                return off + (k_lo + i) * length
-            i -= k_hi - k_lo + 1
-        raise IndexError("window index out of range")
-
 
 def cover_counts(types, params, pool, windows, delta) -> list:
-    """Greedy covering count of set /\\ window for each window of ``windows``,
-    a ``Grids``.
+    """(count maximum, start of the first window attaining it) for each part
+    of ``windows``, a ``Grids``: the greedy covering counts of set /\\ window
+    over the part's windows, in order of k, reduced as they are counted.
 
     Every count is the one ``sets._greedy_count`` returns: anchor at the
     first set point p >= x, then at first_point_geq(nextafter(p + delta))
-    while p <= x + length.  The grids are counted part by part, without
+    while p <= x + length.  A part whose windows all miss the set gives
+    (0, its first start).  The grids are counted part by part, without
     building them, on two invariants:
 
     * Exact steps in [1, 2].  Every double there is a multiple of 2^-52, so
@@ -62,7 +58,7 @@ def cover_counts(types, params, pool, windows, delta) -> list:
       interval the sweep therefore visits p0 + i (delta + 2^-52), which is
       counted in integers instead of stepped through; and every window of
       a part that lies inside the interval has the same count, so only the
-      few windows across its ends are counted one by one.
+      first of that run and the few windows across its ends are counted.
     * Sweeps merge.  The step p -> next anchor depends on p and delta only,
       not on the window, and sweeps from different window starts land on the
       same anchor after every gap wider than delta.  One dict of steps serves
@@ -81,10 +77,7 @@ def cover_counts(types, params, pool, windows, delta) -> list:
         count_part = functools.partial(_interval_part, interval)
     else:
         count_part = functools.partial(_swept_part, _sweeper((types, params, pool), delta))
-    out = []
-    for part in windows.parts:
-        out += count_part(*part)
-    return out
+    return [count_part(*part) for part in windows.parts]
 
 
 def _interval_count(lo, hi, unit, a, b) -> int:
@@ -97,22 +90,18 @@ def _interval_count(lo, hi, unit, a, b) -> int:
     return int((top - p0) * 2.0**52) // unit + 1 if p0 <= top else 0
 
 
-def _interval_part(interval, off, length, k_lo, k_hi) -> list:
+def _interval_part(interval, off, length, k_lo, k_hi) -> tuple:
     lo, hi = interval[:2]
     ks = range(k_lo, k_hi + 1)
-
-    def count(k):
-        x = off + k * length
-        return _interval_count(*interval, x, x + length)
-
-    if not (length / _ULP).is_integer():
-        return [count(k) for k in ks]
-    # windows k_in..k_out-1 lie inside the interval, and (x + length) - x is
-    # exactly length for every such x: one count serves them all
-    k_in = bisect_left(ks, lo, key=lambda k: off + k * length)
-    k_out = max(k_in, bisect_right(ks, hi, key=lambda k: off + k * length + length))
-    inside = [count(ks[k_in])] * (k_out - k_in) if k_out > k_in else []
-    return [count(k) for k in ks[:k_in]] + inside + [count(k) for k in ks[k_out:]]
+    if (length / _ULP).is_integer():
+        # windows k_in..k_out-1 lie inside the interval, and (x + length) - x
+        # is exactly length for every such x: they share one count, so the
+        # first of them stands for the run
+        k_in = bisect_left(ks, lo, key=lambda k: off + k * length)
+        k_out = bisect_right(ks, hi, key=lambda k: off + k * length + length)
+        ks = chain(ks[:k_in + 1], ks[max(k_in + 1, k_out):])
+    starts = (off + k * length for k in ks)
+    return max(((_interval_count(*interval, x, x + length), x) for x in starts), key=itemgetter(0))
 
 
 def _sweeper(flat, delta):
@@ -140,15 +129,16 @@ def _sweeper(flat, delta):
     return sweep
 
 
-def _swept_part(sweep, off, length, k_lo, k_hi) -> list:
-    out = [0] * (k_hi - k_lo + 1)
+def _swept_part(sweep, off, length, k_lo, k_hi) -> tuple:
+    best, first = 0, k_lo
     k, known = k_lo, None
     while k <= k_hi:
         x = off + k * length
         count, p = sweep(x, x + length, known)
         known = None
         if count:
-            out[k - k_lo] = count
+            if count > best:
+                best, first = count, k
             k += 1
         elif p == math.inf or k == k_hi:
             break
@@ -164,7 +154,7 @@ def _swept_part(sweep, off, length, k_lo, k_hi) -> list:
             # that window starts in (x, p], where p is still the first set point
             if off + k * length <= p:
                 known = p
-    return out
+    return best, off + first * length
 
 
 def j0_array(u):

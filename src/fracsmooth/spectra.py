@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
+from operator import itemgetter
 
 from . import backend, legendre, sets
 from .errors import InvalidResolutionError, InvalidThetaError, OutOfRangeError
@@ -58,12 +60,13 @@ def _window_table(descriptor, j: int, top: int) -> tuple:
 
     A table of the same (descriptor, j) that reaches level top serves the
     request; otherwise one ``backend.cover_counts`` call counts levels
-    0..top, grid by grid, without building the windows: it counts a single
-    interval in closed form, and walks each other grid with one step cache
-    for all windows and levels, skipping the windows that miss the set.
-    The counts are those of ``sets._greedy_count`` in each window, whichever
-    levels share the call, so a level reads the same from every table.  More
-    than ``sets._MAX_TILES`` family windows at levels 0..j, one count each,
+    0..top, grid by grid, without building the windows, and keeps one pair
+    per grid, its count maximum and first window attaining it: it counts a
+    single interval in closed form, and walks each other grid with one step
+    cache for all windows and levels, skipping the windows that miss the
+    set.  The counts are those of ``sets._greedy_count`` in each window,
+    whichever levels share the call, so a level reads the same from every
+    table.  More than ``sets._MAX_TILES`` family windows at levels 0..j
     raise InvalidResolutionError before counting, whatever the top, so the
     scales refused do not depend on the caller.
     """
@@ -80,13 +83,12 @@ def _window_table(descriptor, j: int, top: int) -> tuple:
                 f"resolution too fine: {family} family windows at j = {j}, more than {sets._MAX_TILES}")
         levels = levels[:top + 1]
         grids = backend.Grids(tuple(part for level in levels for part in level.parts))
-        counts = backend.cover_counts(*flat, grids, 2.0 ** (-j))
-        rows, start = [], 0
+        pairs = iter(backend.cover_counts(*flat, grids, 2.0 ** (-j)))
+        rows = []
         for m, level in enumerate(levels):
-            level_counts = counts[start:start + len(level)]
-            start += len(level)
-            x = level[level_counts.index(max(level_counts))]
-            rows.append((max(level_counts), (x, x + 2.0 ** (-m))))
+            # the first grid in shift order keeps a tie
+            count, x = max(islice(pairs, len(level.parts)), key=itemgetter(0))
+            rows.append((count, (x, x + 2.0 ** (-m))))
         table = tuple(zip(*rows))
     _window_tables.pop(key, None)
     _window_tables[key] = table
@@ -100,7 +102,10 @@ def window_count_maxima(descriptor, j: int, *, top: int | None = None) -> tuple:
     (default j)."""
     if j < 2:
         raise OutOfRangeError(f"need j >= 2, got {j}")
-    return _window_table(descriptor, j, j if top is None else top)[0]
+    top = j if top is None else top
+    if not 0 <= top <= j:
+        raise OutOfRangeError(f"need 0 <= top <= j, got top={top}, j={j}")
+    return _window_table(descriptor, j, top)[0]
 
 
 def best_window(descriptor, j: int, m: int):

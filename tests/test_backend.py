@@ -2,6 +2,7 @@
 and the direct phase sum against a plain NumPy sum."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,14 @@ def _one_window_parts(w_lo, w_hi):
 
 
 def _scalar_counts(flat, grids, delta):
-    return [sets._greedy_count(flat, a, b, delta) for a, b in _windows(grids)]
+    """(count maximum, start of the first window attaining it) per part of a
+    ``Grids``, from a scan of the scalar sweep over the part's windows."""
+    out = []
+    for off, length, k_lo, k_hi in grids.parts:
+        starts = [off + k * length for k in range(k_lo, k_hi + 1)]
+        counts = [sets._greedy_count(flat, x, x + length, delta) for x in starts]
+        out.append((max(counts), starts[counts.index(max(counts))]))
+    return out
 
 
 def _mixed_windows(rng):
@@ -150,12 +158,44 @@ def test_deeper_tables_serve_shallower_requests(cantor_thirds, kernel_windows):
 
 def test_grids_sequence():
     grids = backend.Grids(((0.0, 0.25, 3, 6), (0.125, 0.25, 4, 5)))
-    starts = [0.75, 1.0, 1.25, 1.5, 1.125, 1.375]
-    assert len(grids) == 6 and list(grids) == starts
-    assert [grids[i] for i in range(6)] == starts
-    for i in (6, -1):
-        with pytest.raises(IndexError):
-            grids[i]
+    assert len(grids) == 6
+    assert [x for x, _ in _windows(grids)] == [0.75, 1.0, 1.25, 1.5, 1.125, 1.375]
+    # one pair per part: counts 1, 2, 3, 0 and 2, 1
+    flat = sets.flatten(sets.FinitePoints((1.0, 1.25, 1.3, 1.4)))
+    assert backend.cover_counts(*flat, grids, 2.0**-10) == [(3, 1.25), (2, 1.125)]
+
+
+def test_window_count_maxima_rejects_top_outside_0_to_j(cantor_thirds, kernel_windows):
+    # cold, top = -1 once read an empty table, and warm, top > j never found
+    # its table in the cache
+    for warm in (False, True):
+        spectra._window_tables.clear()
+        if warm:
+            spectra.window_count_maxima(cantor_thirds, 8)
+        for top in (-1, 9, 12):
+            with pytest.raises(OutOfRangeError):
+                spectra.window_count_maxima(cantor_thirds, 8, top=top)
+    assert len(kernel_windows) == 1
+    spectra._window_tables.clear()
+
+
+@pytest.mark.parametrize("descriptor, j, bound_mb", [
+    (sets.FullInterval(1.0, 2.0), 18, 1.0),
+    (sets.CantorLike(1.0, 2.0, 2, 1.0 / 3.0), 16, 2.0),
+])
+def test_cold_full_table_memory(descriptor, j, bound_mb):
+    # a table keeps one pair per grid: no list as long as the family windows
+    # (interval j = 18: 1M windows, 14 MB as a list of counts; cantor j = 16:
+    # 3.5 MB)
+    spectra._window_tables.clear()
+    tracemalloc.start()
+    try:
+        spectra._window_table(descriptor, j, j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        spectra._window_tables.clear()
+    assert peak < bound_mb * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +287,41 @@ def test_interval_closed_form_is_greedy(ends, windows, k):
     assert backend.cover_counts(flat[0], flat[1], flat[2], grids, delta) == _scalar_counts(flat, grids, delta)
 
 
+@st.composite
+def _multi_window_grids(draw):
+    """A ``Grids`` of one to three parts of one length, dyadic, a multiple
+    of 2^-52 or neither, each of up to 40 windows from below 1 to past 2,
+    and one to three deltas of at most 512 greedy steps per window."""
+    kind = draw(st.sampled_from(["dyadic", "ulp", "other"]))
+    if kind == "dyadic":
+        length = 2.0 ** -draw(st.integers(0, 8))
+    elif kind == "ulp":
+        length = draw(st.integers(2**8, 2**19)) * 2.0**-20
+    else:
+        length = draw(st.floats(2.0**-8, 0.7))
+    parts = []
+    for shift in draw(st.lists(st.sampled_from([0.0, 0.5]) | _unit, min_size=1, max_size=3)):
+        off = shift * length
+        k_lo = draw(st.integers(math.floor((0.8 - off) / length), math.floor((2.1 - off) / length)))
+        parts.append((off, length, k_lo, k_lo + draw(st.integers(0, 39))))
+    k_max = math.floor(math.log2(512.0 / length))
+    deltas = draw(st.lists(st.integers(0, k_max).map(lambda k: 2.0**-k) | st.sampled_from([1.0 / 3.0, 0.01]),
+                           min_size=1, max_size=3))
+    return backend.Grids(tuple(parts)), deltas
+
+
+@settings(max_examples=300, deadline=None)
+@given(descriptors(), _multi_window_grids())
+def test_cover_counts_part_maxima_match_a_scan(descriptor, grids_deltas):
+    # each part's maximum, and the first of its windows attaining it, against
+    # a scan of the scalar sweep: ties, windows that miss the set and the
+    # interval's inside run all fall within one part here
+    grids, deltas = grids_deltas
+    flat = sets.flatten(descriptor)
+    for delta in deltas:
+        assert backend.cover_counts(*flat, grids, delta) == _scalar_counts(flat, grids, delta)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(_in_12, min_size=1, max_size=40, unique=True),
@@ -261,7 +336,7 @@ def test_greedy_count_matches_point_list_oracle(points, w_lo, length, k):
     expected = greedy_cover_points(pts, w_lo, w_lo + length, delta)
     assert sets._greedy_count(flat, w_lo, w_lo + length, delta) == expected
     got = backend.cover_counts(flat[0], flat[1], flat[2], backend.Grids(((w_lo, length, 0, 0),)), delta)
-    assert got == [expected]
+    assert got == [(expected, w_lo)]
 
 
 def test_oscillatory_sum_matches_direct():
