@@ -19,9 +19,9 @@ full window tables make them the covering side at large scales.  A small
 helper (``python -S``, about 9 MB) starts each one and reads its peak
 resident set and its CPU time (user plus system, over all its threads)
 from ``wait4``, so that both are the process's own and not those of this
-script, whose pages a child started from it would count.  The record says whether
-``PYTHONDONTWRITEBYTECODE`` was set and whether ``src/fracsmooth`` had a
-``__pycache__``, since compiling the package from source costs each
+script, whose pages a child started from it would count.  The record says
+whether ``PYTHONDONTWRITEBYTECODE`` was set and whether ``src/fracsmooth``
+had a ``__pycache__``, since compiling the package from source costs each
 process tens of milliseconds.
 
 Each window-count table is one batched covering sweep over every level,
@@ -29,9 +29,9 @@ in plain Python, at j = 12, 14 and 18 (about 2^(j+2) windows, never built),
 keeping one count maximum per grid: the interval is counted in closed form,
 the first window inside it standing for all of them, and the other sets by
 a walk over each grid with a shared step cache that skips the windows
-missing the set.  The tables of cantor, polyseq and
-union at j = 13 are also built to level 8 only, the levels from which the
-sharpness slopes choose their window at that scale.  The cantor, polyseq
+missing the set.  The tables of cantor, polyseq and union at j = 13 are
+also built to level 8 only, the levels from which the sharpness slopes
+choose their window at that scale.  The cantor, polyseq
 and union jobs of the benchmark's slope-sweep workload (d = 3, j = 8..13)
 then run in this process with their window tables cold, their data norms
 and profile table warm from an untimed first run: the covering side of a

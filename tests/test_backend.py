@@ -184,9 +184,8 @@ def test_window_count_maxima_rejects_top_outside_0_to_j(cantor_thirds, kernel_wi
     (sets.CantorLike(1.0, 2.0, 2, 1.0 / 3.0), 16, 2.0),
 ])
 def test_cold_full_table_memory(descriptor, j, bound_mb):
-    # a table keeps one pair per grid: no list as long as the family windows
-    # (interval j = 18: 1M windows, 14 MB as a list of counts; cantor j = 16:
-    # 3.5 MB)
+    # a table keeps one pair per grid, never a list as long as the family
+    # windows (a million at j = 18)
     spectra._window_tables.clear()
     tracemalloc.start()
     try:
@@ -290,7 +289,7 @@ def test_interval_closed_form_is_greedy(ends, windows, k):
 @st.composite
 def _multi_window_grids(draw):
     """A ``Grids`` of one to three parts of one length, dyadic, a multiple
-    of 2^-52 or neither, each of up to 40 windows from below 1 to past 2,
+    of 2^-20 or any float, each of up to 40 windows from below 1 to past 2,
     and one to three deltas of at most 512 greedy steps per window."""
     kind = draw(st.sampled_from(["dyadic", "ulp", "other"]))
     if kind == "dyadic":
