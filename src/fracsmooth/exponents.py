@@ -161,6 +161,7 @@ class BookkeepingReport:
             "kappa_ratio": self.kappa_ratio,
             "lambda_ratio": self.lambda_ratio,
             "passes": self.passes,
+            "tolerance": self.slack,
         }
 
 
@@ -169,7 +170,8 @@ def bookkeeping_sums(descriptor, j: int, d: int, p: float, q: float, slack: floa
 
     The ratios compare sum_m kappa_{j,m} with (j+1) 2^(j phi_j(p s_p)) and
     sum_{m<=j} lambda_{j,m} with (j+1) 2^(2 j sEq_j); both are definitionally
-    at most 1 up to floating point.  The sums are correctly rounded.
+    at most 1 up to floating point, and pass up to 1 + slack.  The sums are
+    correctly rounded.
     """
     kap = tuple(kappa(descriptor, j, m, d, p) for m in range(j + 1))
     lamv = tuple(lam(descriptor, j, m, d, q) for m in range(j + 1))

@@ -16,9 +16,11 @@ from .errors import DegenerateWindowError, OutOfRangeError, UnsupportedSetError
 from .records import field, record, replace
 
 
-# The experiment protocol: the alpha grid of the duality check, windows with
-# 2^j |I| >= MIN_WINDOW_FACTOR, and SHELL_POINTS radii across each shell J_t.
+# The experiment protocol: the alpha grid of the duality check, the p and q of
+# the exponent table, windows with 2^j |I| >= MIN_WINDOW_FACTOR, and
+# SHELL_POINTS radii across each shell J_t.
 DUALITY_ALPHAS = [0.0625 * k for k in range(33)]
+EXPONENT_GRID = [2.0 + 0.5 * k for k in range(9)]
 MIN_WINDOW_FACTOR = 32
 SHELL_POINTS = 17
 
@@ -168,17 +170,17 @@ def _fit_line(xs, ys):
     return float(slope), float(intercept)
 
 
-def choose_window(descriptor, j: int, alpha: float, min_factor: int):
+def choose_window(descriptor, j: int, alpha: float):
     """(window, count): the smallest dyadic family window attaining the
-    functional maximizer at exponent alpha, subject to 2^j |I| >= min_factor;
-    of that length, the first window in shift order with the most points.
-    It reads the window table only at the allowed levels,
-    m <= j - ceil(log2(min_factor))."""
+    functional maximizer at exponent alpha, subject to 2^j |I| >=
+    MIN_WINDOW_FACTOR; of that length, the first window in shift order with
+    the most points.  It reads the window table only at the allowed levels,
+    m <= j - log2(MIN_WINDOW_FACTOR)."""
     from . import spectra
 
-    m_cap = j - int(math.ceil(math.log2(min_factor)))
+    m_cap = j - int(math.ceil(math.log2(MIN_WINDOW_FACTOR)))
     if m_cap < 0:
-        raise DegenerateWindowError(f"no window satisfies 2^{j} |I| >= {min_factor}")
+        raise DegenerateWindowError(f"no window satisfies 2^{j} |I| >= {MIN_WINDOW_FACTOR}")
     maxima = spectra.window_count_maxima(descriptor, j, top=m_cap)
     scores = [alpha * m + math.log2(maxima[m]) for m in range(m_cap + 1)]
     best = max(scores)
@@ -244,7 +246,7 @@ def run_sharpness_slope(config: ExperimentConfig) -> SlopeReport:
     predicted = spectra.phi_at_scale(config.descriptor, alpha, config.j_max)
     log2_q, windows, log2_q_full = [], [], []
     for j, params in zip(config.j_list, scales):
-        window, _ = choose_window(config.descriptor, j, alpha, MIN_WINDOW_FACTOR)
+        window, _ = choose_window(config.descriptor, j, alpha)
         points = sets.discretize(config.descriptor, j).points
         q_val = _window_q(config.descriptor, params, p, window, points)
         log2_q.append(math.log2(q_val))
@@ -266,15 +268,11 @@ def run_sharpness_slope(config: ExperimentConfig) -> SlopeReport:
 # Exponent tables
 # ---------------------------------------------------------------------------
 
-def run_exponent_table(config: ExperimentConfig, p_list=None, q_list=None) -> str:
-    """CSV sweep of every closed-form exponent for the configured set."""
+def run_exponent_table(config: ExperimentConfig) -> str:
+    """CSV sweep of every closed-form exponent for the configured set, p <= q."""
     from . import exponents, legendre, spectra
 
     d = config.d
-    if p_list is None:
-        p_list = [2.0 + 0.5 * k for k in range(9)]
-    if q_list is None:
-        q_list = [2.0 + 0.5 * k for k in range(9)]
     nu_emp = spectra.nu_sharp_empirical_function(config.descriptor, config.j_max)
     spec = spectra.analytic_spectrum(config.descriptor)
     nu_ana = legendre.nu_sharp_analytic(spec) if spec is not None else None
@@ -288,8 +286,8 @@ def run_exponent_table(config: ExperimentConfig, p_list=None, q_list=None) -> st
         "d,p,q,s_p,sigma_p,ls_emp,ls_ana,s_E_q_emp,s_E_q_ana,"
         "s_E_pq_emp,s_E_pq_ana,p_gamma,q_gamma,q_circ"
     ]
-    for p in p_list:
-        for q in q_list:
+    for p in EXPONENT_GRID:
+        for q in EXPONENT_GRID:
             if q < p:
                 continue
             sp = exponents.s_p(d, p)
@@ -319,11 +317,10 @@ def run_exponent_table(config: ExperimentConfig, p_list=None, q_list=None) -> st
 # Bookkeeping
 # ---------------------------------------------------------------------------
 
-def run_bookkeeping(config: ExperimentConfig, j: int | None = None):
-    """The ``exponents.BookkeepingReport`` of the scale sums at j (default
-    min(j_max, 12))."""
+def run_bookkeeping(config: ExperimentConfig):
+    """The ``exponents.BookkeepingReport`` of the scale sums at j_max, which
+    passes with both ratios at most 1 + tolerance (default 1e-9)."""
     from . import exponents
 
-    if j is None:
-        j = min(config.j_max, 12)
-    return exponents.bookkeeping_sums(config.descriptor, j, config.d, config.p, config.q)
+    tol = 1e-9 if config.tolerance is None else config.tolerance
+    return exponents.bookkeeping_sums(config.descriptor, config.j_max, config.d, config.p, config.q, tol)

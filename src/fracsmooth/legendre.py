@@ -20,8 +20,8 @@ ALPHA_MAX = 4.0
 CONVEXITY_SLACK = 1e-9
 
 
-def default_alpha_grid(alpha_max: float = ALPHA_MAX) -> tuple:
-    return linspace(0.0, alpha_max, int(round(alpha_max / ALPHA_STEP)) + 1)
+def default_alpha_grid() -> tuple:
+    return linspace(0.0, ALPHA_MAX, int(round(ALPHA_MAX / ALPHA_STEP)) + 1)
 
 
 @record(frozen=True)
@@ -49,15 +49,15 @@ def _transform(xs, ys, grid) -> list:
     return [max([g * x - y for x, y in nodes]) for g in grid]
 
 
-def convexity_certificate(f: SampledFunction, slack: float = CONVEXITY_SLACK) -> ConvexityCertificate:
-    """Check discrete convexity via second differences on the grid."""
+def convexity_certificate(f: SampledFunction) -> ConvexityCertificate:
+    """Check discrete convexity via second differences, up to CONVEXITY_SLACK."""
     v = f.values
     second = [(c - b) - (b - a) for a, b, c in zip(v, v[1:], v[2:])]
     if not second:
         return ConvexityCertificate(True, 0.0, -1)
     worst = min(range(len(second)), key=second.__getitem__)
     violation = max(0.0, -second[worst])
-    return ConvexityCertificate(violation <= slack, violation, worst if violation > 0 else -1)
+    return ConvexityCertificate(violation <= CONVEXITY_SLACK, violation, worst if violation > 0 else -1)
 
 
 def legendre_transform(f: SampledFunction, alpha_grid=None) -> SampledFunction:
@@ -102,9 +102,9 @@ def nu_from_spectrum(spectrum: SampledFunction) -> SampledFunction:
     return SampledFunction(spectrum.lo, spectrum.hi, nu)
 
 
-def nu_sharp_analytic(spectrum: SampledFunction, alpha_grid=None) -> SampledFunction:
-    """Dual profile of a dimension spectrum: transform of -(1-theta)*spectrum."""
-    return legendre_transform(nu_from_spectrum(spectrum), alpha_grid)
+def nu_sharp_analytic(spectrum: SampledFunction) -> SampledFunction:
+    """Dual profile of a spectrum: transform of -(1-theta)*spectrum, default grid."""
+    return legendre_transform(nu_from_spectrum(spectrum))
 
 
 @record(frozen=True)
@@ -134,8 +134,8 @@ class AdmissibilityReport:
         }
 
 
-def tau_admissible(tau: SampledFunction, slack: float = 1e-9) -> AdmissibilityReport:
-    """Check: increasing, convex, tau(alpha) = alpha for alpha >= 1.
+def tau_admissible(tau: SampledFunction) -> AdmissibilityReport:
+    """Check, up to CONVEXITY_SLACK: increasing, convex, tau = alpha for alpha >= 1.
 
     Also reports the derived bound tau(alpha) >= alpha which admissible
     functions must satisfy everywhere.
@@ -143,32 +143,32 @@ def tau_admissible(tau: SampledFunction, slack: float = 1e-9) -> AdmissibilityRe
     if tau.hi < 2.0 - 1e-12:
         raise AdmissibilityError("tau must be sampled on [0, A] with A >= 2")
     grid, vals = tau.grid, tau.values
-    inc_witness = _first(b - a < -slack for a, b in zip(vals, vals[1:]))
-    cert = convexity_certificate(tau, slack)
+    inc_witness = _first(b - a < -CONVEXITY_SLACK for a, b in zip(vals, vals[1:]))
+    cert = convexity_certificate(tau)
     identity_witness = _first(
-        x >= 1.0 - 1e-12 and abs(v - x) > 1e-9 + slack for x, v in zip(grid, vals)
+        x >= 1.0 - 1e-12 and abs(v - x) > 1e-9 + CONVEXITY_SLACK for x, v in zip(grid, vals)
     )
-    diag_witness = _first(v < x - slack for x, v in zip(grid, vals))
+    diag_witness = _first(v < x - CONVEXITY_SLACK for x, v in zip(grid, vals))
     return AdmissibilityReport(
         inc_witness < 0, inc_witness, cert, identity_witness < 0, identity_witness,
         diag_witness < 0, diag_witness,
     )
 
 
-def spectrum_from_tau(tau: SampledFunction, theta_step: float = THETA_STEP) -> SampledFunction:
+def spectrum_from_tau(tau: SampledFunction) -> SampledFunction:
     """Recover the dimension spectrum whose dual profile is tau.
 
     Computes nu = tau* on [0, 1] and returns gamma(theta) = -nu(theta)/(1-theta)
-    on [0, 1 - theta_step].  Raises when tau is not admissible.
+    on [0, 1 - THETA_STEP].  Raises when tau is not admissible.
     """
     report = tau_admissible(tau)
     if not report.admissible:
         raise AdmissibilityError(f"tau fails admissibility: {report.to_json_dict()}")
-    n = int(round((1.0 - theta_step) / theta_step)) + 1
-    theta = linspace(0.0, 1.0 - theta_step, n)
+    n = int(round((1.0 - THETA_STEP) / THETA_STEP)) + 1
+    theta = linspace(0.0, 1.0 - THETA_STEP, n)
     nu = _transform(tau.grid, tau.values, theta)
     gamma = [min(1.0, max(0.0, -v / (1.0 - t))) for t, v in zip(theta, nu)]
-    return SampledFunction(0.0, 1.0 - theta_step, gamma)
+    return SampledFunction(0.0, 1.0 - THETA_STEP, gamma)
 
 
 def union_nu_sharp(profiles) -> SampledFunction:

@@ -73,9 +73,7 @@ def _window_table(descriptor, j: int, top: int) -> tuple:
     key = (descriptor, j)
     table = _window_tables.get(key)
     if table is None or len(table[0]) <= top:
-        flat = sets.flatten(descriptor)
-        smin = sets.first_point_geq(flat, -math.inf)
-        smax = sets.last_point_leq(flat, math.inf)
+        smin, smax = sets.bounds(descriptor)
         levels = [family_starts(smin, smax, 2.0 ** (-m)) for m in range(j + 1)]
         family = sum(len(level) for level in levels)
         if family > sets._MAX_TILES:
@@ -83,7 +81,7 @@ def _window_table(descriptor, j: int, top: int) -> tuple:
                 f"resolution too fine: {family} family windows at j = {j}, more than {sets._MAX_TILES}")
         levels = levels[:top + 1]
         grids = backend.Grids(tuple(part for level in levels for part in level.parts))
-        pairs = iter(backend.cover_counts(*flat, grids, 2.0 ** (-j)))
+        pairs = iter(backend.cover_counts(*sets.flatten(descriptor), grids, 2.0 ** (-j)))
         rows = []
         for m, level in enumerate(levels):
             # the first grid in shift order keeps a tie
@@ -205,22 +203,21 @@ class QuasiRegularReport:
     tolerance: float
 
 
-def quasi_regular_check(descriptor, j: int = 14, tolerance: float | None = None) -> QuasiRegularReport:
+def quasi_regular_check(descriptor, j: int = 14) -> QuasiRegularReport:
     """Compare the empirical spectrum with the maximal profile min(b/(1-t), g).
 
     The reference profile amplifies finite-scale noise by 1/(1-theta), so the
-    verdict uses the (1-theta)-weighted deviation, which is uniformly O(1/j);
-    the plain sup deviation is reported alongside.
+    verdict holds the (1-theta)-weighted deviation, uniformly O(1/j), to
+    ``default_tolerance(j)``; the plain sup deviation is reported alongside.
     """
-    if tolerance is None:
-        tolerance = default_tolerance(j)
+    tolerance = default_tolerance(j)
     est = dims(descriptor, j)
     beta, gamma = est.minkowski, est.quasi_assouad
     dev = 0.0
     nu_dev = 0.0
     for theta in theta_grid(j):
         emp = assouad_spectrum_empirical(descriptor, theta, j)
-        ref = min(beta / (1.0 - theta), gamma) if theta < 1.0 else gamma
+        ref = min(beta / (1.0 - theta), gamma)
         dev = max(dev, abs(emp - ref))
         nu_dev = max(nu_dev, (1.0 - theta) * abs(emp - ref))
     return QuasiRegularReport(
@@ -291,7 +288,7 @@ def nu_sharp_empirical(descriptor, alpha_grid, j_list) -> SpectrumReport:
     return report
 
 
-def nu_sharp_empirical_function(descriptor, j: int, alpha_max: float = 4.0) -> SampledFunction:
+def nu_sharp_empirical_function(descriptor, j: int) -> SampledFunction:
     """phi_at_scale sampled on the default alpha grid, as a SampledFunction."""
-    grid = legendre.default_alpha_grid(alpha_max)
-    return SampledFunction(0.0, alpha_max, [phi_at_scale(descriptor, a, j) for a in grid])
+    grid = legendre.default_alpha_grid()
+    return SampledFunction(0.0, legendre.ALPHA_MAX, [phi_at_scale(descriptor, a, j) for a in grid])

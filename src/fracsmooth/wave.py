@@ -770,31 +770,28 @@ def _piece_norm(field, lo: float, hi: float, num: int, p: float, d: int) -> floa
     return peak if math.isinf(p) else float(terms.sum())
 
 
-def norm_lp(params: WaveParams, t: float, p: float, r_max: float | None = None) -> float:
-    """Lp norm (radial convention) of the field at time t over [0, r_max].
+def norm_lp(params: WaveParams, t: float, p: float) -> float:
+    """Lp norm (radial convention) of the field at time t over [0, t_ref + 4].
 
     The grid is fine (step 2^-j / _FINE_STEP_DIVISOR) within
     _BAND_HALFWIDTH_UNITS * 2^-j of the light cone r = |t - t0| and has step
     2^-j elsewhere; radii below 2^(-j+2) go through the direct quadrature path.
-    Every piece, the inner disc included, stops at r_max.  Each piece is
-    walked in blocks of _NORM_BLOCK radii (``_piece_norm``), so no array as
-    long as a piece's grid is built beside its trapezoid terms, and the norm
-    keeps the bits of one pass over each piece.  That needs every radius of
-    a piece with a directly integrated remainder (2^j r < 24 in d = 2 and 4)
-    in the piece's first block; see _NORM_BLOCK.  Raises OutOfRangeError
-    unless p is in [1, inf], t is finite and r_max is positive and finite.
+    Every piece stops at t_ref + 4, the band too when the cone is near it.
+    Each piece is walked in blocks of _NORM_BLOCK radii (``_piece_norm``),
+    so no array as long as a piece's grid is built beside its trapezoid
+    terms, and the norm keeps the bits of one pass over each piece.  That
+    needs every radius of a piece with a directly integrated remainder
+    (2^j r < 24 in d = 2 and 4) in the piece's first block; see _NORM_BLOCK.
+    Raises OutOfRangeError unless p is in [1, inf] and t is finite.
     """
     _check_p(p)
     if not math.isfinite(t):
         raise OutOfRangeError(f"need a finite time, got {t}")
-    if r_max is None:
-        r_max = params.t_ref + 4.0
-    elif not 0.0 < r_max < math.inf:
-        raise OutOfRangeError(f"need 0 < r_max < inf, got {r_max}")
     d, j = params.d, params.j
     rho = abs(t - params.t_ref)
     h = 2.0**-j
     r_switch = params.min_asymptotic_r
+    r_max = params.t_ref + 4.0
     band_lo = min(r_max, max(r_switch, rho - _BAND_HALFWIDTH_UNITS * h))
     band_hi = min(r_max, rho + _BAND_HALFWIDTH_UNITS * h)
 
@@ -804,7 +801,7 @@ def norm_lp(params: WaveParams, t: float, p: float, r_max: float | None = None) 
     def lookups(r):
         return field_row_fast(params, t, r).values
 
-    pieces = [(direct, 0.0, min(r_switch, r_max), 49)]
+    pieces = [(direct, 0.0, r_switch, 49)]  # r_switch <= 1 < r_max
     for lo, hi, step in ((r_switch, band_lo, h), (band_lo, band_hi, h / _FINE_STEP_DIVISOR),
                          (band_hi, r_max, h)):
         if hi > lo:

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fracsmooth import backend, legendre, sets
-from fracsmooth.sampled import SampledFunction
+from fracsmooth.sampled import SampledFunction, linspace
 
 
 def _fail_skip(report):
@@ -83,5 +83,5 @@ def descriptor_zoo():
 
 
 def identity_profile(alpha_max: float = 4.0) -> SampledFunction:
-    """The profile nu(alpha) = alpha of a single point."""
-    return SampledFunction(0.0, alpha_max, legendre.default_alpha_grid(alpha_max))
+    """The profile nu(alpha) = alpha of a single point, at the default alpha step."""
+    return SampledFunction(0.0, alpha_max, linspace(0.0, alpha_max, int(round(alpha_max / legendre.ALPHA_STEP)) + 1))

@@ -212,7 +212,7 @@ def trapezoid_norm(r, vals, p: float, d: int) -> float:
     return float(np.trapezoid(np.abs(vals) ** p * np.asarray(r) ** (d - 1), r) ** (1.0 / p))
 
 
-def norm_lp_one_pass(params, t: float, ps, r_max: float | None = None) -> list:
+def norm_lp_one_pass(params, t: float, ps) -> list:
     """``wave.norm_lp`` for each p of ``ps``, as one pass over each whole
     piece of its grid.
 
@@ -225,14 +225,13 @@ def norm_lp_one_pass(params, t: float, ps, r_max: float | None = None) -> list:
 
     d, j = params.d, params.j
     rho = abs(t - params.t_ref)
-    if r_max is None:
-        r_max = params.t_ref + 4.0
+    r_max = params.t_ref + 4.0
     h = 2.0**-j
     r_switch = params.min_asymptotic_r
     band_lo = min(r_max, max(r_switch, rho - wave._BAND_HALFWIDTH_UNITS * h))
     band_hi = min(r_max, rho + wave._BAND_HALFWIDTH_UNITS * h)
 
-    inner_grid = np.linspace(0.0, min(r_switch, r_max), 49)
+    inner_grid = np.linspace(0.0, r_switch, 49)
     pieces = [(inner_grid, np.abs(wave.propagate(params, t, inner_grid).values))]
     for lo, hi, step in ((r_switch, band_lo, h), (band_lo, band_hi, h / wave._FINE_STEP_DIVISOR),
                          (band_hi, r_max, h)):

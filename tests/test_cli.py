@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fracsmooth
-from fracsmooth import cli, sets, wave
+from fracsmooth import cli, sets, spectra, wave
 from fracsmooth.errors import RefineFailureError
 
 
@@ -302,6 +302,37 @@ def test_verify_bookkeeping(set_files, tmp_path):
     ])
     assert rc == 0
     assert "kappa_ratio" in out.read_text()
+
+
+def test_exponents_reads_the_closed_form_profile_only(set_files, monkeypatch, kernel_windows):
+    # with a closed-form spectrum, --p/--q build no empirical profile, so
+    # without --m the window table stops at level j - 4, where dims reads;
+    # with --m one full table serves dims, kappa and lambda
+    def no_profile(*args):
+        raise AssertionError("built the empirical profile")
+
+    monkeypatch.setattr(spectra, "nu_sharp_empirical_function", no_profile)
+    argv = ["exponents", "--set", set_files["cantor"], "--j", "12", "--p", "4", "--q", "4"]
+    for extra, levels in (([], 12 - 4 + 1), (["--m", "6"], 12 + 1)):
+        spectra._window_tables.clear()
+        kernel_windows.clear()
+        assert cli.cli(argv + extra + ["--out", os.devnull]) == 0
+        assert [len(maxima) for maxima, _ in spectra._window_tables.values()] == [levels]
+        assert len(kernel_windows) == 1
+    spectra._window_tables.clear()
+
+
+def test_verify_bookkeeping_has_one_verdict(set_files, tmp_path):
+    # the printed verdict and the exit code both judge the ratios by --tol
+    argv = ["verify-bookkeeping", "--set", set_files["cantor"], "--j", "10"]
+    for tol, rc_want in (("1e-9", 0), ("-1", 1)):
+        book = tmp_path / "book.json"
+        assert cli.cli(argv + ["--tol", tol, "--format", "json", "--out", str(book)]) == rc_want
+        payload = json.loads(book.read_text())
+        assert payload["passes"] is (rc_want == 0) and payload["tolerance"] == float(tol)
+        csv = tmp_path / "book.csv"
+        assert cli.cli(argv + ["--tol", tol, "--out", str(csv)]) == rc_want
+        assert csv.read_text().splitlines()[-1].endswith(f",pass,{rc_want == 0}")
 
 
 def test_verify_sharpness_small(set_files, tmp_path):

@@ -36,13 +36,13 @@ def test_run_duality_rejects_no_closed_form():
 
 def test_choose_window_respects_min_factor(cantor_thirds, single_point):
     for j in (8, 11):
-        window, count = harness.choose_window(single_point, j, 2.0, 32)
+        window, count = harness.choose_window(single_point, j, 2.0)
         assert count == 1
         length = window[1] - window[0]
         assert 2.0**j * length >= 32 * (1.0 - 1e-12)
         assert window[0] >= 1.0 and window[1] <= 2.0
         assert window[0] <= 1.5 <= window[1]
-    window, count = harness.choose_window(cantor_thirds, 10, 0.2, 32)
+    window, count = harness.choose_window(cantor_thirds, 10, 0.2)
     assert window == (1.0, 2.0)  # low alpha prefers the whole-set window
 
 
@@ -55,7 +55,7 @@ def test_choose_window_reads_the_window_table(cantor_thirds, monkeypatch):
 
     monkeypatch.setattr(backend, "cover_counts", no_kernel)
     for alpha in (0.2, 1.0, 3.0):
-        window, count = harness.choose_window(cantor_thirds, 10, alpha, 32)
+        window, count = harness.choose_window(cantor_thirds, 10, alpha)
         m = round(-math.log2(window[1] - window[0]))
         assert (window, count) == spectra.best_window(cantor_thirds, 10, m)
 
@@ -118,23 +118,32 @@ def test_sharpness_report_serialization(single_point):
 
 def test_exponent_table_columns(cantor_thirds):
     cfg = harness.ExperimentConfig(cantor_thirds, d=2, j_max=10)
-    csv = harness.run_exponent_table(cfg, p_list=[2.0, 6.0], q_list=[2.0, 6.0])
+    csv = harness.run_exponent_table(cfg)
     lines = csv.strip().splitlines()
     header = lines[0].split(",")
     assert header[:5] == ["d", "p", "q", "s_p", "sigma_p"]
+    # one row for each p <= q of the protocol grid, in grid order
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    grid = harness.EXPONENT_GRID
+    assert [(float(r["p"]), float(r["q"])) for r in rows] == [(p, q) for p in grid for q in grid if q >= p]
     # row (d=2, p=6, full-style check): ls for the analytic profile of a
     # constant-spectrum set saturates at s_p past p_gamma
-    row = dict(zip(header, lines[-1].split(",")))
+    row = rows[-1]
     assert float(row["p"]) == 6.0
     assert float(row["ls_ana"]) == pytest.approx(exponents.s_p(2, 6.0), abs=1e-9)
     # s_E(2, q) column equals s_E_q column identically at p = 2, q > p'
-    row2 = dict(zip(header, lines[2].split(",")))
+    row2 = rows[grid.index(6.0)]
     assert float(row2["p"]) == 2.0 and float(row2["q"]) == 6.0
     assert row2["s_E_q_emp"] == row2["s_E_pq_emp"]
 
 
 def test_bookkeeping_runner(poly_one):
-    cfg = harness.ExperimentConfig(poly_one, d=3, p=4.0, q=4.0)
-    report = harness.run_bookkeeping(cfg, j=10)
+    cfg = harness.ExperimentConfig(poly_one, d=3, p=4.0, q=4.0, j_max=10)
+    report = harness.run_bookkeeping(cfg)
     assert report.passes
     assert len(report.kappa_values) == 11
+    # the configured tolerance is the verdict's slack, and the report carries it
+    assert report.to_json_dict()["tolerance"] == 1e-9
+    strict = harness.run_bookkeeping(harness.ExperimentConfig(poly_one, j_max=10, tolerance=-1.0))
+    assert strict.kappa_values == report.kappa_values
+    assert not strict.passes and strict.to_json_dict()["tolerance"] == -1.0

@@ -94,7 +94,7 @@ def test_hull_concave_sample():
     oracle = lower_convex_envelope(f.grid, f.values)
     assert np.abs(hull.values - oracle).max() < 1e-6
     assert np.all(np.asarray(hull.values) <= np.asarray(f.values) + 1e-9)
-    assert legendre.convexity_certificate(hull, slack=1e-6).is_convex
+    assert legendre.convexity_certificate(hull).is_convex
 
 
 def test_hull_nonconvex_union_nu():

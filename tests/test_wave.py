@@ -734,41 +734,21 @@ def test_data_norm_cached_per_params_and_p():
     assert wave.data_norm.cache_info().currsize == size
 
 
-def test_norm_lp_stops_at_r_max():
-    # at t = 0 the cone lies at r = t_ref = 1, its fine band starts at 0.5,
-    # and the inner disc ends at 2^(-j+2); every norm below the band is one
-    # trapezoid over [0, r_max]: the disc's 49 radii (clipped at r_max),
-    # then steps of 2^-j
-    params = wave.WaveParams(d=3, j=8)
-    h, r_switch = 2.0**-params.j, params.min_asymptotic_r
-    norms = []
-    for r_max in (0.01, 0.2, 0.3, 0.45):
-        inner = np.linspace(0.0, min(r_switch, r_max), 49)
-        vals = [wave.propagate(params, 0.0, inner).values]
-        grid = [inner]
-        if r_max > r_switch:
-            outer = np.linspace(r_switch, r_max, math.ceil((r_max - r_switch) / h) + 1)
-            vals.append(wave.field_row_fast(params, 0.0, outer).values[1:])
-            grid.append(outer[1:])
-        oracle = trapezoid_norm(np.concatenate(grid), np.concatenate(vals), 2.0, params.d)
-        norms.append(wave.norm_lp(params, 0.0, 2.0, r_max=r_max))
-        assert norms[-1] == pytest.approx(oracle, rel=1e-12)
-    assert all(a < b for a, b in zip(norms, norms[1:]))
-    # the default r_max lies beyond the band, where clipping changes nothing
-    assert wave.norm_lp(params, 0.0, 2.0) == wave.norm_lp(params, 0.0, 2.0, r_max=params.t_ref + 4.0)
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("j", [6, 8, 11])
 def test_norm_lp_keeps_one_pass_bits(d, j):
     # t = t_ref puts the radii with a directly integrated remainder (d = 2
-    # and 4) in the fine band; r_max = 0.45 clips the pieces below the cone
+    # and 4) in the fine band; at j = 6 the band of 128 units reaches past
+    # the outer radius t_ref + 4 when the cone lies at 4, and lies wholly
+    # past it when the cone lies at 8, so both ends are clipped there
     params = wave.WaveParams(d=d, j=j, t_ref=1.5)
     ps = (2.0, 2.5, 4.0, math.inf)
-    for t in (0.0, params.t_ref, params.t_ref + 0.3):
-        for r_max in (None, 0.45):
-            for p, norm in zip(ps, oracles.norm_lp_one_pass(params, t, ps, r_max)):
-                assert wave.norm_lp(params, t, p, r_max) == norm, (t, r_max, p)
+    times = [0.0, params.t_ref, params.t_ref + 0.3]
+    if j == 6:
+        times += [params.t_ref + 4.0, params.t_ref + 8.0]
+    for t in times:
+        for p, norm in zip(ps, oracles.norm_lp_one_pass(params, t, ps)):
+            assert wave.norm_lp(params, t, p) == norm, (t, p)
 
 
 @pytest.mark.parametrize("d, block", [(2, 1281), (4, 1281), (3, 100), (5, 64)])
@@ -845,13 +825,12 @@ def test_data_norm_working_memory():
 @pytest.mark.parametrize("kwargs", [
     {"p": math.nan}, {"p": 0.0}, {"p": -1.0}, {"p": 0.5},
     {"t": math.nan}, {"t": math.inf}, {"t": -math.inf},
-    {"r_max": math.nan}, {"r_max": 0.0}, {"r_max": -1.0}, {"r_max": math.inf},
 ])
 def test_norm_lp_rejects_bad_inputs(kwargs):
     params = wave.WaveParams(d=3, j=6)
-    args = {"t": 0.0, "p": 2.0, "r_max": None, **kwargs}
+    args = {"t": 0.0, "p": 2.0, **kwargs}
     with pytest.raises(OutOfRangeError):
-        wave.norm_lp(params, args["t"], args["p"], args["r_max"])
+        wave.norm_lp(params, args["t"], args["p"])
 
 
 @pytest.mark.parametrize("p", [math.nan, 0.0, -1.0, 0.5])
@@ -866,16 +845,20 @@ def test_shell_norm_rejects_bad_p(p):
 
 
 def test_mass_concentrates_on_cone():
-    # L2 mass outside 32  2^-j of the cone radius is below 1%
+    # L2 mass outside 32  2^-j of the cone radius is below 1%; the band's
+    # mass by the trapezoid rule at norm_lp's fine step 2^-j / 64
     params = wave.WaveParams(d=3, j=9, t_ref=1.3)
     total = wave.data_norm_plancherel(params) ** 2
     h = 2.0**-9
     # data itself: cone at r = t_ref
-    band = wave.norm_lp(params, 0.0, 2.0, r_max=params.t_ref + 32 * h) ** 2 - \
-        wave.norm_lp(params, 0.0, 2.0, r_max=params.t_ref - 32 * h) ** 2
+    r = np.linspace(params.t_ref - 32 * h, params.t_ref + 32 * h, 64 * 64 + 1)
+    band = trapezoid_norm(r, wave.field_row_fast(params, 0.0, r).values, 2.0, params.d) ** 2
     assert band >= 0.99 * total
-    # evolved to t = t_ref: cone at r = 0
-    band0 = wave.norm_lp(params, params.t_ref, 2.0, r_max=32 * h) ** 2
+    # evolved to t = t_ref: cone at r = 0, the disc r < 2^(-j+2) by direct quadrature
+    inner = np.linspace(0.0, params.min_asymptotic_r, 49)
+    outer = np.linspace(params.min_asymptotic_r, 32 * h, 28 * 64 + 1)
+    band0 = trapezoid_norm(inner, wave.propagate(params, params.t_ref, inner).values, 2.0, params.d) ** 2 + \
+        trapezoid_norm(outer, wave.field_row_fast(params, params.t_ref, outer).values, 2.0, params.d) ** 2
     assert band0 >= 0.99 * total
 
 
