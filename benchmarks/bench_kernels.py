@@ -36,8 +36,10 @@ and union jobs of the benchmark's slope-sweep workload (d = 3, j = 8..13)
 then run in this process with their window tables cold, their data norms
 and profile table warm from an untimed first run: the covering side of a
 slope job.  Each profile table F_0 .. F_K of
-d = 2, 3 and 4 is built cold, one FFT of a fixed length checked against
-its error budget.
+d = 2, 3 and 4 is built cold: an a-priori bound on its error, from the
+derivative norms of its integrand, checked against its budget, then one FFT
+of a fixed length.  The bounds of d = 2's seven tables are also timed alone,
+their derivative norms cold.
 The d = 2 data norm is mostly Hankel-term profile lookups.  The d = 3,
 j = 13 data norm is the heaviest call of the sharpness slopes; its inner
 disc r <= 2^(-j+2), 49 radii through ``propagate`` at t = 0, sums the
@@ -242,12 +244,24 @@ def slope_jobs(configs):
 
 def cold_profile_table(d, m):
     wave._profile_table.cache_clear()
+    wave._derivative_norms.cache_clear()
     return wave._profile_table(d, m)
+
+
+def cold_tail_bounds(powers):
+    """The two bounds each table build checks, at y_max - step and at 3 y_max,
+    with the derivative norms cold."""
+    wave._derivative_norms.cache_clear()
+    y_max = 0.25 * wave._PROFILE_FFT * wave._PROFILE_STEP
+    for power in powers:
+        wave._tail_bound(power, y_max - wave._PROFILE_STEP)
+        wave._tail_bound(power, 3.0 * y_max)
 
 
 def cold_data_norm(d, j, p, t_ref=1.0):
     wave.data_norm.cache_clear()
     wave._profile_table.cache_clear()
+    wave._derivative_norms.cache_clear()
     wave._hankel_series.cache_clear()
     wave._kernel_series.cache_clear()
     wave.data_norm(wave.WaveParams(d=d, j=j, t_ref=t_ref), p)
@@ -285,6 +299,10 @@ def kernel_cases(small):
         for m in range(1 if small else len(wave._hankel_series(0.5 * (d - 2))[0]) + 1):
             yield (f"profile_table d={d} F_{m}", {"d": d, "m": m, "fft": wave._PROFILE_FFT},
                    cold_profile_table, (d, m))
+    powers = [0.5 - m for m in range(len(wave._hankel_series(0.0)[0]) + 1)]
+    yield (f"tail bound d=2 F_0..F_{len(powers) - 1}",
+           {"d": 2, "powers": len(powers), "order": wave._BOUND_ORDER, "nodes": wave._BOUND_NODES},
+           cold_tail_bounds, (powers,))
     for label, s in SETS:
         for j in (8,) if small else (12, 14, 18):
             yield (f"window table {label} j={j}", {"set": label, "j": j, "windows": family_windows(s, j)},

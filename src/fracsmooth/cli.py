@@ -36,14 +36,20 @@ def _write(path, text):
             fh.write(text)
 
 
+# the most nodes an --alpha-grid may hold; the defaults hold 33 and 257
+_GRID_NODES = 2**16
+
+
 def _parse_grid(spec: str) -> list:
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
-        n = int(round((hi - lo) / step)) if lo <= hi and step > 0.0 else -1
+        finite = all(map(math.isfinite, (lo, hi, step)))
+        n = int(round((hi - lo) / step)) if finite and lo <= hi and step > 0.0 else -1
     except (ValueError, ArithmeticError):
         n = -1
-    if n < 0:
-        raise FracsmoothError(f"grid must be lo:hi:step with lo <= hi and a positive step, got {spec!r}")
+    if not 0 <= n < _GRID_NODES:
+        raise FracsmoothError(f"grid must be lo:hi:step with finite lo <= hi, a positive step and "
+                              f"at most {_GRID_NODES} nodes, got {spec!r}")
     return [lo + step * k for k in range(n + 1)]
 
 

@@ -99,6 +99,8 @@ def lower_bound_rhs(d: int, p: float, q: float, j: int, window_length: float, co
     N^(1/q) * 2^(j (d+1)/2 (1/p - 1/q)) / |I|^((d-1)/2 (1 - 1/p - 1/q)),
     with all unspecified constants omitted.
     """
+    if count < 0 or not 0.0 < window_length < math.inf:
+        raise OutOfRangeError(f"need count >= 0 and a finite |I| > 0, got {count} and {window_length}")
     if 2.0**j * window_length < 1.0:
         raise OutOfRangeError("need 2^j |I| >= 1")
     expo = j * 0.5 * (d + 1) * (1.0 / p - 1.0 / q)

@@ -472,8 +472,9 @@ def covering_number(s, window, delta: float) -> int:
     w_lo, w_hi = float(window[0]), float(window[1])
     if w_lo > w_hi:
         raise OutOfRangeError(f"empty window [{w_lo}, {w_hi}]")
-    if w_lo < 0.0 or w_hi > 3.0:
-        raise OutOfRangeError("window must lie inside [0, 3]")
+    # a nan end fails both comparisons
+    if not (0.0 <= w_lo and w_hi <= 3.0):
+        raise OutOfRangeError(f"window must lie inside [0, 3], got [{w_lo}, {w_hi}]")
     flat = flatten(s)
     return _greedy_count(flat, w_lo, w_hi, delta)
 

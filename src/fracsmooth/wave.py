@@ -26,9 +26,9 @@ and F_1 .. F_K the terms of the Hankel expansion of the remainder (DLMF
 10.17) wherever 2^j r sigma >= 12 over the whole bump, so that the remainder
 too is a sum of lookups; nearer radii integrate it directly.  Each profile
 is tabulated on a uniform y grid, where the trapezoid rule is a single FFT
-of one fixed length, checked against an error budget set by the weight with
-which the profile enters the field.  Both paths are validated
-against each other, ``propagate`` by halving its step.
+of one fixed length, built once an a-priori bound on its error meets a
+budget set by the weight with which the profile enters the field.  Both
+paths are validated against each other, ``propagate`` by halving its step.
 """
 
 from __future__ import annotations
@@ -51,13 +51,12 @@ QUAD_RTOL = 1e-6
 _PROFILE_STEP = 1.0 / 64.0
 _PROFILE_RTOL = 1e-9
 _PROFILE_TAIL = 1e-9
-_PROFILE_TAIL_SPAN = 4.0
 # FFT length of the profile tables; length n tabulates y in [0, n * step / 4],
 # so y_max = 512
 _PROFILE_FFT = 2**17
-# table entries per block of the midpoint rule's twist and of the half-step
-# check, so that neither needs an array as long as the table
-_PROFILE_BLOCK = 2**12
+# orders N and midpoint nodes of ``_derivative_norms``
+_BOUND_ORDER = 12
+_BOUND_NODES = 2**11
 # alias distance of the profile tables: their nearest alias lies 3/4 of the
 # FFT's y range from every kept y; every direct trapezoid rule keeps its
 # first alias this far beyond its fastest frequency
@@ -231,10 +230,10 @@ def _kernel_sums(kernel, x, nodes, phase):
     return out.reshape((len(x),) + phase.shape[1:])
 
 
-def _trapezoid_indices(h: float, shift: float = 0.0):
-    """The k with node (k + shift) h inside the closed bump support."""
+def _trapezoid_indices(h: float):
+    """The k with node k h inside the closed bump support."""
     lo, hi = BUMP_SUPPORT
-    return np.arange(math.ceil(lo / h - shift), math.floor(hi / h - shift) + 1)
+    return np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
 
 
 def _moment_step(y: float, level: int) -> float:
@@ -372,44 +371,28 @@ def propagate(params: WaveParams, t: float, r_grid) -> WaveFieldRow:
 # Profiles F_m(y) and the decomposition into exponentials and remainder
 # ---------------------------------------------------------------------------
 
-def _profile_fft(power: float, n: int, shift: float, out):
+def _profile_fft(power: float, n: int):
     """Trapezoid-rule values of F(m dy), m = 0 .. n/4, from one real FFT.
 
     F(y) = Integral e^(i y sigma) bump(sigma) sigma^power dsigma.  With
-    sigma_k = (k + shift) h and h = 2 pi / (n dy) the phase e^(i m dy sigma_k)
-    is e^(2 pi i m shift / n) times the inverse DFT kernel e^(2 pi i m k / n);
-    the samples h g(sigma_k), placed at index k mod n, are real, so that
-    transform is the conjugate of their forward real FFT.  By Poisson
-    summation the error at y is the sum of the aliases F(y + l n dy), l != 0;
-    on the kept range y <= n dy / 4 the nearest lies at least 3 n dy / 4
-    away.  shift = 1/2 gives the midpoint rule.
+    sigma_k = k h and h = 2 pi / (n dy) the phase e^(i m dy sigma_k) is the
+    inverse DFT kernel e^(2 pi i m k / n); the samples h g(sigma_k), placed
+    at index k mod n, are real, so that transform is the conjugate of their
+    forward real FFT.  By Poisson summation the error at y is the sum of the
+    aliases F(y + l n dy), l != 0; on the kept range y <= n dy / 4 the
+    nearest lies at least 3 n dy / 4 away.
 
     Every node lies below index n (sigma_k <= 2 < n h = 128 pi), so only
     the samples up to the last node are stored; the FFT pads them with
-    zeros to length n itself.  The transform goes into ``out`` (n/2 + 1
-    complex), so that a caller can run several in one array; returns the
-    kept values, a view of ``out``.
+    zeros to length n itself.
     """
     h = TWO_PI / (n * _PROFILE_STEP)
-    k = _trapezoid_indices(h, shift)
-    sigma = (k + shift) * h
+    k = _trapezoid_indices(h)
+    sigma = k * h
     samples = np.zeros(k[-1] + 1)
     samples[k] = h * bump(sigma) * sigma**power
     # numpy.fft loads lazily; reaching it here keeps it out of the import
-    vals = np.fft.rfft(samples, n, out=out)[: n // 4 + 1]
-    np.conjugate(vals, out=vals)
-    if shift:
-        for block in _profile_blocks(len(vals)):
-            vals[block] *= np.exp(TWO_PI * 1j * shift / n * np.arange(block.start, block.stop))
-    return vals
-
-
-def _profile_blocks(n: int):
-    """Slices of _PROFILE_BLOCK entries covering range(n), the last one
-    taking the remainder too: NumPy's vector loops then meet the same
-    remainder as in one pass over range(n), so every entry keeps its bits."""
-    ends = list(range(_PROFILE_BLOCK, n - _PROFILE_BLOCK + 1, _PROFILE_BLOCK)) + [n]
-    return [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+    return np.conjugate(np.fft.rfft(samples, n)[: n // 4 + 1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -423,6 +406,36 @@ def _bump_moment(power: float) -> float:
     h = _moment_step(0.0, 0)
     sigma = _trapezoid_indices(h) * h
     return float(np.dot(h * bump(sigma), sigma**power))
+
+
+@functools.lru_cache(maxsize=None)
+def _derivative_norms(power: float):
+    """||g^(N)||_1, N = 0 .. _BOUND_ORDER, for g = bump(sigma) sigma^power, by
+    the midpoint rule (within 0.5 %).  At each node the Taylor coefficients a_k
+    of log g = 1 - (1/(1 - x) + 1/(1 + x)) / 2 + power log sigma are geometric
+    series, and exp's recurrence b_n = sum_k k a_k b_(n-k) / n gives
+    g^(N) = N! b_N.  Cached per power; callers must not modify the result."""
+    lo, hi = BUMP_SUPPORT
+    h = (hi - lo) / _BOUND_NODES
+    sigma = lo + h * (np.arange(_BOUND_NODES) + 0.5)
+    x = (sigma - BUMP_CENTER) / BUMP_HALF_WIDTH
+    p1, p2, p3 = (np.cumprod(np.broadcast_to(r, (_BOUND_ORDER, _BOUND_NODES)), axis=0) for r in
+                  (1.0 / ((1.0 - x) * BUMP_HALF_WIDTH), -1.0 / ((1.0 + x) * BUMP_HALF_WIDTH), -1.0 / sigma))
+    ka = -0.5 * np.arange(1, _BOUND_ORDER + 1)[:, None] * (p1 / (1.0 - x) + p2 / (1.0 + x)) - power * p3
+    b = [bump(sigma) * sigma**power]
+    for n in range(1, _BOUND_ORDER + 1):
+        b.append(np.einsum("kn,kn->n", ka[:n], b[::-1]) / n)
+    return h * np.abs(b).sum(axis=1) * [math.factorial(n) for n in range(_BOUND_ORDER + 1)]
+
+
+def _tail_bound(power: float, y: float) -> float:
+    """B(y) = min over N = 2 .. _BOUND_ORDER of ||g^(N)||_1 / |y|^N >= |F(y)| for
+    the profile F of g = bump(sigma) sigma^power (N integrations by parts;
+    Stein, Harmonic Analysis, ch. VIII); B(l y) <= B(y) / l^2 for l >= 1, and
+    B(0) = ||g||_1 = F(0)."""
+    norms = _derivative_norms(power)
+    y = abs(y)
+    return float((norms[2:] / y ** np.arange(2, len(norms))).min()) if y else float(norms[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -455,30 +468,27 @@ def _profile_table(d: int, m: int = 0):
 
     F_m is the profile of bump(sigma) sigma^((d-1)/2 - m): m = 0 carries the
     two principal exponentials, m >= 1 the Hankel terms of the remainder.
-    One FFT of length _PROFILE_FFT builds it, and it must meet the error it
-    can put in the field: with b = ``_profile_budget(d, m)``, |F| over the
-    last _PROFILE_TAIL_SPAN units of y must be below b _PROFILE_TAIL of the
-    peak, so lookups beyond y_max may read zero, and the table must agree
-    within b _PROFILE_RTOL of the peak with the rule of half the step (the
-    mean of the table and the midpoint rule, so no transform of length 2n
-    is needed).  Both transforms run in one output array, and the check
-    compares them block by block.  Cached per (d, m); raises
-    RefineFailureError, with the relative error of the failing check, when
-    either misses.
+    One FFT of length _PROFILE_FFT builds it once ``_tail_bound`` shows that
+    it meets the error it can put in the field: with b =
+    ``_profile_budget(d, m)`` and the peak F(0) = ``_bump_moment``, |F| from
+    y_max - step on, which ``_profile_eval`` reads as zero, must be below
+    b _PROFILE_TAIL of the peak, and the aliases that the FFT adds
+    (``_profile_fft``) below b _PROFILE_RTOL of it.  Cached per (d, m);
+    raises RefineFailureError, with the relative error of the failing
+    check, when either misses.
     """
     power = 0.5 * (d - 1) - m
     budget = _profile_budget(d, m)
     n = _PROFILE_FFT
-    spec = np.empty(n // 2 + 1, dtype=np.complex128)
-    vals = _profile_fft(power, n, 0.0, spec).copy()
-    peak = float(np.abs(vals).max())
-    err = float(np.abs(vals[-round(_PROFILE_TAIL_SPAN / _PROFILE_STEP):]).max()) / peak
+    y_max = 0.25 * n * _PROFILE_STEP
+    peak = _bump_moment(power)
+    err = _tail_bound(power, y_max - _PROFILE_STEP) / peak
     if err <= budget * _PROFILE_TAIL:
-        mid = _profile_fft(power, n, 0.5, spec)
-        diff = max(float(np.abs(mid[b] - vals[b]).max()) for b in _profile_blocks(len(vals)))
-        err = 0.5 * diff / peak
+        # the aliases of every kept y lie at |y + l n dy| >= 3 y_max |l|, so
+        # their bounds sum to at most 2 zeta(2) times the bound at 3 y_max
+        err = math.pi**2 / 3.0 * _tail_bound(power, 3.0 * y_max) / peak
         if err <= budget * _PROFILE_RTOL:
-            return _PROFILE_STEP, vals
+            return _PROFILE_STEP, _profile_fft(power, n)
     raise RefineFailureError("profile table did not converge", err)
 
 

@@ -8,7 +8,9 @@ sums by the trapezoid rule.
 Two helpers use package paths on purpose: ``family_count_maxima`` takes
 window maxima from scalar ``sets.covering_number`` calls, not from the
 window tables, and ``window_q_per_time``, a per-time loop, pins the blocked
-shell lookups of the sharpness slopes to one-row calls.
+shell lookups of the sharpness slopes to one-row calls.  ``profile_rule``
+and ``profile_errors`` keep the profile tables' former check, a second FFT
+by the midpoint rule, beside the a-priori bound that replaced it.
 """
 
 import math
@@ -334,3 +336,49 @@ def field_gauss_legendre(params, t: float, radii, n: int):
     pref = (2.0 * math.pi) ** (-0.5 * d) * 2.0 ** (j * d)
     vals = np.array([pref * (bessel.radial_kernel(d, 2.0**j * r * nodes) @ phase) for r in radii])
     return vals, pref * float(np.abs(weights).sum())
+
+
+# the span of y at the end of a profile table over which the former rule
+# required |F| below its tail budget
+PROFILE_TAIL_SPAN = 4.0
+
+
+def profile_rule(power: float, n: int, shift: float):
+    """F(m dy), m = 0 .. n/4, dy = ``wave._PROFILE_STEP``, of
+    g = bump(sigma) sigma^power by the rule on the nodes (k + shift) h,
+    h = 2 pi / (n dy), from one real FFT: shift = 0 is the trapezoid rule of
+    the tables, shift = 1/2 the midpoint rule.
+
+    The phase e^(i m dy sigma_k) is e^(2 pi i m shift / n) times the inverse
+    DFT kernel e^(2 pi i m k / n), so the values are the conjugate of the
+    forward real FFT of the samples, which the FFT pads with zeros to length
+    n, times that twist.  Together with ``profile_errors`` this is the
+    profile tables' former two-transform check.
+    """
+    from fracsmooth import wave
+
+    h = 2.0 * math.pi / (n * wave._PROFILE_STEP)
+    lo, hi = wave.BUMP_SUPPORT
+    k = np.arange(math.ceil(lo / h - shift), math.floor(hi / h - shift) + 1)
+    sigma = (k + shift) * h
+    samples = np.zeros(k[-1] + 1)
+    samples[k] = h * wave.bump(sigma) * sigma**power
+    vals = np.conj(np.fft.rfft(samples, n)[: n // 4 + 1])
+    if shift:
+        vals *= np.exp(2.0 * math.pi * 1j * shift / n * np.arange(len(vals)))
+    return vals
+
+
+def profile_errors(d: int, m: int, n: int):
+    """(values, tail error, half-step error) of F_m at FFT length n, each
+    error relative to the peak: |F| over the last PROFILE_TAIL_SPAN units of
+    y, and half the distance of the trapezoid rule from the midpoint rule,
+    the distance of the table from the rule of half the step."""
+    from fracsmooth import wave
+
+    power = 0.5 * (d - 1) - m
+    vals, mid = (profile_rule(power, n, shift) for shift in (0.0, 0.5))
+    peak = np.abs(vals).max()
+    tail = np.abs(vals[-round(PROFILE_TAIL_SPAN / wave._PROFILE_STEP):]).max() / peak
+    step = 0.5 * np.abs(mid - vals).max() / peak
+    return vals, tail, step

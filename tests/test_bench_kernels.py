@@ -47,7 +47,7 @@ def test_bench_cases_run(bench, tmp_path, capsys):
     assert names[:len(bench.STARTUP)] == [f"startup {name}" for name, _ in bench.STARTUP]
     assert names[len(bench.STARTUP):len(bench.STARTUP) + len(bench.LARGE_SMALL)] == \
         [f"process {name}" for name, _, _ in bench.LARGE_SMALL]
-    for prefix in ("profile_table", "window table", "data_norm", "window d=3", "inner disc", "far radii",
+    for prefix in ("profile_table", "tail bound", "window table", "data_norm", "window d=3", "inner disc", "far radii",
                    "slope jobs"):
         assert any(name.startswith(prefix) for name in names), prefix
     assert any(name.startswith("window table") and " top=" in name for name in names)

@@ -9,7 +9,7 @@ import pytest
 
 import fracsmooth
 from fracsmooth import cli, sets, spectra, wave
-from fracsmooth.errors import RefineFailureError
+from fracsmooth.errors import FracsmoothError, RefineFailureError
 
 
 @pytest.fixture
@@ -85,9 +85,24 @@ def test_usage_errors(set_files, tmp_path, capsys):
         ["verify-bookkeeping", "--set", set_files["cantor"], "--p", "inf"],
         ["verify-bookkeeping", "--set", set_files["cantor"], "--q", "nan"],
         ["verify-bookkeeping", "--set", set_files["cantor"], "--q", "inf"],
+        # no nan window end, non-finite grid bound or step, negative count
+        # or non-finite window length
+        ["covering", "--set", set_files["interval"], "--window", "nan", "2", "--j", "8"],
+        ["covering", "--set", set_files["interval"], "--window", "1", "nan", "--j", "8"],
+        ["nu-sharp", "--set", set_files["cantor"], "--alpha-grid", "0:1:inf"],
+        ["nu-sharp", "--set", set_files["cantor"], "--alpha-grid", "0:inf:0.5"],
+        ["nu-sharp", "--set", set_files["cantor"], "--alpha-grid", "nan:1:0.5"],
+        ["nu-sharp", "--set", set_files["cantor"], "--alpha-grid=-inf:1:0.5"],
+        ["exponents", "--set", set_files["cantor"], "--j", "8", "--p", "4", "--q", "4",
+         "--window-length", "0.5", "--count", "-3"],
+        ["exponents", "--set", set_files["cantor"], "--j", "8", "--p", "4", "--q", "4",
+         "--window-length", "nan", "--count", "3"],
+        ["exponents", "--set", set_files["cantor"], "--j", "8", "--p", "4", "--q", "4",
+         "--window-length", "inf", "--count", "3"],
     ):
         assert cli.cli(argv) == 2, argv
-        assert capsys.readouterr().err.startswith("error: "), argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), argv
     # the quasi-Assouad estimate needs j >= 4; the message names j, not theta
     for command in ("set-info", "exponents"):
         assert cli.cli([command, "--set", set_files["cantor"], "--j", "3"]) == 2, command
@@ -96,6 +111,17 @@ def test_usage_errors(set_files, tmp_path, capsys):
     assert cli.cli(["set-info", "--set", set_files["cantor"], "--j", "30"]) == 2
     assert capsys.readouterr().err == (
         "error: resolution too fine: 4294967263 family windows at j = 30, more than 40000000\n")
+
+
+def test_grid_node_cap(set_files, capsys):
+    # a step of 1e-300 would ask for about 1e300 nodes: refused before any
+    # list is built; the cap itself is a grid's most nodes
+    capsys.readouterr()
+    assert cli.cli(["nu-sharp", "--set", set_files["cantor"], "--alpha-grid", "0:1:1e-300"]) == 2
+    assert capsys.readouterr().err.startswith("error: grid must be")
+    assert len(cli._parse_grid(f"0:1:{1.0 / (cli._GRID_NODES - 1)!r}")) == cli._GRID_NODES
+    with pytest.raises(FracsmoothError):
+        cli._parse_grid(f"0:1:{1.0 / cli._GRID_NODES!r}")
 
 
 def test_module_entry_point(set_files):

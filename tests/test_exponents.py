@@ -178,6 +178,11 @@ def test_lower_bound_rhs_values():
     assert val == pytest.approx(2.0**expo, rel=1e-12)
     with pytest.raises(OutOfRangeError):
         exponents.lower_bound_rhs(3, 2.0, 4.0, 4, 2.0**-6, 1)
+    # a negative count made a complex value, nan a nan and inf a zero
+    for length, count in ((0.5, -3), (math.nan, 3), (math.inf, 3), (0.0, 3)):
+        with pytest.raises(OutOfRangeError):
+            exponents.lower_bound_rhs(3, 4.0, 4.0, 8, length, count)
+    assert exponents.lower_bound_rhs(3, 4.0, 4.0, 8, 0.5, 0) == 0.0
 
 
 def test_lower_bound_rhs_cantor_feed(cantor_thirds):

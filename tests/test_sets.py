@@ -158,6 +158,10 @@ def test_covering_window_validation(full_interval):
         sets.covering_number(full_interval, (2.0, 1.0), 0.1)
     with pytest.raises(OutOfRangeError):
         sets.covering_number(full_interval, (-0.5, 1.0), 0.1)
+    # nan ends, which compare false with every bound, and infinite ends
+    for window in ((math.nan, 2.0), (1.0, math.nan), (1.0, math.inf), (-math.inf, 2.0)):
+        with pytest.raises(OutOfRangeError):
+            sets.covering_number(full_interval, window, 0.1)
     with pytest.raises(InvalidResolutionError):
         sets.covering_number(full_interval, (1.0, 2.0), 0.0)
 

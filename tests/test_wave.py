@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -284,40 +285,66 @@ def test_profile_table_refinement_is_bounded(monkeypatch):
 
 @pytest.mark.parametrize("power", [0.5, -4.5])
 def test_profile_transforms_keep_one_pass_bits(power):
-    # the transforms pad the samples to the FFT length and twist the
-    # midpoint rule block by block; both give the bits of a transform of
-    # the full-length sample array twisted in one pass
+    # the table's transform and the former midpoint rule pad the samples to
+    # the FFT length; both give the bits of a transform of the full-length
+    # sample array twisted in one pass
     n = wave._PROFILE_FFT
     for shift in (0.0, 0.5):
         h = 2.0 * math.pi / (n * wave._PROFILE_STEP)
-        k = wave._trapezoid_indices(h, shift)
+        lo, hi = wave.BUMP_SUPPORT
+        k = np.arange(math.ceil(lo / h - shift), math.floor(hi / h - shift) + 1)
         sigma = (k + shift) * h
         full = np.zeros(n)
         full[k] = h * wave.bump(sigma) * sigma**power
         ref = np.conj(np.fft.rfft(full)[: n // 4 + 1])
         ref *= np.exp(2.0 * math.pi * 1j * shift / n * np.arange(len(ref)))
-        vals = wave._profile_fft(power, n, shift, np.empty(n // 2 + 1, dtype=np.complex128))
+        vals = oracles.profile_rule(power, n, shift) if shift else wave._profile_fft(power, n)
         np.testing.assert_array_equal(vals, ref)
 
 
-@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8192, 32769])
-def test_profile_blocks_cover_the_range(n):
-    blocks = wave._profile_blocks(n)
-    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
-    assert all(b.stop - b.start == wave._PROFILE_BLOCK for b in blocks[:-1])
-    assert len(blocks) == 1 or blocks[-1].stop - blocks[-1].start >= wave._PROFILE_BLOCK
+def _table_powers():
+    """(d, m, power) of every profile table of d = 2..5."""
+    return [(d, m, 0.5 * (d - 1) - m) for d in (2, 3, 4, 5)
+            for m in range(len(wave._hankel_series(0.5 * (d - 2))[0]) + 1)]
 
 
-def _achieved_errors(d, m, n):
-    """(values, tail error, half-step error) of F_m at FFT length n, each
-    error relative to the peak, recomputed from the transforms."""
-    power = 0.5 * (d - 1) - m
-    vals, mid = (wave._profile_fft(power, n, shift, np.empty(n // 2 + 1, dtype=np.complex128))
-                 for shift in (0.0, 0.5))
-    peak = np.abs(vals).max()
-    tail = np.abs(vals[-round(wave._PROFILE_TAIL_SPAN / wave._PROFILE_STEP):]).max() / peak
-    step = 0.5 * np.abs(mid - vals).max() / peak
-    return vals, tail, step
+def test_tail_bound_covers_every_table():
+    # the a-priori bound lies above |F_m| at every entry with y in [16, 384]
+    # and within a factor 10 of it from y = 128 on; above 384 the table's
+    # own error reaches the values compared
+    for d, m, power in _table_powers():
+        step, vals = wave._profile_table(d, m)
+        idx = np.arange(round(16 / step), round(384 / step) + 1)
+        bound = np.array([wave._tail_bound(power, y) for y in step * idx])
+        ratio = bound / np.abs(vals[idx])
+        assert ratio.min() >= 1.0, (d, m)
+        assert ratio[idx >= round(128 / step)].max() <= 10.0, (d, m)
+
+
+def test_tail_bound_at_zero_and_negative_y():
+    # ||g||_1 at y = 0, with no division by zero; |F(-y)| = |F(y)|
+    for power in (2.0, -5.5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_zero = wave._tail_bound(power, 0.0)
+        assert at_zero == wave._derivative_norms(power)[0]
+        assert at_zero == pytest.approx(wave._bump_moment(power), rel=1e-12)
+        assert wave._tail_bound(power, -100.0) == wave._tail_bound(power, 100.0)
+        ys = np.array([1.0, 10.0, 100.0, 1000.0])
+        assert np.all(np.diff([wave._tail_bound(power, y) for y in ys]) < 0.0)
+
+
+@pytest.mark.parametrize("n", [2**11, 2**12, 2**13, 2**14, 2**15, 2**16])
+def test_alias_bound_matches_shorter_transforms(n):
+    # a transform of length n keeps y <= y_max = n dy / 4 and aliases at
+    # |y| >= 3 y_max; its distance from the 2^17 table there is at most the
+    # a-priori alias bound, and at least a tenth of it
+    y_max = 0.25 * n * wave._PROFILE_STEP
+    for d, m, power in _table_powers():
+        full = wave._profile_table(d, m)[1]
+        diff = np.abs(wave._profile_fft(power, n) - full[: n // 4 + 1]).max()
+        alias = math.pi**2 / 3.0 * wave._tail_bound(power, 3.0 * y_max)
+        assert 0.1 * alias <= diff <= alias, (d, m)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -332,7 +359,7 @@ def test_profile_tables_meet_their_budgets(d):
     for m in range(len(coeffs) + 1):
         table = wave._profile_table(d, m)
         assert len(table[1]) == 32769
-        vals, tail, step = _achieved_errors(d, m, wave._PROFILE_FFT)
+        vals, tail, step = oracles.profile_errors(d, m, wave._PROFILE_FFT)
         np.testing.assert_array_equal(table[1], vals)
         budget = wave._profile_budget(d, m)
         assert tail <= budget * wave._PROFILE_TAIL
@@ -354,7 +381,7 @@ def test_profile_budgets_keep_field_rows(monkeypatch):
         power = 0.5 * (d - 1) - m
         n = wave._PROFILE_FFT
         while power not in old_tables:
-            vals, tail, step = _achieved_errors(d, m, n)
+            vals, tail, step = oracles.profile_errors(d, m, n)
             if tail <= wave._PROFILE_TAIL and step <= wave._PROFILE_RTOL:
                 old_tables[power] = (wave._PROFILE_STEP, vals)
             n *= 2
