@@ -43,13 +43,16 @@ their derivative norms cold.
 The d = 2 data norm is mostly Hankel-term profile lookups.  The d = 3,
 j = 13 data norm is the heaviest call of the sharpness slopes; its inner
 disc r <= 2^(-j+2), 49 radii through ``propagate`` at t = 0, sums the
-kernel's power series as sigma-moments by the trapezoid rule in sigma, on
+kernel's power series as sigma-moments by one trapezoid rule in sigma, on
 nodes sized to the frequency 2^j t_ref instead of evaluating the kernel per
-radius and node.  The d = 3, j = 18 data norm walks about 1.4M radii in
-blocks.  The same disc at the focus t = t_ref (d = 2, j = 10) has
-the fewest nodes.  Far radii (33 in [0.45, 0.55] at j = 10, t = 1.5)
-evaluate the radial kernel on blocks of radii x nodes through the one
-Bessel evaluator.  One window of the sharpness slopes (512 shells of 17 radii, d = 3, j = 13) is one
+radius and node, and bounds that rule's aliasing error in advance from the
+derivative norms of bump(sigma) sigma^(d-1).  The d = 3, j = 18 data norm
+walks about 1.4M radii in blocks.  The same disc at the focus t = t_ref
+(d = 2, j = 10) has the fewest nodes.  Far radii (33 in [0.45, 0.55] at
+j = 10, t = 1.5) evaluate the radial kernel on blocks of radii x nodes
+through the one Bessel evaluator, under the same one rule and bound.  The
+inner-disc and far-radius cases run with the kernel series and the
+derivative norms cold.  One window of the sharpness slopes (512 shells of 17 radii, d = 3, j = 13) is one
 ``field_row_fast`` lookup over the (times x radii) grid and one
 ``shell_lp_norm`` reduction; its profile table is built before the timing,
 so the case times the lookups.  Three cold runs each (the data norms with
@@ -269,12 +272,14 @@ def cold_data_norm(d, j, p, t_ref=1.0):
 
 def cold_inner_disc(d, j, t_ref, t=0.0):
     wave._kernel_series.cache_clear()
+    wave._derivative_norms.cache_clear()
     params = wave.WaveParams(d=d, j=j, t_ref=t_ref)
     wave.propagate(params, t, np.linspace(0.0, params.min_asymptotic_r, 49))
 
 
 def cold_far_radii(d, j, t):
     wave._kernel_series.cache_clear()
+    wave._derivative_norms.cache_clear()
     wave.propagate(wave.WaveParams(d=d, j=j), t, np.linspace(0.45, 0.55, 33))
 
 

@@ -350,6 +350,11 @@ def cli(argv=None) -> int:
         tol = getattr(args, "tol", None)
         if tol is not None and math.isnan(tol):
             raise FracsmoothError("--tol must be a number, got nan")
+        # the exponents and the fields need d >= 2 (the wave commands also
+        # cap it at 5)
+        d = getattr(args, "d", None)
+        if d is not None and d < 2:
+            raise FracsmoothError(f"--d must be at least 2, got {d}")
         # the exponents are defined for finite p and q only
         for name in ("p", "q"):
             value = getattr(args, name, None)

@@ -92,6 +92,9 @@ def run_duality(config: ExperimentConfig) -> DualityReport:
 
     if not config.j_list:
         raise OutOfRangeError(f"empty scale range j = {config.j_min}..{config.j_max}")
+    # before default_tolerance, which divides by j
+    if config.j_min < 2:
+        raise OutOfRangeError(f"need j >= 2, got {config.j_min}")
     spec = spectra.analytic_spectrum(config.descriptor)
     if spec is None:
         raise UnsupportedSetError("set has no closed-form spectrum to compare against")

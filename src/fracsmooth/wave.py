@@ -27,8 +27,8 @@ and F_1 .. F_K the terms of the Hankel expansion of the remainder (DLMF
 too is a sum of lookups; nearer radii integrate it directly.  Each profile
 is tabulated on a uniform y grid, where the trapezoid rule is a single FFT
 of one fixed length, built once an a-priori bound on its error meets a
-budget set by the weight with which the profile enters the field.  Both
-paths are validated against each other, ``propagate`` by halving its step.
+budget set by the weight with which the profile enters the field; the
+same bound caps the aliasing error of ``propagate``'s one rule.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .records import record
 
 TWO_PI = 2.0 * math.pi
 
-# halving the direct quadrature's step must not move any output by more
-# than this, relative to the row magnitude
+# the a-priori error bound of the direct quadrature must not exceed this,
+# relative to the row magnitude
 QUAD_RTOL = 1e-6
 
 _PROFILE_STEP = 1.0 / 64.0
@@ -214,20 +214,16 @@ def _kernel_sums(kernel, x, nodes, phase):
     """sum_n kernel(x_i sigma_n) phase_n for every x_i, on blocks of about
     _KERNEL_BLOCK (x_i, sigma_n) elements (at least one x_i per block).
 
-    ``phase`` is one weight per node, or one column of weights per rule;
-    each kernel value is computed once for all columns.  The real kernel
-    block is contracted against the real and the imaginary rows of the
-    weights by ``np.einsum``, which makes no BLAS call.
+    The real kernel block is contracted against the real and the imaginary
+    parts of the weights by ``np.einsum``, which makes no BLAS call.
     """
-    cols = phase.reshape(len(nodes), -1).T
-    parts = np.concatenate((cols.real, cols.imag))
-    sums = np.empty((len(x), len(parts)))
+    parts = np.stack((phase.real, phase.imag))
+    sums = np.empty((len(x), 2))
     rows = max(1, _KERNEL_BLOCK // len(nodes))
     for s in range(0, len(x), rows):
         u = np.multiply.outer(x[s:s + rows], nodes)
         np.einsum("in,cn->ic", kernel(u.ravel()).reshape(u.shape), parts, out=sums[s:s + rows])
-    out = sums[:, :len(cols)] + 1j * sums[:, len(cols):]
-    return out.reshape((len(x),) + phase.shape[1:])
+    return sums[:, 0] + 1j * sums[:, 1]
 
 
 def _trapezoid_indices(h: float):
@@ -264,23 +260,24 @@ def _exact_sums(terms, top):
     return head.sum(axis=-1) + (terms - head).sum(axis=-1)
 
 
-def _field_quadrature(params: WaveParams, t: float, r_grid, level: int):
-    """Coarse and fine direct evaluations of the field at every radius in r_grid.
+def _field_quadrature(params: WaveParams, t: float, r_grid):
+    """The field at every radius in r_grid by one trapezoid rule in sigma.
 
-    Both are trapezoid rules in sigma on the nodes m h of the bump support,
-    h = ``_moment_step(f, level + 1)``: the fine rule on every m, the coarse
-    one on the even m with doubled weight.  f bounds the integrand's
-    frequency: 2^j |t - t0| when every radius is near, 2^j (|t - t0| + r_max)
-    otherwise.  The error is the sum of the aliases at f -+ 2 pi l / h
-    (Poisson summation).  Near radii (u_max = 2^j r sigma_hi <=
-    _KERNEL_SERIES_CUTOFF) expand the kernel as ``_kernel_series``:
+    Its nodes m h cover the bump support, h = ``_moment_step(f, 1)``, f
+    bounding the integrand's frequency: 2^j |t - t0| when every radius is
+    near, 2^j (|t - t0| + r_max) otherwise.  Near radii (u_max = 2^j r
+    sigma_hi <= _KERNEL_SERIES_CUTOFF) expand the kernel as ``_kernel_series``:
     u(r) = pref sum_k c_k M_k x^k, x = (2^j r)^2, with the moments M_k of
-    bump(sigma) sigma^(d-1+2k) e^(i y sigma), y = 2^j (t - t0).  The series
-    amplifies rounding in M_k by up to a few hundred, hence ``_exact_sums``
-    for the fine rule; the coarse rule, which only checks it, is a plain sum.
+    bump(sigma) sigma^(d-1+2k) e^(i y sigma), y = 2^j (t - t0); the series
+    amplifies their rounding by up to a few hundred, hence ``_exact_sums``.
     Far radii evaluate ``bessel.radial_kernel`` once at every node, in blocks
-    of radii, and sum it against both rules' weights.  Returns (coarse, fine,
-    bound), the bound being the fine rule's triangle-inequality bound on |u|.
+    of radii.  The error is the sum of the aliases l != 0 of the integrand
+    bump sigma^(d-1) G(2^j r sigma) e^(i y sigma) (Poisson summation).  By
+    Poisson's integral (DLMF 10.9.4) G(u) = J_nu(u) / u^nu averages
+    e^(i u tau), |tau| <= 1, with a positive weight of mass c_0 = G(0), so
+    alias l lies |l| (2 pi / h - |y| - 2^j r_max) or more from the band.
+    Returns (values, alias, bound): the field, c_0 ``_alias_bound`` at that
+    distance, and the triangle bound on |u|, both times the prefactor.
     """
     d, j = params.d, params.j
     hi = BUMP_SUPPORT[1]
@@ -288,14 +285,11 @@ def _field_quadrature(params: WaveParams, t: float, r_grid, level: int):
     scale = 2.0**j
     y = scale * omega
     pref = TWO_PI ** (-0.5 * d) * 2.0 ** (j * d)
-    coarse = np.empty(len(r_grid), dtype=np.complex128)
-    fine = np.empty(len(r_grid), dtype=np.complex128)
+    values = np.empty(len(r_grid), dtype=np.complex128)
     near = scale * r_grid * hi <= _KERNEL_SERIES_CUTOFF
-    freq = y if np.all(near) else scale * (abs(omega) + float(r_grid.max()))
-    h = _moment_step(freq, level + 1)
-    m = _trapezoid_indices(h)
-    sigma = m * h
-    even = slice(int(m[0]) % 2, None, 2)
+    r_max = float(r_grid.max())
+    h = _moment_step(y if np.all(near) else scale * (abs(omega) + r_max), 1)
+    sigma = _trapezoid_indices(h) * h
     base = h * bump(sigma) * sigma ** (d - 1)
     # y_hi = y rounded to single precision makes every y_hi sigma exact,
     # so the phase is correct to its own rounding, not to that of
@@ -310,12 +304,11 @@ def _field_quadrature(params: WaveParams, t: float, r_grid, level: int):
         coeffs = coeffs[:np.flatnonzero(big_terms >= _KERNEL_SERIES_ATOL)[-1] + 1]
         # the terms phase sigma^(2k) of the moments, real and imaginary
         # parts, from one running product, in blocks of about _MOMENT_BLOCK
-        # (k, sigma_n) elements; the coarse rule only checks the fine one,
-        # so a plain sum serves it
+        # (k, sigma_n) elements
         sq = sigma * sigma
         # |phase| sigma_hi^(2k) bounds row k, within a factor 100 in d <= 5
         top = float(np.abs(phase).max()) * sq[-1] ** np.arange(len(coeffs))
-        coarse_sums, fine_sums = np.empty((2, len(coeffs), 2))
+        sums = np.empty((len(coeffs), 2))
         block = np.empty((max(1, _MOMENT_BLOCK // len(sigma)), 2, len(sigma)))
         block[0] = phase.real, phase.imag
         for k0 in range(0, len(coeffs), len(block)):
@@ -324,47 +317,39 @@ def _field_quadrature(params: WaveParams, t: float, r_grid, level: int):
                 np.multiply(block[-1], sq, out=rows[0])
             for i in range(1, len(rows)):
                 np.multiply(rows[i - 1], sq, out=rows[i])
-            coarse_sums[k0:k0 + len(rows)] = 2.0 * rows[..., even].sum(axis=-1)
-            fine_sums[k0:k0 + len(rows)] = _exact_sums(rows, top[k0:k0 + len(rows), None, None])
-        # the coarse and the fine moments, summed against the powers of x
-        sums = np.stack((coarse_sums, fine_sums))
-        terms = coeffs * (sums[..., 0] + 1j * sums[..., 1])
-        series = (np.vander(x, len(coeffs), increasing=True) * terms[:, None, :]).sum(axis=-1)
-        coarse[near], fine[near] = pref * series
+            sums[k0:k0 + len(rows)] = _exact_sums(rows, top[k0:k0 + len(rows), None, None])
+        # the moments, summed against the powers of x
+        terms = coeffs * (sums[:, 0] + 1j * sums[:, 1])
+        values[near] = pref * (np.vander(x, len(coeffs), increasing=True) * terms).sum(axis=-1)
     if not np.all(near):
-        # one column per rule: the coarse (even nodes, doubled) and the fine
-        weights = np.zeros((len(sigma), 2), dtype=np.complex128)
-        weights[even, 0] = 2.0 * phase[even]
-        weights[:, 1] = phase
         kernel = functools.partial(bessel.radial_kernel, d)
-        coarse[~near], fine[~near] = pref * _kernel_sums(kernel, scale * r_grid[~near], sigma, weights).T
+        values[~near] = pref * _kernel_sums(kernel, scale * r_grid[~near], sigma, phase)
+    alias = pref * _kernel_series(d)[0] * _alias_bound(d - 1, TWO_PI / h - abs(y) - scale * r_max)
     # |radial_kernel| <= 1 in every supported dimension
-    return coarse, fine, pref * float(np.abs(base).sum())
+    return values, alias, pref * float(np.abs(base).sum())
 
 
 def propagate(params: WaveParams, t: float, r_grid) -> WaveFieldRow:
-    """Field values u(r, t) on a radius grid, with a refinement check.
+    """Field values u(r, t) on a radius grid by one trapezoid rule in sigma
+    (``_field_quadrature``); ``err_rel`` is its alias bound plus, when a
+    radius is near, the kernel series' cut (at most 2 _KERNEL_SERIES_ATOL
+    times the triangle bound), relative to the row magnitude.
 
-    Each level runs ``_field_quadrature``, the trapezoid rule in sigma at a
-    step and at half of it: near radii (2^j r sigma_hi <= 12) as
-    sigma-moments of the kernel's power series, far radii with the kernel
-    evaluated at every node, on blocks of radii.  Each level halves the step.
-    Raises RefineFailureError, with the achieved error, when three levels
-    still move the result by more than QUAD_RTOL relative to the row
-    magnitude.
+    Raises OutOfRangeError unless t and the radii are finite and the radii
+    nonnegative, and RefineFailureError, with err_rel, above QUAD_RTOL.
     """
     r_grid = np.atleast_1d(np.asarray(r_grid, dtype=np.float64))
-    if r_grid.size == 0 or np.any(r_grid < 0):
-        raise OutOfRangeError("need one or more radii, all nonnegative")
-    for level in range(3):
-        coarse, fine, bound = _field_quadrature(params, t, r_grid, level)
-        # where the field is negligible against its a-priori bound, accuracy
-        # relative to that bound is what matters
-        scale = max(float(np.abs(fine).max()), 1e-4 * bound, 1e-300)
-        err = float(np.abs(fine - coarse).max()) / scale
-        if err <= QUAD_RTOL:
-            return WaveFieldRow(t, r_grid, fine, err, params)
-    raise RefineFailureError("field quadrature did not converge", err)
+    if not math.isfinite(t) or r_grid.size == 0 or not np.all(np.isfinite(r_grid) & (r_grid >= 0)):
+        raise OutOfRangeError("need a finite time and one or more radii, all finite and nonnegative")
+    values, alias, bound = _field_quadrature(params, t, r_grid)
+    near = 2.0**params.j * float(r_grid.min()) * BUMP_SUPPORT[1] <= _KERNEL_SERIES_CUTOFF
+    # where the field is negligible against its a-priori bound, accuracy
+    # relative to that bound is what matters
+    scale = max(float(np.abs(values).max()), 1e-4 * bound, 1e-300)
+    err = (alias + (2.0 * _KERNEL_SERIES_ATOL * bound if near else 0.0)) / scale
+    if err > QUAD_RTOL:
+        raise RefineFailureError("field quadrature misses its tolerance", err)
+    return WaveFieldRow(t, r_grid, values, err, params)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +423,12 @@ def _tail_bound(power: float, y: float) -> float:
     return float((norms[2:] / y ** np.arange(2, len(norms))).min()) if y else float(norms[0])
 
 
+def _alias_bound(power: float, distance: float) -> float:
+    """pi^2/3 = sum_(l != 0) 1/l^2 times ``_tail_bound`` at distance > 0 (else inf):
+    the summed aliases of a trapezoid rule whose alias l lies |l| distance away."""
+    return math.pi**2 / 3.0 * _tail_bound(power, distance) if distance > 0 else math.inf
+
+
 @functools.lru_cache(maxsize=None)
 def _profile_budget(d: int, m: int) -> float:
     """Factor on _PROFILE_TAIL and _PROFILE_RTOL that bounds the errors of F_m.
@@ -484,9 +475,8 @@ def _profile_table(d: int, m: int = 0):
     peak = _bump_moment(power)
     err = _tail_bound(power, y_max - _PROFILE_STEP) / peak
     if err <= budget * _PROFILE_TAIL:
-        # the aliases of every kept y lie at |y + l n dy| >= 3 y_max |l|, so
-        # their bounds sum to at most 2 zeta(2) times the bound at 3 y_max
-        err = math.pi**2 / 3.0 * _tail_bound(power, 3.0 * y_max) / peak
+        # the aliases of every kept y lie at |y + l n dy| >= 3 y_max |l|
+        err = _alias_bound(power, 3.0 * y_max) / peak
         if err <= budget * _PROFILE_RTOL:
             return _PROFILE_STEP, _profile_fft(power, n)
     raise RefineFailureError("profile table did not converge", err)
@@ -519,7 +509,8 @@ def _times_grid(params: WaveParams, t, r_grid):
     of n times with an (n x m) grid whose row i is taken at time t[i].
 
     omega = t - t0 gets a trailing axis of length 1, so it broadcasts along
-    each row of radii.
+    each row of radii.  Raises OutOfRangeError on other shapes and on
+    non-finite times or radii.
     """
     t = np.asarray(t, dtype=np.float64)
     r_grid = np.asarray(r_grid, dtype=np.float64)
@@ -527,6 +518,8 @@ def _times_grid(params: WaveParams, t, r_grid):
         r_grid = np.atleast_1d(r_grid)
     if t.ndim > 1 or r_grid.shape[:-1] != t.shape:
         raise OutOfRangeError("need one time with a 1-D radius grid, or n times with an (n x m) grid")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(r_grid))):
+        raise OutOfRangeError("need finite times and radii")
     return (t - params.t_ref)[..., None], r_grid
 
 

@@ -113,6 +113,24 @@ def test_usage_errors(set_files, tmp_path, capsys):
         "error: resolution too fine: 4294967263 family windows at j = 30, more than 40000000\n")
 
 
+def test_scale_and_dimension_usage_errors(set_files, capsys):
+    # j_min < 2 is refused before the default tolerance divides by j, and
+    # d < 2 before any exponent or table: usage errors, not check failures
+    capsys.readouterr()
+    for argv, message in (
+        (["verify-duality", "--set", set_files["cantor"], "--jmin", "0", "--jmax", "0"], "need j >= 2, got 0"),
+        (["verify-duality", "--set", set_files["cantor"], "--jmin", "1", "--jmax", "3"], "need j >= 2, got 1"),
+        (["exponents", "--set", set_files["cantor"], "--j", "12", "--d", "0", "--p", "4"],
+         "--d must be at least 2, got 0"),
+        (["exponents", "--set", set_files["cantor"], "--j", "12", "--d", "1", "--p", "4", "--q", "4"],
+         "--d must be at least 2, got 1"),
+        (["verify-bookkeeping", "--set", set_files["cantor"], "--d", "0"], "--d must be at least 2, got 0"),
+        (["verify-sharpness", "--set", set_files["cantor"], "--d", "1"], "--d must be at least 2, got 1"),
+    ):
+        assert cli.cli(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
 def test_grid_node_cap(set_files, capsys):
     # a step of 1e-300 would ask for about 1e300 nodes: refused before any
     # list is built; the cap itself is a grid's most nodes

@@ -96,6 +96,22 @@ def test_propagate_rejects_negative_radius():
             wave.propagate(params, 1.5, np.array(radii))
 
 
+def test_wave_entry_points_reject_non_finite_inputs():
+    params = wave.WaveParams(d=3, j=8)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfRangeError):
+            wave.propagate(params, bad, np.array([0.01]))
+        with pytest.raises(OutOfRangeError):
+            wave.propagate(params, 1.5, np.array([0.01, bad]))
+        # the lookup path: one time with a 1-D grid, or a vector of times
+        with pytest.raises(OutOfRangeError):
+            wave.field_row_fast(params, bad, np.array([0.3, 0.5]))
+        with pytest.raises(OutOfRangeError):
+            wave.field_row_fast(params, 1.5, np.array([0.3, bad]))
+        with pytest.raises(OutOfRangeError):
+            wave.main_terms_grid(params, np.array([1.5, bad]), np.full((2, 2), 0.4))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_kernel_series_matches_radial_kernel(d):
     coeffs = wave._kernel_series(d)
@@ -123,13 +139,13 @@ def test_propagate_moment_series_matches_per_radius_kernel(d, t):
     near = grid <= r_cut
     assert 0 < np.sum(near) < len(grid)
     row = wave.propagate(params, t, grid)
-    # the nodes propagate returns its values on, the fine rule of the first
-    # level: the trapezoid nodes at the halved step of the fastest phase,
-    # shared by the near and the far radii
+    # the nodes propagate returns its values on, those of its one rule: the
+    # trapezoid nodes at the halved step of the fastest phase, shared by the
+    # near and the far radii
     scale = 2.0**params.j
     y = scale * (t - params.t_ref)
     pref = (2 * math.pi) ** (-0.5 * d) * 2.0 ** (params.j * d)
-    _, _, bound = wave._field_quadrature(params, t, grid, 0)
+    _, _, bound = wave._field_quadrature(params, t, grid)
     h = wave._moment_step(scale * (abs(t - params.t_ref) + grid.max()), 1)
     sigma = h * np.arange(math.ceil(wave.BUMP_SUPPORT[0] / h), math.floor(wave.BUMP_SUPPORT[1] / h) + 1)
     phase = oracles.exact_phase(y, sigma) * h * wave.bump(sigma) * sigma ** (d - 1)
@@ -149,9 +165,9 @@ def test_propagate_inner_disc_evaluates_no_kernel(monkeypatch):
 
 
 def test_propagate_near_refinement_is_bounded(monkeypatch):
-    # at the focus an alias margin of 4 leaves 1, 2, 4 and 8 trapezoid nodes
-    # on the bump: three halvings of the step cannot converge, and propagate
-    # gives up with the achieved error
+    # at the focus an alias margin of 4 leaves 2 trapezoid nodes on the
+    # bump: the alias bound exceeds the tolerance, and propagate gives up
+    # with that bound
     monkeypatch.setattr(wave, "_ALIAS_MARGIN", 4.0)
     params = wave.WaveParams(d=3, j=8, t_ref=1.3)
     with pytest.raises(RefineFailureError) as info:
@@ -160,23 +176,55 @@ def test_propagate_near_refinement_is_bounded(monkeypatch):
     assert math.isfinite(err) and err > wave.QUAD_RTOL
 
 
-@pytest.mark.parametrize("columns", [None, 2])
+@pytest.mark.parametrize("margin", [16.0, 64.0])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_propagate_alias_bound_holds_at_small_margins(monkeypatch, d, margin):
+    # with the alias margin shrunk, aliasing, not rounding, is the error:
+    # the a-priori bound must lie above it on the inner disc and on far
+    # radii.  The far radii out to 1 fail a bound whose alias distance
+    # omits the kernel's own frequency 2^j r_max.
+    monkeypatch.setattr(wave, "_ALIAS_MARGIN", margin)
+    params = wave.WaveParams(d=d, j=8, t_ref=1.3)
+    cut = 1.01 * _kernel_cut_radius(params)
+    checked = 0
+    for radii in (np.linspace(0.0, params.min_asymptotic_r, 9), np.linspace(cut, 0.6, 7),
+                  np.linspace(cut, 1.0, 7)):
+        for t in (0.0, params.t_ref, 2.0):
+            values, alias, bound = wave._field_quadrature(params, t, radii)
+            freq = 2.0**params.j * (abs(t - params.t_ref) + radii.max())
+            ref, _ = oracles.field_gauss_legendre(params, t, radii, max(2**16, 16 * math.ceil(1.0 + freq)))
+            err = float(np.abs(values - ref).max())
+            if err > 1e-10 * max(float(np.abs(ref).max()), 1e-4 * bound):
+                checked += 1
+                assert err <= alias, (radii.max(), t)
+    # every inner-disc case is aliasing-dominated at these margins
+    assert checked >= 3
+
+
+def test_propagate_inner_disc_err_rel_is_tiny():
+    # at the real alias margin the bound on the inner disc at t = 0, where
+    # the field is ~1e-8 of its triangle bound, is far below the tolerance
+    for d in (2, 3, 4, 5):
+        params = wave.WaveParams(d=d, j=10, t_ref=1.3)
+        row = wave.propagate(params, 0.0, np.linspace(0.0, params.min_asymptotic_r, 49))
+        assert 0.0 < row.err_rel <= 1e-12
+
+
 @pytest.mark.parametrize("radii", [1, 100])
-def test_kernel_sums_match_matmul(radii, columns):
+def test_kernel_sums_match_matmul(radii):
     # the einsum contraction against a plain matmul of the whole kernel
-    # matrix, for one weight per node and for one column per rule, on one
-    # radius and on radii spanning several blocks
+    # matrix, one weight per node, on one radius and on radii spanning
+    # several blocks
     rng = np.random.default_rng(5)
     nodes = np.linspace(0.5, 2.0, 389)
-    shape = (len(nodes),) if columns is None else (len(nodes), columns)
-    phase = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    phase = rng.standard_normal(len(nodes)) + 1j * rng.standard_normal(len(nodes))
     x = np.linspace(4.0, 30.0, radii)
     assert radii == 1 or radii > wave._KERNEL_BLOCK // len(nodes)
     kernel = functools.partial(bessel.bessel_remainder, 0.0)
     matrix = kernel(np.multiply.outer(x, nodes).ravel()).reshape(len(x), len(nodes))
     sums = wave._kernel_sums(kernel, x, nodes, phase)
-    assert sums.shape == (radii,) + shape[1:] and sums.dtype == np.complex128
-    scale = np.abs(phase).sum(axis=0).max() * np.abs(matrix).max()
+    assert sums.shape == (radii,) and sums.dtype == np.complex128
+    scale = np.abs(phase).sum() * np.abs(matrix).max()
     assert np.abs(sums - matrix.astype(np.complex128) @ phase).max() <= 1e-15 * scale
 
 
