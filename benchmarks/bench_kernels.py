@@ -11,9 +11,9 @@ NumPy imported before the package keeps OpenBLAS's default threads),
 union at j = 12, the same import with ``fracsmooth.wave``, a whole
 ``wave-sim`` at d = 2, j = 10 and one cold ``data_norm`` at d = 2, j = 6
 (the two heaviest jobs of the benchmark's wave-fields workload), each the
-median and quartiles of 15 processes.  Then three processes of
-``verify-sharpness`` on cantor at d = 3, p = 2.5, j = 8..18, whose peak is
-set by its data norms and window tables, and three each of
+median and quartiles of 15 processes.  Then three processes each of
+``verify-sharpness`` on cantor at d = 3, p = 2.5, j = 8..18 and j = 8..22,
+whose peaks are set by their data norms and window tables, and three each of
 ``verify-duality`` on cantor at j = 20..22 and on union at j = 22, whose
 full window tables make them the covering side at large scales.  A small
 helper (``python -S``, about 9 MB) starts each one and reads its peak
@@ -35,7 +35,9 @@ choose their window at that scale.  The cantor, polyseq
 and union jobs of the benchmark's slope-sweep workload (d = 3, j = 8..13)
 then run in this process with their window tables cold, their data norms
 and profile table warm from an untimed first run: the covering side of a
-slope job.  Each profile table F_0 .. F_K of
+slope job.  The distinct data norms of all four slope-sweep jobs (25 at
+j = 8..13) then run with their cache cleared and the table warm: the wave
+side of a slope job that the shells do not share.  Each profile table F_0 .. F_K of
 d = 2, 3 and 4 is built cold: an a-priori bound on its error, from the
 derivative norms of its integrand, checked against its budget, then one FFT
 of a fixed length.  The bounds of d = 2's seven tables are also timed alone,
@@ -130,6 +132,9 @@ LARGE = [
     ("verify-sharpness cantor d=3 p=2.5 j=8..18",
      ["-m", "fracsmooth", "verify-sharpness", "--set", "perfbench/sets/cantor.json", "--d", "3", "--p", "2.5",
       "--jmin", "8", "--jmax", "18"], 3),
+    ("verify-sharpness cantor d=3 p=2.5 j=8..22",
+     ["-m", "fracsmooth", "verify-sharpness", "--set", "perfbench/sets/cantor.json", "--d", "3", "--p", "2.5",
+      "--jmin", "8", "--jmax", "22"], 3),
     ("verify-duality cantor j=20..22",
      ["-m", "fracsmooth", "verify-duality", "--set", "perfbench/sets/cantor.json", "--jmin", "20", "--jmax", "22"], 3),
     ("verify-duality union j=22",
@@ -163,8 +168,10 @@ HELPER = (
     "sys.exit(os.waitstatus_to_exitcode(status))\n"
 )
 
-# the covering-heavy jobs of the benchmark's slope-sweep workload: (set, p)
+# the covering-heavy jobs of the benchmark's slope-sweep workload: (set, p),
+# and all four of its jobs
 SLOPE_JOBS = [("cantor", 2.5), ("polyseq", 3.0), ("union", 2.5)]
+SLOPE_SWEEP = [("interval", 4.0), *SLOPE_JOBS]
 
 SETS = [
     ("interval", sets.FullInterval(1.0, 2.0)),
@@ -245,6 +252,28 @@ def slope_jobs(configs):
         harness.run_sharpness_slope(config)
 
 
+def slope_data_norms(configs):
+    """(params, p) of each distinct data norm that the sharpness slopes of
+    ``configs`` take, in their order, read from ``wave.data_norm``'s calls."""
+    seen = []
+    real = wave.data_norm
+    wave.data_norm = lambda params, p: seen.append((params, p)) or real(params, p)
+    try:
+        for config in configs:
+            harness.run_sharpness_slope(config)
+    finally:
+        wave.data_norm = real
+    return list(dict.fromkeys(seen))
+
+
+def warm_data_norms(norms):
+    """Every data norm of ``norms`` with the norm cache cleared and the
+    profile table warm."""
+    wave.data_norm.cache_clear()
+    for params, p in norms:
+        wave.data_norm(params, p)
+
+
 def cold_profile_table(d, m):
     wave._profile_table.cache_clear()
     wave._derivative_norms.cache_clear()
@@ -323,6 +352,10 @@ def kernel_cases(small):
     slope_jobs(configs)
     yield (f"slope jobs cantor+polyseq+union j=8..{j_max}, warm", {"d": 3, "j": [8, j_max], "jobs": len(configs)},
            slope_jobs, (configs,))
+    sweep = slope_data_norms([harness.ExperimentConfig(sets.load_file(ROOT / "perfbench" / "sets" / f"{name}.json"),
+                                                       d=3, p=p, j_min=8, j_max=j_max) for name, p in SLOPE_SWEEP])
+    yield (f"slope data norms d=3 j=8..{j_max}, warm table", {"d": 3, "j": [8, j_max], "norms": len(sweep)},
+           warm_data_norms, (sweep,))
     norms = [(2, 6, 2.0, 1.0)] + ([] if small else [(3, 13, 3.0, 1.5), (3, 18, 2.5, 1.0)])
     for d, j, p, t_ref in norms:
         yield (f"data_norm d={d} j={j} p={p:g}", {"d": d, "j": j, "p": p, "t_ref": t_ref},

@@ -29,6 +29,10 @@ is tabulated on a uniform y grid, where the trapezoid rule is a single FFT
 of one fixed length, built once an a-priori bound on its error meets a
 budget set by the weight with which the profile enters the field; the
 same bound caps the aliasing error of ``propagate``'s one rule.
+``norm_lp`` evaluates only the radii that can change a bit of its sum:
+radii whose lookups all fall off the tables are exactly 0, lookups on the
+table's nodes read the node values, and the same bound shows where the
+inner disc lies below half an ulp of the rest.
 """
 
 from __future__ import annotations
@@ -80,6 +84,13 @@ _HANKEL_RTOL = 0.1 * QUAD_RTOL
 # calling thread.
 _KERNEL_BLOCK = 2**14
 _MOMENT_BLOCK = 2**12
+# nodes of one trapezoid rule in sigma (``_trapezoid_indices``): its step
+# follows 2^j (|t - t0| + r), so a far time at a large j would otherwise ask
+# for gigabytes (1.2e8 nodes at j = 8, t = 1e6).  The tier-1 suite runs at
+# most 16 384 nodes, the CLI's wave commands and sharpness slopes at
+# j <= 22 at most 1 229; a data norm at j = 22 whose inner disc were not
+# skipped would need 4.0e6 at t_ref = 2
+_MAX_NODES = 2**23
 
 
 # the data bump chi(sigma) = psi((sigma - center) / half_width), psi the
@@ -227,9 +238,14 @@ def _kernel_sums(kernel, x, nodes, phase):
 
 
 def _trapezoid_indices(h: float):
-    """The k with node k h inside the closed bump support."""
+    """The k with node k h inside the closed bump support; raises
+    OutOfRangeError, before allocating them, above _MAX_NODES of them."""
     lo, hi = BUMP_SUPPORT
-    return np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
+    first, last = math.ceil(lo / h), math.floor(hi / h)
+    if last - first + 1 > _MAX_NODES:
+        raise OutOfRangeError(f"a trapezoid rule at step {h:.3e} needs {last - first + 1} nodes, "
+                              f"above the cap {_MAX_NODES}; |t - t_ref| or r is too large for 2^j")
+    return np.arange(first, last + 1)
 
 
 def _moment_step(y: float, level: int) -> float:
@@ -399,18 +415,25 @@ def _derivative_norms(power: float):
     the midpoint rule (within 0.5 %).  At each node the Taylor coefficients a_k
     of log g = 1 - (1/(1 - x) + 1/(1 + x)) / 2 + power log sigma are geometric
     series, and exp's recurrence b_n = sum_k k a_k b_(n-k) / n gives
-    g^(N) = N! b_N.  Cached per power; callers must not modify the result."""
+    g^(N) = N! b_N.  Row k - 1 of ``ka`` holds k a_k, built from running
+    powers of the three ratios, one row at a time, and row N of ``b`` holds
+    b_N.  Cached per power; callers must not modify the result."""
     lo, hi = BUMP_SUPPORT
     h = (hi - lo) / _BOUND_NODES
     sigma = lo + h * (np.arange(_BOUND_NODES) + 0.5)
     x = (sigma - BUMP_CENTER) / BUMP_HALF_WIDTH
-    p1, p2, p3 = (np.cumprod(np.broadcast_to(r, (_BOUND_ORDER, _BOUND_NODES)), axis=0) for r in
-                  (1.0 / ((1.0 - x) * BUMP_HALF_WIDTH), -1.0 / ((1.0 + x) * BUMP_HALF_WIDTH), -1.0 / sigma))
-    ka = -0.5 * np.arange(1, _BOUND_ORDER + 1)[:, None] * (p1 / (1.0 - x) + p2 / (1.0 + x)) - power * p3
-    b = [bump(sigma) * sigma**power]
+    ratios = 1.0 / ((1.0 - x) * BUMP_HALF_WIDTH), -1.0 / ((1.0 + x) * BUMP_HALF_WIDTH), -1.0 / sigma
+    q1, q2, q3 = ratios
+    ka = np.empty((_BOUND_ORDER, _BOUND_NODES))
+    for k in range(_BOUND_ORDER):
+        if k:
+            q1, q2, q3 = (q * r for q, r in zip((q1, q2, q3), ratios))
+        ka[k] = -0.5 * (k + 1) * (q1 / (1.0 - x) + q2 / (1.0 + x)) - power * q3
+    b = np.empty((_BOUND_ORDER + 1, _BOUND_NODES))
+    b[0] = bump(sigma) * sigma**power
     for n in range(1, _BOUND_ORDER + 1):
-        b.append(np.einsum("kn,kn->n", ka[:n], b[::-1]) / n)
-    return h * np.abs(b).sum(axis=1) * [math.factorial(n) for n in range(_BOUND_ORDER + 1)]
+        b[n] = np.einsum("kn,kn->n", ka[:n], b[n - 1::-1]) / n
+    return h * np.abs(b, out=b).sum(axis=1) * [math.factorial(n) for n in range(_BOUND_ORDER + 1)]
 
 
 def _tail_bound(power: float, y: float) -> float:
@@ -482,23 +505,38 @@ def _profile_table(d: int, m: int = 0):
     raise RefineFailureError("profile table did not converge", err)
 
 
+def _table_reach(table) -> float:
+    """|y| from which ``_profile_eval`` reads the table as zero."""
+    h, vals = table
+    return (len(vals) - 2) * h
+
+
 def _profile_eval(table, y):
-    """Cubic 4-point interpolation of the profile; conjugate symmetry in y."""
+    """Cubic 4-point interpolation of the profile; conjugate symmetry in y;
+    zero from ``_table_reach`` on.
+
+    When every lookup inside the reach lands on a node (xi == 0), as on the
+    data norms' grids (steps 2^-j and 2^-j / 64, the table's 1 / 64), the
+    weights are (-0, 1, 0, -0), whose sum has the bits of vals[i]; the call
+    reads vals[i] instead.
+    """
     h, vals = table
     y = np.asarray(y, dtype=np.float64)
     ay = np.abs(y)
-    inside = ay < (len(vals) - 2) * h
+    inside = ay < _table_reach(table)
     out = np.zeros(y.shape, dtype=np.complex128)
     if np.any(inside):
         t = ay[inside] / h
         i = np.clip(t.astype(np.int64), 1, len(vals) - 3)
         xi = t - i
-        wm1 = -xi * (xi - 1.0) * (xi - 2.0) / 6.0
-        w0 = (xi + 1.0) * (xi - 1.0) * (xi - 2.0) / 2.0
-        w1 = -(xi + 1.0) * xi * (xi - 2.0) / 2.0
-        w2 = (xi + 1.0) * xi * (xi - 1.0) / 6.0
-        vv = wm1 * vals[i - 1] + w0 * vals[i] + w1 * vals[i + 1] + w2 * vals[i + 2]
-        out[inside] = vv
+        if xi.any():
+            wm1 = -xi * (xi - 1.0) * (xi - 2.0) / 6.0
+            w0 = (xi + 1.0) * (xi - 1.0) * (xi - 2.0) / 2.0
+            w1 = -(xi + 1.0) * xi * (xi - 2.0) / 2.0
+            w2 = (xi + 1.0) * xi * (xi - 1.0) / 6.0
+            out[inside] = wm1 * vals[i - 1] + w0 * vals[i] + w1 * vals[i + 1] + w2 * vals[i + 2]
+        else:
+            out[inside] = vals[i]
     neg = inside & (y < 0)
     out[neg] = np.conj(out[neg])
     return out
@@ -549,7 +587,7 @@ def main_terms_grid(params: WaveParams, t, r_grid):
     rot = np.exp(1j * math.pi * (d - 1) / 4.0)
     t_minus = pref * rot * _profile_eval(table, scale * (omega - r_grid))
     t_plus = pref * np.conj(rot) * _profile_eval(table, scale * (omega + r_grid))
-    t_rem = _remainder_term(params, t, r_grid)
+    t_rem = _remainder(params, omega, r_grid)
     return t_minus, t_plus, t_rem
 
 
@@ -606,7 +644,11 @@ def _remainder_term(params: WaveParams, t, r_grid):
     and exact lookups at every radius in d = 5 (K = 1).  ``t`` and
     ``r_grid`` take the shapes of ``main_terms_grid``.
     """
-    omega, r_grid = _times_grid(params, t, r_grid)
+    return _remainder(params, *_times_grid(params, t, r_grid))
+
+
+def _remainder(params: WaveParams, omega, r_grid):
+    """``_remainder_term`` on the (omega, r_grid) that ``_times_grid`` returns."""
     d, j = params.d, params.j
     order = 0.5 * (d - 2)
     coeffs, _, u_cut = _hankel_series(order)
@@ -672,13 +714,17 @@ def field_row_fast(params: WaveParams, t, r_grid) -> WaveFieldRow:
     holds all n rows, (n x m) values, in one ``WaveFieldRow``.
     ``err_rel`` is the Hankel truncation bound of T_rem relative to the row
     maximum, a float for one row and one per row for n: 0 in d = 3 and
-    d = 5, where the expansion is exact.
+    d = 5, where the expansion is exact.  ``main_terms_grid`` validates t
+    and r_grid, and is called by its module name.
     """
-    _, r_grid = _times_grid(params, t, r_grid)
     tm, tp, tr = main_terms_grid(params, t, r_grid)
+    r_grid = np.asarray(r_grid, dtype=np.float64).reshape(tm.shape)
     values = tm + tp + tr
-    bound = _truncation_bound(params, r_grid).max(axis=-1, initial=0.0)
-    err = bound / np.maximum(np.abs(values).max(axis=-1, initial=0.0), 1e-300)
+    if not _hankel_series(0.5 * (params.d - 2))[1].any():
+        err = np.zeros(values.shape[:-1])
+    else:
+        bound = _truncation_bound(params, r_grid).max(axis=-1, initial=0.0)
+        err = bound / np.maximum(np.abs(values).max(axis=-1, initial=0.0), 1e-300)
     return WaveFieldRow(t, r_grid, values, err if err.ndim else float(err), params)
 
 
@@ -711,7 +757,8 @@ def shell_lp_norm(row: WaveFieldRow, p: float, r_range):
     of n floats for n rows.  The root is taken on Python floats, one row at
     a time, so every row gets the bits of a one-row call.  Requires, in
     every row, at least 3 radii and grid step <= 2^-j / 32 inside r_range,
-    and raises OutOfRangeError unless p is in [1, inf].
+    and raises OutOfRangeError unless p is in [1, inf], and when an area
+    overflows.
     """
     _check_p(p)
     r = row.r_grid
@@ -729,9 +776,12 @@ def shell_lp_norm(row: WaveFieldRow, p: float, r_range):
     if math.isinf(p):
         norms = np.where(mask, vals, 0.0).max(axis=-1)
         return norms if norms.ndim else float(norms)
-    f = vals**p * r ** (row.params.d - 1)
-    # the terms and the summation of np.trapezoid over each row's segments
-    areas = np.where(inside, dr * (f[..., 1:] + f[..., :-1]) / 2.0, 0.0).sum(axis=-1)
+    # overflow shows as a non-finite area, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = vals**p * r ** (row.params.d - 1)
+        # the terms and the summation of np.trapezoid over each row's segments
+        areas = np.where(inside, dr * (f[..., 1:] + f[..., :-1]) / 2.0, 0.0).sum(axis=-1)
+    _check_sum(float(areas.max(initial=0.0)), row.params, p)
     if areas.ndim == 0:
         return float(areas) ** (1.0 / p)
     return np.array([a ** (1.0 / p) for a in areas.tolist()])
@@ -773,6 +823,57 @@ def _piece_norm(field, lo: float, hi: float, num: int, p: float, d: int) -> floa
     return peak if math.isinf(p) else float(terms.sum())
 
 
+def _off_table(params: WaveParams, t: float, r):
+    """Mask of the radii r >= 2^(-j+2) where ``field_row_fast`` at time t is
+    exactly 0: both profile arguments 2^j (omega -+ r) lie beyond
+    ``_table_reach``, and the remainder, if any, is a lookup there too
+    (2^j r sigma_lo >= u_cut; every radius in d = 3 and 5).  The float
+    expressions are those of ``main_terms_grid`` and ``_remainder_term``.
+    """
+    scale = 2.0**params.j
+    omega = t - params.t_ref
+    reach = _table_reach(_profile_table(params.d))
+    dead = (np.abs(scale * (omega - r)) >= reach) & (np.abs(scale * (omega + r)) >= reach)
+    coeffs, _, u_cut = _hankel_series(0.5 * (params.d - 2))
+    if len(coeffs):
+        dead &= scale * r * BUMP_SUPPORT[0] >= u_cut
+    return dead
+
+
+def _disc_negligible(params: WaveParams, t: float, p: float, norms) -> bool:
+    """True when the inner disc r <= r_switch = 2^(-j+2) cannot change
+    ``norm_lp``'s result, given the other pieces' ``norms``.
+
+    By Poisson's integral (DLMF 10.9.4) u(r) is pref c_0 times an average,
+    with a positive weight, of F(y + 2^j r tau) over |tau| <= 1: F is the
+    profile of bump(sigma) sigma^(d-1), y = 2^j (t - t0), pref = (2 pi)^(-d/2)
+    2^(jd) and c_0 = G(0) (see ``_field_quadrature``).  On the disc 2^j r
+    <= 4, so for |y| > 4, |u| <= B / 2, B = 2 pref c_0 ``_tail_bound(d - 1,
+    |y| - 4)``; the 2 covers the midpoint-rule derivative norms behind the
+    tail bound, exact to about 0.4 %.  For p = inf the result is the largest
+    maximum, so B <= max(norms) suffices.  Otherwise the disc's trapezoid
+    area is at most A = B^p r_switch^d and is added to 0 before the first
+    other area a: if A < ulp(a) / 2, a + A rounds to a.  A is compared
+    through its logarithm, which cannot overflow and whose rounding the
+    factor 2^p in A dwarfs.
+    """
+    d, j = params.d, params.j
+    y = abs(2.0**j * (t - params.t_ref))
+    if y <= 4.0:
+        return False
+    bound = 2.0 * TWO_PI ** (-0.5 * d) * 2.0 ** (j * d) * _kernel_series(d)[0] * _tail_bound(d - 1, y - 4.0)
+    if math.isinf(p):
+        return bound <= max(norms)
+    if bound == 0.0:
+        return True
+    return p * math.log2(bound) + d * math.log2(params.min_asymptotic_r) < math.log2(math.ulp(norms[0])) - 1.0
+
+
+def _check_sum(total: float, params: WaveParams, p: float):
+    if not math.isfinite(total):
+        raise OutOfRangeError(f"|u|^p overflows at p = {p:g}, j = {params.j}; take a smaller p")
+
+
 def norm_lp(params: WaveParams, t: float, p: float) -> float:
     """Lp norm (radial convention) of the field at time t over [0, t_ref + 4].
 
@@ -785,7 +886,16 @@ def norm_lp(params: WaveParams, t: float, p: float) -> float:
     terms, and the norm keeps the bits of one pass over each piece.  That
     needs every radius of a piece with a directly integrated remainder
     (2^j r < 24 in d = 2 and 4) in the piece's first block; see _NORM_BLOCK.
-    Raises OutOfRangeError unless p is in [1, inf] and t is finite.
+
+    Only the radii that can change a bit are evaluated: radii off the
+    profile table (``_off_table``) get 0 without a lookup, and the inner
+    disc, first in the sum but computed last, only where
+    ``_disc_negligible`` does not show it below half an ulp of the next
+    piece (at t = 0, in every case tried from j = 11 on).  That bound holds
+    for the true disc; its computed value there is rounding noise far below
+    the bound, so the kept bits rest on tests against a full evaluation, not
+    on the bound alone.  Raises OutOfRangeError unless p is in [1, inf] and
+    t is finite, and when the sum of p-th powers overflows.
     """
     _check_p(p)
     if not math.isfinite(t):
@@ -802,19 +912,29 @@ def norm_lp(params: WaveParams, t: float, p: float) -> float:
         return propagate(params, t, r).values
 
     def lookups(r):
-        return field_row_fast(params, t, r).values
+        live = ~_off_table(params, t, r)
+        if live.all():
+            return field_row_fast(params, t, r).values
+        values = np.zeros(len(r), dtype=np.complex128)
+        if live.any():
+            values[live] = field_row_fast(params, t, r[live]).values
+        return values
 
-    pieces = [(direct, 0.0, r_switch, 49)]  # r_switch <= 1 < r_max
+    pieces = []
     for lo, hi, step in ((r_switch, band_lo, h), (band_lo, band_hi, h / _FINE_STEP_DIVISOR),
                          (band_hi, r_max, h)):
-        if hi > lo:
-            pieces.append((lookups, lo, hi, max(2, int(math.ceil((hi - lo) / step)) + 1)))
-    norms = [_piece_norm(field, lo, hi, num, p, d) for field, lo, hi, num in pieces]
+        if hi > lo:  # at least one piece: r_switch <= 1 < r_max
+            pieces.append((lo, hi, max(2, int(math.ceil((hi - lo) / step)) + 1)))
+    # overflow shows as a non-finite sum, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [_piece_norm(lookups, lo, hi, num, p, d) for lo, hi, num in pieces]
+        disc = 0.0 if _disc_negligible(params, t, p, norms) else _piece_norm(direct, 0.0, r_switch, 49, p, d)
     if math.isinf(p):
-        return max(norms)
+        return max(disc, *norms)
     total = 0.0
-    for area in norms:
+    for area in (disc, *norms):
         total += area
+    _check_sum(total, params, p)
     return total ** (1.0 / p)
 
 

@@ -382,3 +382,32 @@ def profile_errors(d: int, m: int, n: int):
     tail = np.abs(vals[-round(PROFILE_TAIL_SPAN / wave._PROFILE_STEP):]).max() / peak
     step = 0.5 * np.abs(mid - vals).max() / peak
     return vals, tail, step
+
+
+def derivative_norms_cumprod(power: float):
+    """``wave._derivative_norms`` as whole tables: the powers of the three
+    ratios from ``np.cumprod`` over a (N x nodes) broadcast, and k a_k as one
+    array expression over all N rows."""
+    from fracsmooth import wave
+
+    order, nodes = wave._BOUND_ORDER, wave._BOUND_NODES
+    lo, hi = wave.BUMP_SUPPORT
+    h = (hi - lo) / nodes
+    sigma = lo + h * (np.arange(nodes) + 0.5)
+    x = (sigma - wave.BUMP_CENTER) / wave.BUMP_HALF_WIDTH
+    p1, p2, p3 = (np.cumprod(np.broadcast_to(r, (order, nodes)), axis=0) for r in
+                  (1.0 / ((1.0 - x) * wave.BUMP_HALF_WIDTH), -1.0 / ((1.0 + x) * wave.BUMP_HALF_WIDTH),
+                   -1.0 / sigma))
+    ka = -0.5 * np.arange(1, order + 1)[:, None] * (p1 / (1.0 - x) + p2 / (1.0 + x)) - power * p3
+    b = [wave.bump(sigma) * sigma**power]
+    for n in range(1, order + 1):
+        b.append(np.einsum("kn,kn->n", ka[:n], b[::-1]) / n)
+    return h * np.abs(b).sum(axis=1) * [math.factorial(n) for n in range(order + 1)]
+
+
+def off_table_zeros(params, t: float, radii):
+    """Mask of the radii at which ``wave.field_row_fast`` at time t returns
+    exactly 0, one radius per call."""
+    from fracsmooth import wave
+
+    return np.array([wave.field_row_fast(params, t, [r]).values[0] == 0.0 for r in radii])

@@ -48,9 +48,13 @@ def test_bench_cases_run(bench, tmp_path, capsys):
     assert names[len(bench.STARTUP):len(bench.STARTUP) + len(bench.LARGE_SMALL)] == \
         [f"process {name}" for name, _, _ in bench.LARGE_SMALL]
     for prefix in ("profile_table", "tail bound", "window table", "data_norm", "window d=3", "inner disc", "far radii",
-                   "slope jobs"):
+                   "slope jobs", "slope data norms"):
         assert any(name.startswith(prefix) for name in names), prefix
     assert any(name.startswith("window table") and " top=" in name for name in names)
+    # the data norms of all four slope-sweep jobs, and the whole cantor check
+    # at j = 8..22 among the full run's processes
+    assert next(case for case in record["cases"] if case["name"].startswith("slope data norms"))["sizes"]["norms"] > 4
+    assert "verify-sharpness cantor d=3 p=2.5 j=8..22" in [name for name, _, _ in bench.LARGE]
     # each case printed on one line beside the same case of the newest
     # committed record, with the ratio of the two
     old_name, old_record = bench.newest_committed()

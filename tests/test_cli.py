@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,18 @@ def test_verify_sharpness_small(set_files, tmp_path):
     ])
     assert rc == 0
     assert out.read_text().splitlines()[0].startswith("j,log2_Q")
+
+
+def test_verify_sharpness_overflow_is_a_usage_error(set_files, capsys):
+    # |u|^60 overflows from j = 9 on: a usage error naming p and j, with no
+    # rows and no NumPy warning, instead of inf rows and a failed check
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.cli(["verify-sharpness", "--set", set_files["cantor"], "--p", "60", "--jmin", "8", "--jmax", "11"])
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == ""
+    assert out.err.startswith("error: ") and "p = 60, j = 9" in out.err
 
 
 def test_determinism_byte_identical(set_files, tmp_path):

@@ -96,6 +96,27 @@ def test_propagate_rejects_negative_radius():
             wave.propagate(params, 1.5, np.array(radii))
 
 
+def test_trapezoid_node_cap():
+    # the count a rule would need, computed from its step alone: far beyond
+    # the cap at j = 8, t = 1e6, which raises before allocating anything,
+    # and well below it for a data norm's inner disc at j = 22, t_ref = 2
+    lo, hi = wave.BUMP_SUPPORT
+
+    def count(h):
+        return math.floor(hi / h) - math.ceil(lo / h) + 1
+
+    params = wave.WaveParams(d=3, j=8)
+    t = 1e6
+    assert count(wave._moment_step(2.0**8 * (t - params.t_ref), 1)) > 10 * wave._MAX_NODES
+    with pytest.raises(OutOfRangeError, match="cap"):
+        wave.propagate(params, t, [0.0, 0.01])
+    # the direct remainder of d = 2 at a near radius, sized from the same time
+    with pytest.raises(OutOfRangeError, match="cap"):
+        wave.field_row_fast(wave.WaveParams(d=2, j=8), t, [2.0**-6])
+    assert 2 * count(wave._moment_step(2.0**22 * 2.0, 1)) < wave._MAX_NODES
+    assert len(wave._trapezoid_indices(wave._moment_step(0.0, 0))) == count(wave._moment_step(0.0, 0))
+
+
 def test_wave_entry_points_reject_non_finite_inputs():
     params = wave.WaveParams(d=3, j=8)
     for bad in (math.nan, math.inf, -math.inf):
@@ -380,6 +401,37 @@ def test_tail_bound_at_zero_and_negative_y():
         assert wave._tail_bound(power, -100.0) == wave._tail_bound(power, 100.0)
         ys = np.array([1.0, 10.0, 100.0, 1000.0])
         assert np.all(np.diff([wave._tail_bound(power, y) for y in ys]) < 0.0)
+
+
+def test_derivative_norms_match_whole_tables():
+    # the row-by-row running powers give every norm the bits of the whole
+    # cumprod tables, for each power of the d = 2..5 tables and of propagate
+    powers = {power for _, _, power in _table_powers()} | {1.0, 2.0, 3.0, 4.0}
+    for power in sorted(powers):
+        assert np.array_equal(wave._derivative_norms(power), oracles.derivative_norms_cumprod(power)), power
+
+
+def test_profile_eval_on_nodes_reads_the_table_bits():
+    # every node of every table, both signs: the direct read has the bits of
+    # the weighted cubic, which a call with one lookup off the nodes keeps
+    for d, m, _ in _table_powers():
+        table = wave._profile_table(d, m)
+        step, vals = table
+        k = np.arange(1, len(vals) - 2)
+        y = np.concatenate((k * step, -k * step))
+        direct = wave._profile_eval(table, y)
+        mixed = wave._profile_eval(table, np.append(y, 100.5 * step))
+        assert np.array_equal(direct.view(np.uint64), mixed[:-1].view(np.uint64)), (d, m)
+        assert np.array_equal(direct[:len(k)], vals[k])
+        # the off-node lookup is interpolated, not read
+        cubic = (-vals[99] + 9.0 * vals[100] + 9.0 * vals[101] - vals[102]) / 16.0
+        assert mixed[-1] == pytest.approx(cubic, rel=1e-14, abs=1e-300), (d, m)
+        assert mixed[-1] != vals[100]
+    # the zeros beyond the reach, and a lookup there does not stop the direct read
+    table = wave._profile_table(3)
+    reach = wave._table_reach(table)
+    out = wave._profile_eval(table, [reach, -reach, 2.0 * table[0]])
+    assert out[0] == out[1] == 0.0 and out[2] == table[1][2]
 
 
 @pytest.mark.parametrize("n", [2**11, 2**12, 2**13, 2**14, 2**15, 2**16])
@@ -810,20 +862,67 @@ def test_data_norm_cached_per_params_and_p():
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-@pytest.mark.parametrize("j", [6, 8, 11])
+@pytest.mark.parametrize("j", [6, 8, 11, 13, 14])
 def test_norm_lp_keeps_one_pass_bits(d, j):
-    # t = t_ref puts the radii with a directly integrated remainder (d = 2
-    # and 4) in the fine band; at j = 6 the band of 128 units reaches past
-    # the outer radius t_ref + 4 when the cone lies at 4, and lies wholly
-    # past it when the cone lies at 8, so both ends are clipped there
-    params = wave.WaveParams(d=d, j=j, t_ref=1.5)
+    # the oracle evaluates every radius and the inner disc.  t = t_ref puts
+    # the radii with a directly integrated remainder (d = 2 and 4) in the
+    # fine band; at j = 6 the band of 128 units reaches past the outer radius
+    # t_ref + 4 when the cone lies at 4, and lies wholly past it when the
+    # cone lies at 8, so both ends are clipped there.  t_ref = 1 lines the
+    # data norm's grids up with the table's nodes; from j = 11 on the disc
+    # at t = 0 is skipped
     ps = (2.0, 2.5, 4.0, math.inf)
-    times = [0.0, params.t_ref, params.t_ref + 0.3]
-    if j == 6:
-        times += [params.t_ref + 4.0, params.t_ref + 8.0]
-    for t in times:
-        for p, norm in zip(ps, oracles.norm_lp_one_pass(params, t, ps)):
-            assert wave.norm_lp(params, t, p) == norm, (t, p)
+    for t_ref in (1.0, 1.5, 2.0):
+        params = wave.WaveParams(d=d, j=j, t_ref=t_ref)
+        times = [0.0, params.t_ref, params.t_ref + 0.3]
+        if j == 6:
+            times += [params.t_ref + 4.0, params.t_ref + 8.0]
+        for t in times:
+            for p, norm in zip(ps, oracles.norm_lp_one_pass(params, t, ps)):
+                assert wave.norm_lp(params, t, p) == norm, (t_ref, t, p)
+
+
+def _spy(monkeypatch, name):
+    """Radius counts of each call of wave.<name> (by module name)."""
+    calls = []
+    real = getattr(wave, name)
+
+    def spy(params, t, r_grid):
+        calls.append(int(np.size(r_grid)))
+        return real(params, t, r_grid)
+
+    monkeypatch.setattr(wave, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("j, disc", [(6, True), (8, True), (13, False)])
+def test_norm_lp_evaluates_only_radii_that_count(monkeypatch, j, disc):
+    # at j = 13 all but about 17k of the 57k lookup radii lie off the table,
+    # and the inner disc lies far below half an ulp of the next piece
+    params = wave.WaveParams(d=3, j=j, t_ref=1.0)
+    lookups, direct = _spy(monkeypatch, "field_row_fast"), _spy(monkeypatch, "propagate")
+    wave.norm_lp(params, 0.0, 2.5)
+    assert direct == ([49] if disc else [])
+    if j == 13:
+        assert sum(lookups) <= 18_000
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("j, t", [(8, 0.0), (10, 0.0), (10, 1.3)])
+def test_off_table_radii_are_exact_zeros(d, j, t):
+    # the mask is exactly where field_row_fast returns 0, within four table
+    # steps of every radius at which a profile argument leaves the table, and
+    # over the radii with a directly integrated remainder (d = 2 and 4)
+    params = wave.WaveParams(d=d, j=j, t_ref=1.0)
+    h = 2.0**-j
+    reach = wave._table_reach(wave._profile_table(d)) * h
+    omega = t - params.t_ref
+    edges = [omega - reach, omega + reach, -omega - reach, -omega + reach]
+    radii = np.concatenate([e + np.arange(-8, 9) * h / 128.0 for e in edges] + [np.arange(4.0, 50.0) * h])
+    radii = radii[radii >= params.min_asymptotic_r]
+    mask = wave._off_table(params, t, radii)
+    assert np.array_equal(mask, oracles.off_table_zeros(params, t, radii))
+    assert mask.any() and not mask.all()
 
 
 @pytest.mark.parametrize("d, block", [(2, 1281), (4, 1281), (3, 100), (5, 64)])
@@ -906,6 +1005,25 @@ def test_norm_lp_rejects_bad_inputs(kwargs):
     args = {"t": 0.0, "p": 2.0, **kwargs}
     with pytest.raises(OutOfRangeError):
         wave.norm_lp(params, args["t"], args["p"])
+
+
+def test_norm_overflow_is_a_range_error():
+    # |u|^p beyond the largest double: a typed error naming p and j, with no
+    # NumPy overflow warning, instead of an infinite norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRangeError, match=r"p = 100, j = 8"):
+            wave.data_norm(wave.WaveParams(d=3, j=8), 100.0)
+        params = wave.WaveParams(d=3, j=6)
+        rho, half = 0.5, 2.0 ** (-params.j - 5)
+        grid = np.linspace(rho - half, rho + half, 17)
+        row = wave.field_row_fast(params, params.t_ref + rho, grid)
+        assert math.isfinite(wave.shell_lp_norm(row, 40.0, (grid[0], grid[-1])))
+        with pytest.raises(OutOfRangeError, match=r"p = 400, j = 6"):
+            wave.shell_lp_norm(row, 400.0, (grid[0], grid[-1]))
+        rows = wave.field_row_fast(params, np.full(2, params.t_ref + rho), np.stack([grid, grid]))
+        with pytest.raises(OutOfRangeError, match=r"p = 400, j = 6"):
+            wave.shell_lp_norm(rows, 400.0, (grid[0], grid[-1]))
 
 
 @pytest.mark.parametrize("p", [math.nan, 0.0, -1.0, 0.5])
