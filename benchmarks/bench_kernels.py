@@ -5,7 +5,9 @@ data norms, the direct field quadrature at inner-disc and at far radii, and
 the perfbench workloads end to end.
 
 Fresh processes are timed first, run one after another: the bare
-interpreter (``python -c pass``), a bare ``import numpy`` (the control:
+interpreter (``python -c pass``) and the same without ``site``
+(``python -S -c pass``), so that the environment's ``site`` cost is not
+read as the package's, a bare ``import numpy`` (the control:
 NumPy imported before the package keeps OpenBLAS's default threads),
 ``import fracsmooth.cli, fracsmooth.harness``, a whole ``set-info`` on
 union at j = 12, the same import with ``fracsmooth.wave``, a whole
@@ -26,13 +28,13 @@ process tens of milliseconds.
 
 Each window-count table is one batched covering sweep over every level,
 in plain Python, at j = 12, 14 and 18 (about 2^(j+2) windows, never built),
-keeping one count maximum per grid: the interval is counted in closed form,
-the first window inside it standing for all of them, and the other sets by
-a walk over each grid with a shared step cache that skips the windows
-missing the set.  The tables of cantor, polyseq and union at j = 13 are
-also built to level 8 only, the levels from which the sharpness slopes
-choose their window at that scale.  The cantor, polyseq
-and union jobs of the benchmark's slope-sweep workload (d = 3, j = 8..13)
+keeping one count maximum per grid: one walk over each grid with a shared
+step cache (closed-form steps on the interval) skips the windows missing
+the set and stops at the first window holding max(1, L/delta) points, the
+most a window of length L can hold.  The full tables of cantor and union
+are also built at j = 22, and those of cantor, polyseq and union at j = 13
+to level 8 only, the levels from which the sharpness slopes choose their
+window at that scale.  The cantor, polyseq and union jobs of the benchmark's slope-sweep workload (d = 3, j = 8..13)
 then run in this process with their window tables cold, their data norms
 and profile table warm from an untimed first run: the covering side of a
 slope job.  The distinct data norms of all four slope-sweep jobs (25 at
@@ -114,6 +116,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 STARTUP = [
     ("interpreter", ["-c", "pass"]),
+    # without site, which this environment's .pth files make the larger part
+    ("interpreter -S", ["-S", "-c", "pass"]),
     # the control: NumPy imported first keeps OpenBLAS's default threads
     ("import numpy", ["-c", "import numpy"]),
     ("import cli+harness", ["-c", "import fracsmooth.cli, fracsmooth.harness"]),
@@ -180,6 +184,10 @@ SETS = [
     ("union", sets.UnionSet((sets.CantorLike(1.0, 1.4, 2, 1.0 / 3.0),
                              sets.CantorLike(1.6, 2.0, 3, 0.2)))),
 ]
+
+# full window tables at the largest scale built in process: (set label, j);
+# --small builds them at j = 10
+LARGE_TABLES = [("cantor 2,1/3", 22), ("union", 22)]
 
 
 def samples(fn, *args, repeat=3):
@@ -341,6 +349,10 @@ def kernel_cases(small):
         for j in (8,) if small else (12, 14, 18):
             yield (f"window table {label} j={j}", {"set": label, "j": j, "windows": family_windows(s, j)},
                    cold_window_table, (s, j, j))
+    for label, j in LARGE_TABLES:
+        s, j = dict(SETS)[label], 10 if small else j
+        yield (f"window table {label} j={j}", {"set": label, "j": j, "windows": family_windows(s, j)},
+               cold_window_table, (s, j, j))
     j, top = (8, 3) if small else (13, 8)
     for label, s in SETS[1:]:
         yield (f"window table {label} j={j} top={top}",

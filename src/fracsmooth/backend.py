@@ -11,11 +11,7 @@ Each imports NumPy only when called.
 
 from __future__ import annotations
 
-import functools
 import math
-from bisect import bisect_left, bisect_right
-from itertools import chain
-from operator import itemgetter
 
 from .records import record
 from .sets import cursor
@@ -49,66 +45,63 @@ def cover_counts(types, params, pool, windows, delta) -> list:
     Every count is the one ``sets._greedy_count`` returns: anchor at the
     first set point p >= x, then at first_point_geq(nextafter(p + delta))
     while p <= x + length.  A part whose windows all miss the set gives
-    (0, its first start).  The grids are counted part by part, without
-    building them, on two invariants:
+    (0, its first start).  One scanner counts each part without building
+    its windows:
 
-    * Exact steps in [1, 2].  Every double there is a multiple of 2^-52, so
-      when delta is too, p + delta is exact below 2 and nextafter adds
-      2^-52 (from 2 on the sweep is past every set point).  On a single
-      interval the sweep therefore visits p0 + i (delta + 2^-52), which is
-      counted in integers instead of stepped through; and every window of
-      a part that lies inside the interval has the same count, so only the
-      first of that run and the few windows across its ends are counted.
     * Sweeps merge.  The step p -> next anchor depends on p and delta only,
-      not on the window, and sweeps from different window starts land on the
-      same anchor after every gap wider than delta.  One dict of steps serves
-      every window of the call, and one of first points every window start
-      (the dyadic starts of one level recur at the next); both are dropped
-      when the call returns.  Within a part, a window that holds no set
-      point skips, by index arithmetic, to the first window ending at or
-      after the next set point p, so only windows that meet the set run a
-      sweep.  That window starts at or before p, so its sweep starts at p
-      with no point query.  The point queries left go through one
-      ``sets.cursor``, so each resumes the Cantor descents of the last.
+      so one dict of steps serves every window of the call, and one of first
+      points every window start (the dyadic starts of one level recur at the
+      next); both are dropped when the call returns.  The point queries go
+      through one ``sets.cursor``, so each resumes the Cantor descents of
+      the last.  A single interval is swept in closed form (``_sweeper``).
+    * Windows that miss the set are skipped: such a window jumps, by index
+      arithmetic, to the first window ending at or after the next set point
+      p, which starts at or before p, so its sweep needs no point query.
+    * A part stops at the most a window can hold.  Each next anchor lies at
+      or above nextafter(p + delta), so anchors lie more than delta apart
+      and no window of length L holds more than max(1, ceil(L/delta)): the
+      first window reaching that cap is the part's maximum and first
+      maximiser.  The cap applies where its arithmetic is exact (``_cap``),
+      as on every family window; on an interval it stops at the first
+      window inside.
     """
     delta = float(delta)
-    if len(types) == 1 and types[0] == 0 and 0.0 < delta <= 1.0 and (delta / _ULP).is_integer():
-        interval = (params[0][0], params[0][1], int(delta / _ULP) + 1)
-        count_part = functools.partial(_interval_part, interval)
-    else:
-        count_part = functools.partial(_swept_part, _sweeper((types, params, pool), delta))
-    return [count_part(*part) for part in windows.parts]
+    sweep = _sweeper((types, params, pool), delta)
+    return [_swept_part(sweep, _cap(delta, *part), *part) for part in windows.parts]
 
 
-def _interval_count(lo, hi, unit, a, b) -> int:
-    """Closed form of the greedy count of [lo, hi] /\\ [a, b] inside [1, 2].
-
-    The window meets the interval in [p0, top]; both ends lie in [1, 2] when
-    p0 <= top, so top - p0 is an exact multiple of 2^-52.
-    """
-    p0, top = max(a, lo), min(b, hi)
-    return int((top - p0) * 2.0**52) // unit + 1 if p0 <= top else 0
-
-
-def _interval_part(interval, off, length, k_lo, k_hi) -> tuple:
-    lo, hi = interval[:2]
-    ks = range(k_lo, k_hi + 1)
-    if (length / _ULP).is_integer():
-        # windows k_in..k_out-1 lie inside the interval, and (x + length) - x
-        # is exactly length for every such x: they share one count, so the
-        # first of them stands for the run
-        k_in = bisect_left(ks, lo, key=lambda k: off + k * length)
-        k_out = bisect_right(ks, hi, key=lambda k: off + k * length + length)
-        ks = chain(ks[:k_in + 1], ks[max(k_in + 1, k_out):])
-    starts = (off + k * length for k in ks)
-    return max(((_interval_count(*interval, x, x + length), x) for x in starts), key=itemgetter(0))
+def _cap(delta, off, length, k_lo, k_hi):
+    """max(1, ceil(length / delta)) where length and delta are powers of two
+    and the windows lie inside [0, 2] on the grid of length / 2 >= 2^-52,
+    whose points are doubles, so that every window is exactly length long;
+    inf elsewhere."""
+    half = 0.5 * length
+    if (math.frexp(length)[0] == math.frexp(delta)[0] == 0.5 and half >= _ULP and (off / half).is_integer()
+            and off + k_lo * length >= 0.0 and off + (k_hi + 1) * length <= 2.0):
+        return max(1, math.ceil(length / delta))
+    return math.inf
 
 
 def _sweeper(flat, delta):
     """sweep(x, hi, p) -> (greedy count of set /\\ [x, hi], first set point >= x),
     with the step and first-point caches and the one point-query cursor of a
     cover_counts call; a caller that knows the first set point p >= x passes
-    it."""
+    it.  On a single interval with delta a multiple of 2^-52 the sweep is
+    closed form: every double in [1, 2] is a multiple of 2^-52, so p + delta
+    is exact below 2 and nextafter adds 2^-52 (from 2 on the sweep is past
+    every set point), and the anchors p + i (delta + 2^-52) are counted.
+    """
+    types, params, _ = flat
+    if len(types) == 1 and types[0] == 0 and 0.0 < delta <= 1.0 and (delta / _ULP).is_integer():
+        lo, end = params[0][:2]
+        unit = int(delta / _ULP) + 1
+
+        def sweep_interval(x, hi, p=None):
+            # the window meets the interval in [p, top], both in [1, 2] when p <= top
+            p, top = (max(x, lo) if x <= end else math.inf), min(hi, end)
+            return (int((top - p) * 2.0**52) // unit + 1 if p <= top else 0), p
+
+        return sweep_interval
     step, first = {}, {}
     first_geq = cursor(flat)[0]
 
@@ -129,7 +122,7 @@ def _sweeper(flat, delta):
     return sweep
 
 
-def _swept_part(sweep, off, length, k_lo, k_hi) -> tuple:
+def _swept_part(sweep, cap, off, length, k_lo, k_hi) -> tuple:
     best, first = 0, k_lo
     k, known = k_lo, None
     while k <= k_hi:
@@ -139,6 +132,8 @@ def _swept_part(sweep, off, length, k_lo, k_hi) -> tuple:
         if count:
             if count > best:
                 best, first = count, k
+                if count >= cap:
+                    break
             k += 1
         elif p == math.inf or k == k_hi:
             break

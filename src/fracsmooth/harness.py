@@ -98,9 +98,9 @@ def run_duality(config: ExperimentConfig) -> DualityReport:
     spec = spectra.analytic_spectrum(config.descriptor)
     if spec is None:
         raise UnsupportedSetError("set has no closed-form spectrum to compare against")
-    reference = legendre.nu_sharp_analytic(spec)
+    # the closed-form profile at the duality alphas only, nodes of the default alpha grid
     grid = DUALITY_ALPHAS
-    ref_vals = reference(grid)
+    ref_vals = legendre.legendre_transform(legendre.nu_from_spectrum(spec), grid).values
     j_top = config.j_max
     tol = config.tolerance if config.tolerance is not None else spectra.default_tolerance(j_top) + 2.0 / j_top
     devs = {}

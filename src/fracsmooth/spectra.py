@@ -14,7 +14,7 @@ import math
 from itertools import islice
 from operator import itemgetter
 
-from . import backend, legendre, sets
+from . import backend, sets
 from .errors import InvalidResolutionError, InvalidThetaError, OutOfRangeError
 from .records import field, record
 from .sampled import SampledFunction, linspace
@@ -61,10 +61,10 @@ def _window_table(descriptor, j: int, top: int) -> tuple:
     A table of the same (descriptor, j) that reaches level top serves the
     request; otherwise one ``backend.cover_counts`` call counts levels
     0..top, grid by grid, without building the windows, and keeps one pair
-    per grid, its count maximum and first window attaining it: it counts a
-    single interval in closed form, and walks each other grid with one step
-    cache for all windows and levels, skipping the windows that miss the
-    set.  The counts are those of ``sets._greedy_count`` in each window,
+    per grid, its count maximum and first window attaining it: it walks
+    each grid with one step cache for all windows and levels, skipping the
+    windows that miss the set and stopping at the first that holds the most
+    a window can.  The counts are those of ``sets._greedy_count`` in each window,
     whichever levels share the call, so a level reads the same from every
     table.  More than ``sets._MAX_TILES`` family windows at levels 0..j
     raise InvalidResolutionError before counting, whatever the top, so the
@@ -275,6 +275,8 @@ class SpectrumReport:
 
 def nu_sharp_empirical(descriptor, alpha_grid, j_list) -> SpectrumReport:
     """Table of phi_at_scale values over alpha for each scale in j_list."""
+    from . import legendre
+
     j_list = list(j_list)
     if not j_list or any(b <= a for a, b in zip(j_list, j_list[1:])):
         raise OutOfRangeError("j_list must be non-empty and increasing")
@@ -290,5 +292,7 @@ def nu_sharp_empirical(descriptor, alpha_grid, j_list) -> SpectrumReport:
 
 def nu_sharp_empirical_function(descriptor, j: int) -> SampledFunction:
     """phi_at_scale sampled on the default alpha grid, as a SampledFunction."""
+    from . import legendre
+
     grid = legendre.default_alpha_grid()
     return SampledFunction(0.0, legendre.ALPHA_MAX, [phi_at_scale(descriptor, a, j) for a in grid])

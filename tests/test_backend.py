@@ -197,6 +197,45 @@ def test_cold_full_table_memory(descriptor, j, bound_mb):
     assert peak < bound_mb * 2**20
 
 
+def test_cold_cantor_table_stops_each_part_at_the_cap(cantor_thirds, monkeypatch):
+    # every window a cold cantor table at j = 14 sweeps, with its count: a
+    # part stops at its first window holding max(1, L / delta) points
+    real, swept = backend._sweeper, []
+
+    def recording(flat, delta):
+        sweep = real(flat, delta)
+
+        def counted(x, hi, p=None):
+            count, p = sweep(x, hi, p)
+            swept.append((x, hi - x, count))
+            return count, p
+
+        return counted
+
+    monkeypatch.setattr(backend, "_sweeper", recording)
+    j = 14
+    spectra._window_tables.clear()
+    maxima, windows = spectra._window_table(cantor_thirds, j, j)
+    spectra._window_tables.clear()
+    # the walk without the cap swept 6 407 windows, 2 296 of them at level j
+    assert len(swept) < 6407
+    flat, (smin, smax) = sets.flatten(cantor_thirds), sets.bounds(cantor_thirds)
+    for m in (j - 1, j):
+        length, cap = 2.0**-m, 2 ** (j - m)
+        # each grid's windows that meet the set, up to the first holding cap
+        # points, and no later one
+        expected = []
+        for off, _, k_lo, k_hi in spectra.family_starts(smin, smax, length).parts:
+            starts = (off + k * length for k in range(k_lo, k_hi + 1))
+            meeting = [(x, c) for x in starts if (c := sets._greedy_count(flat, x, x + length, 2.0**-j))]
+            expected += meeting[:[c for _, c in meeting].index(cap) + 1]
+        got = [(x, count) for x, w, count in swept if w == length and count]
+        assert got == expected
+        # the first grid stops at its first window meeting the set, the
+        # level's first maximiser
+        assert got[0] == (windows[m][0], maxima[m]) and maxima[m] == cap
+
+
 # ---------------------------------------------------------------------------
 # Properties of the exact point queries and of the interval closed form.
 # ---------------------------------------------------------------------------
@@ -319,6 +358,19 @@ def test_cover_counts_part_maxima_match_a_scan(descriptor, grids_deltas):
     flat = sets.flatten(descriptor)
     for delta in deltas:
         assert backend.cover_counts(*flat, grids, delta) == _scalar_counts(flat, grids, delta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(descriptors(), st.integers(0, 12), st.integers(-2, 10), st.data())
+def test_a_dyadic_window_holds_at_most_length_over_delta(descriptor, m, extra, data):
+    # the premise of the kernel's cap, on the scalar walk: anchors lie more
+    # than delta apart, so a window [x, x + L] on the grid of L / 2 inside
+    # [1, 2] counts at most max(1, L / delta) points, at most 1024 here
+    length = 2.0**-m
+    x = 1.0 + data.draw(st.integers(0, 2**(m + 1) - 2)) * 0.5 * length
+    delta = 2.0 ** -max(0, m + extra)
+    count = sets._greedy_count(sets.flatten(descriptor), x, x + length, delta)
+    assert count <= max(1, length / delta)
 
 
 @settings(max_examples=200, deadline=None)

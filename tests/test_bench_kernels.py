@@ -51,6 +51,11 @@ def test_bench_cases_run(bench, tmp_path, capsys):
                    "slope jobs", "slope data norms"):
         assert any(name.startswith(prefix) for name in names), prefix
     assert any(name.startswith("window table") and " top=" in name for name in names)
+    # the interpreter with and without site, and the full cantor and union
+    # tables at j = 22 (j = 10 under --small)
+    assert {"startup interpreter", "startup interpreter -S"} <= set(names)
+    assert {"window table cantor 2,1/3 j=10", "window table union j=10"} <= set(names)
+    assert bench.LARGE_TABLES == [("cantor 2,1/3", 22), ("union", 22)]
     # the data norms of all four slope-sweep jobs, and the whole cantor check
     # at j = 8..22 among the full run's processes
     assert next(case for case in record["cases"] if case["name"].startswith("slope data norms"))["sizes"]["norms"] > 4

@@ -239,6 +239,19 @@ def test_covering_commands_load_no_numpy(tmp_path, argv, loads_numpy):
         assert not {f"fracsmooth.{m}" for m in COVERING_MODULES} & set(modules)
 
 
+@pytest.mark.parametrize("argv", [
+    ["set-info", "--set", CANTOR_JSON, "--j", "10"],
+    ["spectrum", "--set", CANTOR_JSON, "--j", "10"],
+    ["verify-bookkeeping", "--set", CANTOR_JSON, "--j", "10"],
+])
+def test_commands_without_dual_profiles_load_no_legendre(tmp_path, argv):
+    # only the dual profiles use the Legendre transform, so these commands
+    # never compile its module
+    code = ("import sys; from fracsmooth import cli; rc = cli.cli(sys.argv[1:]); "
+            "print(rc, 'fracsmooth.legendre' in sys.modules)")
+    assert _fresh_python(code, *argv, "--out", str(tmp_path / "out.txt")) == "0 False\n"
+
+
 def test_set_info(set_files, tmp_path, capsys):
     out = tmp_path / "info.json"
     assert cli.cli(["set-info", "--set", set_files["cantor"], "--j", "10", "--out", str(out)]) == 0

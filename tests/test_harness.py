@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fracsmooth import backend, exponents, harness, sets, spectra
+from fracsmooth import backend, exponents, harness, legendre, sets, spectra
 from fracsmooth.errors import UnsupportedSetError
 
 import oracles
@@ -14,6 +14,11 @@ def test_duality_alpha_grid(cantor_thirds):
     report = harness.run_duality(harness.ExperimentConfig(cantor_thirds, j_min=8, j_max=9))
     assert np.array_equal(report.alpha_grid, 0.0625 * np.arange(33))
     assert report.j_list == [8, 9]
+    # the duality alphas are nodes of the default alpha grid, so the profile
+    # transformed at them alone reads the bits of the full-grid profile
+    reference = legendre.nu_sharp_analytic(spectra.analytic_spectrum(cantor_thirds))(report.alpha_grid)
+    assert report.deviations[9] == [abs(spectra.phi_at_scale(cantor_thirds, a, 9) - r)
+                                    for a, r in zip(report.alpha_grid, reference)]
 
 
 def test_run_duality_passes(full_interval, cantor_thirds, two_cantor_union):
