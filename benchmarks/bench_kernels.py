@@ -15,13 +15,16 @@ union at j = 12, the same import with ``fracsmooth.wave``, a whole
 (the two heaviest jobs of the benchmark's wave-fields workload), each the
 median and quartiles of 15 processes.  Then three processes each of
 ``verify-sharpness`` on cantor at d = 3, p = 2.5, j = 8..18 and j = 8..22,
-whose peaks are set by their data norms and window tables, and three each of
-``verify-duality`` on cantor at j = 20..22 and on union at j = 22, whose
-full window tables make them the covering side at large scales.  A small
-helper (``python -S``, about 9 MB) starts each one and reads its peak
-resident set and its CPU time (user plus system, over all its threads)
-from ``wait4``, so that both are the process's own and not those of this
-script, whose pages a child started from it would count.  The record says
+whose peaks are set by their data norms and window tables, three each of
+one ``data_norm`` at d = 3, p = 2.5, j = 6 and j = 22, whose peaks should
+differ by little since the norm walks only the radii near the light cone,
+and three each of ``verify-duality`` on cantor at j = 20..22 and on union at
+j = 22, whose full window tables make them the covering side at large
+scales.  A small helper (``python -S``, about 9 MB) starts each one and
+reads its peak resident set and its CPU time (user plus system, over all
+its threads) from ``wait4``, so that both are the process's own and not
+those of this script, whose pages a child started from it would count.
+The record says
 whether ``PYTHONDONTWRITEBYTECODE`` was set and whether ``src/fracsmooth``
 had a ``__pycache__``, since compiling the package from source costs each
 process tens of milliseconds.
@@ -87,9 +90,9 @@ repository root, with the ratio of the two.  Run from the repository root:
     PYTHONPATH=src python benchmarks/bench_kernels.py --out BENCH_<n>.json
 
 ``--small`` runs each in-process case once at small sizes, each process
-twice, ``verify-sharpness`` at j = 8..12 and ``verify-duality`` at
-j = 10..12 and 12, and neither perfbench runs nor the tier-1 suite, to
-check the script and its record quickly.
+twice, ``verify-sharpness`` at j = 8..12, the data norm at j = 6 and
+``verify-duality`` at j = 10..12 and 12, and neither perfbench runs nor
+the tier-1 suite, to check the script and its record quickly.
 """
 
 import argparse
@@ -129,6 +132,9 @@ STARTUP = [
                                  "wave.data_norm(wave.WaveParams(d=2, j=6), 2.0)"]),
 ]
 
+# one data norm alone in a fresh process, at scale j
+DATA_NORM = "from fracsmooth import wave; wave.data_norm(wave.WaveParams(d=3, j={j}), 2.5)"
+
 # whole commands at large scales, each timed like STARTUP but in its own
 # number of runs: (label, argv, runs), and their --small stand-ins (j = 8..11
 # would fail the check: four scales fit a slope 0.24 below the prediction)
@@ -139,6 +145,7 @@ LARGE = [
     ("verify-sharpness cantor d=3 p=2.5 j=8..22",
      ["-m", "fracsmooth", "verify-sharpness", "--set", "perfbench/sets/cantor.json", "--d", "3", "--p", "2.5",
       "--jmin", "8", "--jmax", "22"], 3),
+    *[(f"data_norm d=3 j={j} p=2.5", ["-c", DATA_NORM.format(j=j)], 3) for j in (6, 22)],
     ("verify-duality cantor j=20..22",
      ["-m", "fracsmooth", "verify-duality", "--set", "perfbench/sets/cantor.json", "--jmin", "20", "--jmax", "22"], 3),
     ("verify-duality union j=22",
@@ -148,6 +155,7 @@ LARGE_SMALL = [
     ("verify-sharpness cantor d=3 p=2.5 j=8..12",
      ["-m", "fracsmooth", "verify-sharpness", "--set", "perfbench/sets/cantor.json", "--d", "3", "--p", "2.5",
       "--jmin", "8", "--jmax", "12"], 2),
+    ("data_norm d=3 j=6 p=2.5", ["-c", DATA_NORM.format(j=6)], 2),
     ("verify-duality cantor j=10..12",
      ["-m", "fracsmooth", "verify-duality", "--set", "perfbench/sets/cantor.json", "--jmin", "10", "--jmax", "12"], 2),
     ("verify-duality union j=12",

@@ -83,20 +83,20 @@ def _cap(delta, off, length, k_lo, k_hi):
 
 
 def _sweeper(flat, delta):
-    """sweep(x, hi, p) -> (greedy count of set /\\ [x, hi], first set point >= x),
+    """sweep(x, hi) -> (greedy count of set /\\ [x, hi], first set point >= x),
     with the step and first-point caches and the one point-query cursor of a
-    cover_counts call; a caller that knows the first set point p >= x passes
-    it.  On a single interval with delta a multiple of 2^-52 the sweep is
-    closed form: every double in [1, 2] is a multiple of 2^-52, so p + delta
-    is exact below 2 and nextafter adds 2^-52 (from 2 on the sweep is past
-    every set point), and the anchors p + i (delta + 2^-52) are counted.
+    cover_counts call.  On a single interval with delta a multiple of 2^-52
+    the sweep is closed form: every double in [1, 2] is a multiple of
+    2^-52, so p + delta is exact below 2 and nextafter adds 2^-52 (from 2
+    on the sweep is past every set point), and the anchors
+    p + i (delta + 2^-52) are counted.
     """
     types, params, _ = flat
     if len(types) == 1 and types[0] == 0 and 0.0 < delta <= 1.0 and (delta / _ULP).is_integer():
         lo, end = params[0][:2]
         unit = int(delta / _ULP) + 1
 
-        def sweep_interval(x, hi, p=None):
+        def sweep_interval(x, hi):
             # the window meets the interval in [p, top], both in [1, 2] when p <= top
             p, top = (max(x, lo) if x <= end else math.inf), min(hi, end)
             return (int((top - p) * 2.0**52) // unit + 1 if p <= top else 0), p
@@ -105,9 +105,8 @@ def _sweeper(flat, delta):
     step, first = {}, {}
     first_geq = cursor(flat)[0]
 
-    def sweep(x, hi, p=None):
-        if p is None:
-            p = first.get(x)
+    def sweep(x, hi):
+        p = first.get(x)
         if p is None:
             p = first[x] = first_geq(x)
         q, count = p, 0
@@ -124,11 +123,10 @@ def _sweeper(flat, delta):
 
 def _swept_part(sweep, cap, off, length, k_lo, k_hi) -> tuple:
     best, first = 0, k_lo
-    k, known = k_lo, None
+    k = k_lo
     while k <= k_hi:
         x = off + k * length
-        count, p = sweep(x, x + length, known)
-        known = None
+        count, p = sweep(x, x + length)
         if count:
             if count > best:
                 best, first = count, k
@@ -146,9 +144,6 @@ def _swept_part(sweep, cap, off, length, k_lo, k_hi) -> tuple:
             while k_next <= k_hi and off + k_next * length + length < p:
                 k_next += 1
             k = k_next
-            # that window starts in (x, p], where p is still the first set point
-            if off + k * length <= p:
-                known = p
     return best, off + first * length
 
 

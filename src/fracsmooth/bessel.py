@@ -38,12 +38,13 @@ def hankel_coeffs(nu: float):
 
 def _j_series(u, nu: float, scaled: bool):
     # J_nu(u) / u^nu = sum_k (-u^2/4)^k / (2^nu k! Gamma(k + nu + 1))
-    q = 0.25 * u * u
+    mq = -0.25 * u * u
     term = np.ones_like(u)
     total = np.ones_like(u)
     for k in range(1, NTERMS_SERIES):
-        term = term * (-q) / (k * (k + nu))
-        total = total + term
+        term *= mq
+        term /= k * (k + nu)
+        total += term
     if nu:
         total = total * (1.0 / (2.0**nu * math.gamma(nu + 1.0)))
         if not scaled:

@@ -29,9 +29,9 @@ is tabulated on a uniform y grid, where the trapezoid rule is a single FFT
 of one fixed length, built once an a-priori bound on its error meets a
 budget set by the weight with which the profile enters the field; the
 same bound caps the aliasing error of ``propagate``'s one rule.
-``norm_lp`` evaluates only the radii that can change a bit of its sum:
-radii whose lookups all fall off the tables are exactly 0, lookups on the
-table's nodes read the node values, and the same bound shows where the
+``norm_lp`` evaluates only the radii that can change a bit of its sum: it
+walks the closed-form spans of radii where a lookup can reach a table,
+on-node lookups read the node values, and the same bound shows where the
 inner disc lies below half an ulp of the rest.
 """
 
@@ -72,10 +72,9 @@ _ALIAS_MARGIN = 0.75 * _PROFILE_FFT * _PROFILE_STEP
 # quadrature tolerance, relative to the leading term there
 _HANKEL_CUTOFF = bessel.SERIES_CUTOFF
 _HANKEL_RTOL = 0.1 * QUAD_RTOL
-# radius x node elements per block of the direct kernel quadratures, and
-# moment x node elements per block of the near-radius moments (small enough
-# to stay in cache).  Every sum here is elementwise or ``np.einsum``, never
-# a BLAS product.  NumPy loads with one BLAS thread (``_numpy``), but a
+# radius x node elements per block of the direct kernel quadratures (small
+# enough to stay in cache).  Every sum here is elementwise or ``np.einsum``,
+# never a BLAS product.  NumPy loads with one BLAS thread (``_numpy``), but a
 # caller may choose more, and then OpenBLAS hands even a matrix-vector
 # product of one such block to a second thread, which spins beside this
 # one: the 31 blocks of one d = 2, j = 6 data norm took 0.001 s on one
@@ -83,7 +82,6 @@ _HANKEL_RTOL = 0.1 * QUAD_RTOL
 # ``_bump_moment``'s dot product of a few hundred terms, runs on the
 # calling thread.
 _KERNEL_BLOCK = 2**14
-_MOMENT_BLOCK = 2**12
 # nodes of one trapezoid rule in sigma (``_trapezoid_indices``): its step
 # follows 2^j (|t - t0| + r), so a far time at a large j would otherwise ask
 # for gigabytes (1.2e8 nodes at j = 8, t = 1e6).  The tier-1 suite runs at
@@ -319,21 +317,16 @@ def _field_quadrature(params: WaveParams, t: float, r_grid):
         big_terms = np.abs(coeffs) * (x.max() * hi * hi) ** np.arange(len(coeffs))
         coeffs = coeffs[:np.flatnonzero(big_terms >= _KERNEL_SERIES_ATOL)[-1] + 1]
         # the terms phase sigma^(2k) of the moments, real and imaginary
-        # parts, from one running product, in blocks of about _MOMENT_BLOCK
-        # (k, sigma_n) elements
+        # parts, from one running product
         sq = sigma * sigma
         # |phase| sigma_hi^(2k) bounds row k, within a factor 100 in d <= 5
         top = float(np.abs(phase).max()) * sq[-1] ** np.arange(len(coeffs))
         sums = np.empty((len(coeffs), 2))
-        block = np.empty((max(1, _MOMENT_BLOCK // len(sigma)), 2, len(sigma)))
-        block[0] = phase.real, phase.imag
-        for k0 in range(0, len(coeffs), len(block)):
-            rows = block[:len(coeffs) - k0]
-            if k0:
-                np.multiply(block[-1], sq, out=rows[0])
-            for i in range(1, len(rows)):
-                np.multiply(rows[i - 1], sq, out=rows[i])
-            sums[k0:k0 + len(rows)] = _exact_sums(rows, top[k0:k0 + len(rows), None, None])
+        row = np.stack((phase.real, phase.imag))
+        for k in range(len(coeffs)):
+            if k:
+                row *= sq
+            sums[k] = _exact_sums(row, top[k])
         # the moments, summed against the powers of x
         terms = coeffs * (sums[:, 0] + 1j * sums[:, 1])
         values[near] = pref * (np.vander(x, len(coeffs), increasing=True) * terms).sum(axis=-1)
@@ -736,14 +729,16 @@ def field_row_fast(params: WaveParams, t, r_grid) -> WaveFieldRow:
 # this many steps per unit there
 _BAND_HALFWIDTH_UNITS = 128.0
 _FINE_STEP_DIVISOR = 64.0
-# radii per block of norm_lp's pieces.  In d = 2 and 4, _remainder_term
-# sizes its direct-quadrature step from the largest near radius in the call
-# (2^j r < 24), so a block boundary among those radii would change their
-# bits: every near radius of a piece must fall in the piece's first block.
+# radii per block of the live spans of norm_lp's pieces.  In d = 2 and 4,
+# _remainder_term sizes its direct-quadrature step from the largest near
+# radius in the call (2^j r < 24), so a block boundary among those radii
+# would change their bits: every near radius of a piece must fall in the
+# first block of its first span, which starts at the piece's first radius.
 # Pieces start at r >= 2^(-j+2), so at the band step 2^-j / 64 that is
 # 20 * 64 radii, or 1 281 counting r = 24 2^-j, which rounding may put on
-# either side.
+# either side.  Each span reaches _SPAN_MARGIN radii past its live radii.
 _NORM_BLOCK = 2**12
+_SPAN_MARGIN = 2
 
 
 def shell_lp_norm(row: WaveFieldRow, p: float, r_range):
@@ -792,52 +787,71 @@ def _check_p(p: float):
         raise OutOfRangeError(f"need p in [1, inf], got {p}")
 
 
-def _piece_norm(field, lo: float, hi: float, num: int, p: float, d: int) -> float:
+def _piece_norm(field, spans, lo: float, hi: float, num: int, p: float, d: int) -> float:
     """Trapezoid sum of |u|^p r^(d-1) over the grid np.linspace(lo, hi, num),
-    or max |u| there for p = inf, in blocks of _NORM_BLOCK radii.
+    or max |u| there for p = inf, where u is 0 outside the index ranges
+    ``spans`` and at their two ends.
 
     ``field`` maps a block of radii to the field values there.  Radius k is
     k step + lo, step = (hi - lo) / (num - 1), and the last one is hi, as
-    in ``np.linspace``.  Each block's trapezoid terms, and the one joining
-    it to the previous block, go into one array summed as ``np.trapezoid``
+    in ``np.linspace``.  Each span is walked from its start in blocks of
+    _NORM_BLOCK radii, whose trapezoid terms, and the one joining a block
+    to the previous one, go into one array of the grid's terms; every other
+    term joins two zeros and stays the +0.0 of ``np.zeros``, whose untouched
+    pages cost no resident memory.  The array is summed as ``np.trapezoid``
     sums its terms, so the sum keeps the bits of one pass over the grid.
     """
     step = (hi - lo) / (num - 1)
-    terms = np.empty(0 if math.isinf(p) else num - 1)
+    terms = np.zeros(0 if math.isinf(p) else num - 1)
     peak = 0.0
-    for k0 in range(0, num, _NORM_BLOCK):
-        r = np.arange(k0, min(k0 + _NORM_BLOCK, num), dtype=np.float64)
-        r *= step
-        r += lo
-        if k0 + len(r) == num:
-            r[-1] = hi
-        v = np.abs(field(r))
-        if math.isinf(p):
-            peak = max(peak, float(v.max()))
-            continue
-        f = v**p * r ** (d - 1)
-        if k0:
-            terms[k0 - 1] = (r[0] - r_last) * (f[0] + f_last) / 2.0
-        terms[k0:k0 + len(r) - 1] = np.diff(r) * (f[1:] + f[:-1]) / 2.0
-        r_last, f_last = r[-1], f[-1]
+    for a, b in spans:
+        for k0 in range(a, b, _NORM_BLOCK):
+            r = np.arange(k0, min(k0 + _NORM_BLOCK, b), dtype=np.float64)
+            r *= step
+            r += lo
+            if k0 + len(r) == num:
+                r[-1] = hi
+            v = np.abs(field(r))
+            if math.isinf(p):
+                peak = max(peak, float(v.max()))
+                continue
+            f = v**p * r ** (d - 1)
+            if k0 > a:
+                terms[k0 - 1] = (r[0] - r_last) * (f[0] + f_last) / 2.0
+            terms[k0:k0 + len(r) - 1] = np.diff(r) * (f[1:] + f[:-1]) / 2.0
+            r_last, f_last = r[-1], f[-1]
     return peak if math.isinf(p) else float(terms.sum())
 
 
-def _off_table(params: WaveParams, t: float, r):
-    """Mask of the radii r >= 2^(-j+2) where ``field_row_fast`` at time t is
-    exactly 0: both profile arguments 2^j (omega -+ r) lie beyond
-    ``_table_reach``, and the remainder, if any, is a lookup there too
-    (2^j r sigma_lo >= u_cut; every radius in d = 3 and 5).  The float
-    expressions are those of ``main_terms_grid`` and ``_remainder_term``.
+def _live_spans(params: WaveParams, t: float, lo: float, hi: float, num: int):
+    """Sorted, disjoint index ranges [a, b) of the grid np.linspace(lo, hi,
+    num), lo >= 2^(-j+2), outside which and at whose ends inside the grid
+    ``field_row_fast`` at time t is exactly 0.
+
+    Every lookup is 0 unless 2^j |r - |t - t0|| < ``_table_reach`` (the
+    other argument, 2^j (r + |t - t0|), is never nearer 0), and in d = 2
+    and 4 the radii with 2^j r sigma_lo < u_cut integrate the remainder
+    directly: one range from the grid's first radius.  _SPAN_MARGIN radii
+    at each end absorb rounding.
     """
     scale = 2.0**params.j
-    omega = t - params.t_ref
-    reach = _table_reach(_profile_table(params.d))
-    dead = (np.abs(scale * (omega - r)) >= reach) & (np.abs(scale * (omega + r)) >= reach)
-    coeffs, _, u_cut = _hankel_series(0.5 * (params.d - 2))
-    if len(coeffs):
-        dead &= scale * r * BUMP_SUPPORT[0] >= u_cut
-    return dead
+    step = (hi - lo) / (num - 1)
+    reach = _table_reach(_profile_table(params.d)) / scale
+    # a cone past this misses the grid as well, and its indices stay finite
+    rho = min(abs(t - params.t_ref), hi + reach + (_SPAN_MARGIN + 1) * step)
+
+    def indices(r_lo, r_hi):
+        # the grid radii strictly between r_lo and r_hi, and the margins
+        a = math.floor((r_lo - lo) / step) + 1 - _SPAN_MARGIN
+        return max(a, 0), min(math.ceil((r_hi - lo) / step) + _SPAN_MARGIN, num)
+
+    spans = [indices(rho - reach, rho + reach)]
+    u_cut = _hankel_series(0.5 * (params.d - 2))[2]
+    if u_cut:
+        end = indices(lo, u_cut / (scale * BUMP_SUPPORT[0]))[1]
+        a, b = spans[0]
+        spans = [(0, max(b, end))] if a <= end else [(0, end), (a, b)]
+    return [(a, b) for a, b in spans if a < b]
 
 
 def _disc_negligible(params: WaveParams, t: float, p: float, norms) -> bool:
@@ -881,15 +895,13 @@ def norm_lp(params: WaveParams, t: float, p: float) -> float:
     _BAND_HALFWIDTH_UNITS * 2^-j of the light cone r = |t - t0| and has step
     2^-j elsewhere; radii below 2^(-j+2) go through the direct quadrature path.
     Every piece stops at t_ref + 4, the band too when the cone is near it.
-    Each piece is walked in blocks of _NORM_BLOCK radii (``_piece_norm``),
-    so no array as long as a piece's grid is built beside its trapezoid
-    terms, and the norm keeps the bits of one pass over each piece.  That
-    needs every radius of a piece with a directly integrated remainder
-    (2^j r < 24 in d = 2 and 4) in the piece's first block; see _NORM_BLOCK.
-
-    Only the radii that can change a bit are evaluated: radii off the
-    profile table (``_off_table``) get 0 without a lookup, and the inner
-    disc, first in the sum but computed last, only where
+    Only the radii that can change a bit are evaluated.  A piece's field is
+    exactly 0 outside its ``_live_spans`` (the radii within the table's
+    reach of the cone and, in d = 2 and 4, those with a directly integrated
+    remainder, all in the first span's first block; see _NORM_BLOCK), and
+    ``_piece_norm`` walks the spans alone in blocks, so the norm keeps the
+    bits of one pass over each piece without a grid-long array of radii.
+    The inner disc, first in the sum but computed last, only where
     ``_disc_negligible`` does not show it below half an ulp of the next
     piece (at t = 0, in every case tried from j = 11 on).  That bound holds
     for the true disc; its computed value there is rounding noise far below
@@ -907,19 +919,6 @@ def norm_lp(params: WaveParams, t: float, p: float) -> float:
     r_max = params.t_ref + 4.0
     band_lo = min(r_max, max(r_switch, rho - _BAND_HALFWIDTH_UNITS * h))
     band_hi = min(r_max, rho + _BAND_HALFWIDTH_UNITS * h)
-
-    def direct(r):
-        return propagate(params, t, r).values
-
-    def lookups(r):
-        live = ~_off_table(params, t, r)
-        if live.all():
-            return field_row_fast(params, t, r).values
-        values = np.zeros(len(r), dtype=np.complex128)
-        if live.any():
-            values[live] = field_row_fast(params, t, r[live]).values
-        return values
-
     pieces = []
     for lo, hi, step in ((r_switch, band_lo, h), (band_lo, band_hi, h / _FINE_STEP_DIVISOR),
                          (band_hi, r_max, h)):
@@ -927,8 +926,10 @@ def norm_lp(params: WaveParams, t: float, p: float) -> float:
             pieces.append((lo, hi, max(2, int(math.ceil((hi - lo) / step)) + 1)))
     # overflow shows as a non-finite sum, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = [_piece_norm(lookups, lo, hi, num, p, d) for lo, hi, num in pieces]
-        disc = 0.0 if _disc_negligible(params, t, p, norms) else _piece_norm(direct, 0.0, r_switch, 49, p, d)
+        norms = [_piece_norm(lambda r: field_row_fast(params, t, r).values, _live_spans(params, t, lo, hi, num),
+                             lo, hi, num, p, d) for lo, hi, num in pieces]
+        disc = 0.0 if _disc_negligible(params, t, p, norms) else _piece_norm(
+            lambda r: propagate(params, t, r).values, [(0, 49)], 0.0, r_switch, 49, p, d)
     if math.isinf(p):
         return max(disc, *norms)
     total = 0.0

@@ -411,3 +411,20 @@ def off_table_zeros(params, t: float, radii):
     from fracsmooth import wave
 
     return np.array([wave.field_row_fast(params, t, [r]).values[0] == 0.0 for r in radii])
+
+
+def j_series_out_of_place(u, nu: float, scaled: bool):
+    """``bessel._j_series`` as a recurrence of fresh arrays: each term is
+    term * (-q) / (k (k + nu)), q = u^2 / 4, and each partial sum a new
+    array; the in-place updates must give the same bits."""
+    q = 0.25 * u * u
+    term = np.ones_like(u)
+    total = np.ones_like(u)
+    for k in range(1, 48):
+        term = term * (-q) / (k * (k + nu))
+        total = total + term
+    if nu:
+        total = total * (1.0 / (2.0**nu * math.gamma(nu + 1.0)))
+        if not scaled:
+            total = total * u**nu
+    return total

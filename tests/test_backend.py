@@ -205,8 +205,8 @@ def test_cold_cantor_table_stops_each_part_at_the_cap(cantor_thirds, monkeypatch
     def recording(flat, delta):
         sweep = real(flat, delta)
 
-        def counted(x, hi, p=None):
-            count, p = sweep(x, hi, p)
+        def counted(x, hi):
+            count, p = sweep(x, hi)
             swept.append((x, hi - x, count))
             return count, p
 

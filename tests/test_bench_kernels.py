@@ -59,7 +59,12 @@ def test_bench_cases_run(bench, tmp_path, capsys):
     # the data norms of all four slope-sweep jobs, and the whole cantor check
     # at j = 8..22 among the full run's processes
     assert next(case for case in record["cases"] if case["name"].startswith("slope data norms"))["sizes"]["norms"] > 4
-    assert "verify-sharpness cantor d=3 p=2.5 j=8..22" in [name for name, _, _ in bench.LARGE]
+    large = [name for name, _, _ in bench.LARGE]
+    assert "verify-sharpness cantor d=3 p=2.5 j=8..22" in large
+    # one fresh data norm at j = 22 beside the same at j = 6, whose peak RSS
+    # the j = 22 one should stay near
+    assert {"data_norm d=3 j=6 p=2.5", "data_norm d=3 j=22 p=2.5"} <= set(large)
+    assert "process data_norm d=3 j=6 p=2.5" in names
     # each case printed on one line beside the same case of the newest
     # committed record, with the ratio of the two
     old_name, old_record = bench.newest_committed()

@@ -6,7 +6,7 @@ import pytest
 from fracsmooth import bessel
 from fracsmooth.errors import OutOfRangeError, UnsupportedOrderError
 
-from oracles import j0_zero_bisect, j_series_decimal
+from oracles import j0_zero_bisect, j_series_decimal, j_series_out_of_place
 
 
 def envelope(u):
@@ -33,6 +33,18 @@ def test_half_order_hankel_branch_is_closed_form(nu, q_of_u):
     ref = np.sqrt(2.0 / (math.pi * u)) * (np.ones_like(u) * np.cos(omega) - q_of_u(u) * np.sin(omega))
     assert np.array_equal(bessel.j_array(nu, u), ref)
     assert np.array_equal(bessel.j_array(nu, u, scaled=True), ref / u**nu)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_series_branch_keeps_the_out_of_place_bits(nu, scaled):
+    # the in-place series recurrence against fresh arrays per step, on the
+    # whole series range of each order, both ends included
+    cutoff = bessel.SERIES_CUTOFF if nu == int(nu) else bessel._HALF_ORDER_CUTOFF
+    u = np.concatenate([[0.0, 2.0**-40, cutoff], np.random.default_rng(7).uniform(0.0, cutoff, 4000),
+                        np.linspace(0.0, cutoff, 4001)])
+    assert bessel.NTERMS_SERIES == 48
+    assert np.array_equal(bessel.j_array(nu, u, scaled=scaled), j_series_out_of_place(u, nu, scaled))
 
 
 def test_j0_first_zero_against_series_oracle():

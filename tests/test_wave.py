@@ -133,6 +133,16 @@ def test_wave_entry_points_reject_non_finite_inputs():
             wave.main_terms_grid(params, np.array([1.5, bad]), np.full((2, 2), 0.4))
 
 
+@pytest.mark.parametrize("d", [3, 5])
+def test_norm_lp_at_far_times_is_zero(d):
+    # every lookup leaves the table; the live spans' grid positions of a cone
+    # near the largest double must not overflow
+    params = wave.WaveParams(d=d, j=8)
+    for t in (1e300, 1.7e308, -1.7e308):
+        for p in (2.5, math.inf):
+            assert wave.norm_lp(params, t, p) == 0.0
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_kernel_series_matches_radial_kernel(d):
     coeffs = wave._kernel_series(d)
@@ -909,20 +919,34 @@ def test_norm_lp_evaluates_only_radii_that_count(monkeypatch, j, disc):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("j, t", [(8, 0.0), (10, 0.0), (10, 1.3)])
-def test_off_table_radii_are_exact_zeros(d, j, t):
-    # the mask is exactly where field_row_fast returns 0, within four table
-    # steps of every radius at which a profile argument leaves the table, and
-    # over the radii with a directly integrated remainder (d = 2 and 4)
+def test_live_spans_hold_every_nonzero_radius(monkeypatch, d, j, t):
+    # on every piece of norm_lp's grid the field is exactly 0 outside the
+    # live spans (the radii with a directly integrated remainder in d = 2
+    # and 4 among them), and, one radius per call, at each span end inside
+    # the grid and at the 8 grid radii beyond it
     params = wave.WaveParams(d=d, j=j, t_ref=1.0)
-    h = 2.0**-j
-    reach = wave._table_reach(wave._profile_table(d)) * h
-    omega = t - params.t_ref
-    edges = [omega - reach, omega + reach, -omega - reach, -omega + reach]
-    radii = np.concatenate([e + np.arange(-8, 9) * h / 128.0 for e in edges] + [np.arange(4.0, 50.0) * h])
-    radii = radii[radii >= params.min_asymptotic_r]
-    mask = wave._off_table(params, t, radii)
-    assert np.array_equal(mask, oracles.off_table_zeros(params, t, radii))
-    assert mask.any() and not mask.all()
+    real, pieces = wave._live_spans, []
+    monkeypatch.setattr(wave, "_live_spans", lambda *args: pieces.append(args[2:]) or real(*args))
+    wave.norm_lp(params, t, 2.5)
+    assert len(pieces) >= 2
+    checked = 0
+    for lo, hi, num in pieces:
+        spans = real(params, t, lo, hi, num)
+        assert all(a < b for a, b in spans)
+        assert all(b < a for (_, b), (a, _) in zip(spans, spans[1:]))
+        live, ends = np.zeros(num, dtype=bool), []
+        for a, b in spans:
+            live[a:b] = True
+            if a > 0:
+                ends += range(max(0, a - 8), a + 1)
+            if b < num:
+                ends += range(b - 1, min(num, b + 8))
+        grid = np.linspace(lo, hi, num)
+        if not live.all():
+            assert not wave.field_row_fast(params, t, grid[~live]).values.any()
+        assert oracles.off_table_zeros(params, t, grid[ends]).all()
+        checked += len(ends)
+    assert checked
 
 
 @pytest.mark.parametrize("d, block", [(2, 1281), (4, 1281), (3, 100), (5, 64)])
@@ -939,7 +963,9 @@ def test_norm_lp_keeps_bits_in_small_blocks(monkeypatch, d, block):
 
 def test_piece_norm_walks_the_linspace_grid(monkeypatch):
     # radius k is k step + lo as in np.linspace, and the last one is hi even
-    # where (num - 1) step + lo rounds elsewhere; blocks of 7 radii
+    # where (num - 1) step + lo rounds elsewhere; blocks of 7 radii, over the
+    # whole grid and over random disjoint spans, with a field that is 0
+    # outside them and at their ends inside the grid
     monkeypatch.setattr(wave, "_NORM_BLOCK", 7)
     rng = np.random.default_rng(5)
     moved = 0
@@ -949,17 +975,23 @@ def test_piece_norm_walks_the_linspace_grid(monkeypatch):
         num = int(rng.integers(2, 60))
         grid = np.linspace(lo, hi, num)
         moved += (num - 1) * ((hi - lo) / (num - 1)) + lo != hi
-        seen = []
+        cuts = np.sort(rng.choice(num + 1, 2 * int(rng.integers(1, (num + 1) // 2 + 1)), replace=False))
+        for spans in ([(0, num)], [(int(a), int(b)) for a, b in cuts.reshape(-1, 2)]):
+            live = np.zeros(num, dtype=bool)
+            for a, b in spans:
+                live[a + (a > 0):b - (b < num)] = True
+            seen = []
 
-        def field(r):
-            seen.append(r.copy())
-            return (r - 0.3) * (1.7 - r) + 1j * r * r
+            def field(r):
+                seen.append(r.copy())
+                return ((r - 0.3) * (1.7 - r) + 1j * r * r) * np.isin(r, grid[live])
 
-        vals = np.abs(field(grid))
-        seen.clear()
-        assert wave._piece_norm(field, lo, hi, num, 2.5, 3) == float(np.trapezoid(vals**2.5 * grid**2, grid))
-        assert np.array_equal(np.concatenate(seen), grid)
-        assert wave._piece_norm(field, lo, hi, num, math.inf, 3) == float(vals.max())
+            vals = np.abs(field(grid))
+            seen.clear()
+            norm = wave._piece_norm(field, spans, lo, hi, num, 2.5, 3)
+            assert norm == float(np.trapezoid(vals**2.5 * grid**2, grid))
+            assert np.array_equal(np.concatenate(seen), np.concatenate([grid[a:b] for a, b in spans]))
+            assert wave._piece_norm(field, spans, lo, hi, num, math.inf, 3) == float(vals.max())
     assert moved
 
 
