@@ -27,7 +27,13 @@ those of this script, whose pages a child started from it would count.
 The record says
 whether ``PYTHONDONTWRITEBYTECODE`` was set and whether ``src/fracsmooth``
 had a ``__pycache__``, since compiling the package from source costs each
-process tens of milliseconds.
+process tens of milliseconds.  That cost is then split by module for two
+process types, covering (``verify-duality``) and wave (``wave-sim``): each
+package module such a process imports gets its lines, the seconds of a
+cold ``compile()`` of its source in this process, and its ``-X importtime``
+self time in fresh processes that import a copy of the package source
+without bytecode, so that every self time includes compiling the module.
+A line that a change deletes then shows up as compile time saved.
 
 Each window-count table is one batched covering sweep over every level,
 in plain Python, at j = 12, 14 and 18 (about 2^(j+2) windows, never built),
@@ -91,8 +97,9 @@ repository root, with the ratio of the two.  Run from the repository root:
 
 ``--small`` runs each in-process case once at small sizes, each process
 twice, ``verify-sharpness`` at j = 8..12, the data norm at j = 6 and
-``verify-duality`` at j = 10..12 and 12, and neither perfbench runs nor
-the tier-1 suite, to check the script and its record quickly.
+``verify-duality`` at j = 10..12 and 12, each module process twice, and
+neither perfbench runs nor the tier-1 suite, to check the script and its
+record quickly.
 """
 
 import argparse
@@ -101,6 +108,7 @@ import os
 import platform
 import re
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -160,6 +168,14 @@ LARGE_SMALL = [
      ["-m", "fracsmooth", "verify-duality", "--set", "perfbench/sets/cantor.json", "--jmin", "10", "--jmax", "12"], 2),
     ("verify-duality union j=12",
      ["-m", "fracsmooth", "verify-duality", "--set", "perfbench/sets/union.json", "--jmin", "12", "--jmax", "12"], 2),
+]
+
+# one process per process type whose package modules are compiled and
+# imported module by module: (type, argv)
+MODULE_PROCESSES = [
+    ("covering", ["-m", "fracsmooth", "verify-duality", "--set", "perfbench/sets/cantor.json", "--jmin", "10",
+                  "--jmax", "12"]),
+    ("wave", ["-m", "fracsmooth", "wave-sim", "--d", "2", "--j", "10", "--times", "1.45,1.62,1.38"]),
 ]
 
 # perfbench runs per workload: these seeds at --seconds PERFBENCH_SECONDS
@@ -236,6 +252,59 @@ def startup_runs(commands, runs):
             rss[name].append(int(maxrss_kb) / 1024.0)
             cpu[name].append(float(cpu_s))
     return seconds, rss, cpu
+
+
+def import_self_times(argv, runs):
+    """{module: self seconds per run} of the package modules that ``runs``
+    fresh processes running argv import, read from ``-X importtime``.  Each
+    imports a copy of ``src/fracsmooth`` without ``__pycache__`` and writes
+    no bytecode, so each self time includes compiling the module."""
+    times = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(ROOT / "src" / "fracsmooth", Path(tmp) / "fracsmooth",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
+        for _ in range(runs):
+            proc = subprocess.run([sys.executable, "-X", "importtime", *argv], cwd=ROOT, env=env, check=True,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+            for self_us, name in re.findall(r"^import time:\s+(\d+) \|\s+\d+ \|\s*(fracsmooth\S*)$",
+                                            proc.stderr, re.M):
+                times.setdefault(name, []).append(int(self_us) * 1e-6)
+    return times
+
+
+def module_costs(process, argv, runs):
+    """One process type's record: for each package module its processes
+    import, in import order, its lines, its cold ``compile()`` seconds and
+    its ``-X importtime`` self seconds, each the median of ``runs``."""
+    modules = []
+    for name, self_s in import_self_times(argv, runs).items():
+        path = ROOT / "src" / Path(*name.split("."))
+        path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+        source = path.read_text()
+        compile_s = samples(compile, source, str(path), "exec", repeat=runs)
+        modules.append({"module": name, "lines": len(source.splitlines()),
+                        "compile_s": statistics.median(compile_s), "compile_samples_s": compile_s,
+                        "import_self_s": statistics.median(self_s), "import_self_samples_s": self_s})
+    return {"process": process, "argv": argv, "runs": runs, "modules": modules}
+
+
+def module_lines(entry, old):
+    """Printed lines of one process type: each module's compile and self
+    time beside the same module of ``old`` (or None), then their sums."""
+    def rows(e):
+        total = {key: sum(m[key] for m in e["modules"]) for key in ("lines", "compile_s", "import_self_s")}
+        return {**{m["module"]: m for m in e["modules"]}, "total": total}
+
+    def text(m):
+        return f"compile {m['compile_s']*1e3:7.2f} ms self {m['import_self_s']*1e3:7.2f} ms {m['lines']:5d} lines"
+
+    old_rows = rows(old) if old else {}
+    lines = []
+    for name, m in rows(entry).items():
+        line = f"{'module ' + entry['process'] + ' ' + name:<50} {text(m)}"
+        lines.append(line + (f" | {text(old_rows[name])}" if name in old_rows else "   (not in the committed record)"))
+    return lines
 
 
 def traced_peak_mb(fn, *args):
@@ -540,7 +609,7 @@ def main(argv=None):
     ap.add_argument("--small", action="store_true", help="small sizes, one sample per case, two runs per process")
     args = ap.parse_args(argv)
     runs = 2 if args.small else 15
-    record = {"context": context(), "cases": [], "perfbench": []}
+    record = {"context": context(), "cases": [], "modules": [], "perfbench": []}
     old_name, old_record = newest_committed()
     old_cases = {c["name"]: c for c in old_record["cases"]} if old_record else {}
     print(f"{'case':<50}{'this run':>42} | {old_name or 'no committed BENCH_*.json':>39} | ratio, RSS change")
@@ -555,6 +624,12 @@ def main(argv=None):
                     "cpu_median_s": statistics.median(cpu[name]), "cpu_samples_s": cpu[name]}
             record["cases"].append(case)
             print(compare_line(case, old_cases.get(case["name"])))
+    old_modules = {m["process"]: m for m in (old_record or {}).get("modules", [])}
+    for process, argv in MODULE_PROCESSES:
+        entry = module_costs(process, argv, runs)
+        record["modules"].append(entry)
+        for line in module_lines(entry, old_modules.get(process)):
+            print(line)
     for label, sizes, fn, fn_args in kernel_cases(args.small):
         seconds = samples(fn, *fn_args, repeat=1 if args.small else 3)
         if fn is cold_profile_table:

@@ -102,9 +102,6 @@ class UnionSet:
         object.__setattr__(self, "members", tuple(self.members))
 
 
-SetDescriptor = (FullInterval, FinitePoints, CantorLike, PolySequence, UnionSet)
-
-
 # ---------------------------------------------------------------------------
 # JSON schema: {"type": "cantor" | "polyseq" | "interval" | "points" | "union"}
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ from .errors import InvalidResolutionError, InvalidThetaError, OutOfRangeError
 from .records import field, record
 from .sampled import SampledFunction, linspace
 
-LOG2 = math.log(2.0)
-
 # Deviation tolerance for spectrum checks, scaling like c / j.
 TOL_COEFF = 0.08 * 14.0
 

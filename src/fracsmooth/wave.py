@@ -24,7 +24,8 @@ and makes large parameter sweeps cheap (a whole (times x radii) grid is one
 set of array lookups): F_0 carries the two exponentials,
 and F_1 .. F_K the terms of the Hankel expansion of the remainder (DLMF
 10.17) wherever 2^j r sigma >= 12 over the whole bump, so that the remainder
-too is a sum of lookups; nearer radii integrate it directly.  Each profile
+too is a sum of lookups; nearer radii integrate it directly, on a step set
+by the time alone, so no value depends on the radii beside it.  Each profile
 is tabulated on a uniform y grid, where the trapezoid rule is a single FFT
 of one fixed length, built once an a-priori bound on its error meets a
 budget set by the weight with which the profile enters the field; the
@@ -237,11 +238,13 @@ def _kernel_sums(kernel, x, nodes, phase):
 
 def _trapezoid_indices(h: float):
     """The k with node k h inside the closed bump support; raises
-    OutOfRangeError, before allocating them, above _MAX_NODES of them."""
+    OutOfRangeError, before allocating them, above _MAX_NODES of them, and
+    at a zero or non-finite step (a time so far that 2^j |t - t_ref|
+    overflows)."""
     lo, hi = BUMP_SUPPORT
-    first, last = math.ceil(lo / h), math.floor(hi / h)
+    first, last = (math.ceil(lo / h), math.floor(hi / h)) if 0.0 < h < math.inf else (0, math.inf)
     if last - first + 1 > _MAX_NODES:
-        raise OutOfRangeError(f"a trapezoid rule at step {h:.3e} needs {last - first + 1} nodes, "
+        raise OutOfRangeError(f"a trapezoid rule at step {h:.3e} needs {last - first + 1:.3e} nodes, "
                               f"above the cap {_MAX_NODES}; |t - t_ref| or r is too large for 2^j")
     return np.arange(first, last + 1)
 
@@ -560,11 +563,11 @@ def main_terms_grid(params: WaveParams, t, r_grid):
     T_pm(r) = (2 pi)^(-(d+1)/2) e^(-+ i pi (d-1)/4) r^(-(d-1)/2) 2^(j(d+1)/2)
               * F(2^j (t - t0 +- r)),
     the exact two-exponential split of the Bessel kernel; T_rem integrates
-    the remainder of the kernel asymptotics (see ``_remainder_term``) and
+    the remainder of the kernel asymptotics (see ``_remainder``) and
     vanishes identically in d = 3.  ``t`` is one time with a 1-D grid, or n
     times with an (n x m) grid whose row i is taken at time t[i]; all rows
-    go through the same array lookups, and each element gets the same bits
-    as in a one-row call.
+    go through the same array lookups.  Every value is elementwise: each
+    element gets the same bits whatever times and radii share its call.
     """
     omega, r_grid = _times_grid(params, t, r_grid)
     if np.any(r_grid < params.min_asymptotic_r):
@@ -621,8 +624,9 @@ def _remainder_pref(params: WaveParams, r_grid):
     return TWO_PI ** (-0.5 * d) * 2.0 ** (j * 0.5 * (d + 2)) * r_grid ** (-0.5 * (d - 2))
 
 
-def _remainder_term(params: WaveParams, t, r_grid):
-    """T_rem(r) = pref(r) Integral e^(i 2^j omega sigma) bump(sigma) sigma^(d/2) R(2^j r sigma) dsigma.
+def _remainder(params: WaveParams, omega, r_grid):
+    """T_rem(r) = pref(r) Integral e^(i 2^j omega sigma) bump(sigma) sigma^(d/2) R(2^j r sigma) dsigma
+    on the (omega, r_grid) that ``_times_grid`` returns.
 
     Here omega = t - t0, pref(r) = (2 pi)^(-d/2) 2^(j(d+2)/2) r^(-(d-2)/2)
     and R is the Bessel remainder of order nu = (d-2)/2.  Where 2^j r sigma
@@ -630,18 +634,14 @@ def _remainder_term(params: WaveParams, t, r_grid):
     (``_hankel_series``) turns T_rem into profile lookups:
         T_rem(r) = pref(r) sqrt(2/pi)/2 sum_{m=1..K} a_m (2^j r)^(-m-1/2)
                    * [i^m e^(-i chi) F_m(2^j (omega + r)) + (-i)^m e^(i chi) F_m(2^j (omega - r))].
-    Nearer radii integrate R directly, one time at a time, by the trapezoid
-    rule in sigma at h = ``_moment_step(2^j (|omega| + r_max), 0)``, which
-    puts the first alias as far beyond the fastest phase among them as the
-    profile tables' is, in blocks of radii.  T_rem is 0 in d = 3 (K = 0),
-    and exact lookups at every radius in d = 5 (K = 1).  ``t`` and
-    ``r_grid`` take the shapes of ``main_terms_grid``.
+    Nearer radii, 2^j r < u_cut / sigma_lo, integrate R directly, one time
+    at a time, by the trapezoid rule in sigma at h = ``_moment_step(2^j
+    |omega| + u_cut / sigma_lo, 0)``, which puts the first alias at least as
+    far beyond the fastest phase of any near radius as the profile tables'
+    is, in blocks of radii.  The step depends on the time alone, so every
+    radius gets the same bits whatever radii share its call.  T_rem is 0 in
+    d = 3 (K = 0), and exact lookups at every radius in d = 5 (K = 1).
     """
-    return _remainder(params, *_times_grid(params, t, r_grid))
-
-
-def _remainder(params: WaveParams, omega, r_grid):
-    """``_remainder_term`` on the (omega, r_grid) that ``_times_grid`` returns."""
     d, j = params.d, params.j
     order = 0.5 * (d - 2)
     coeffs, _, u_cut = _hankel_series(order)
@@ -665,7 +665,7 @@ def _remainder(params: WaveParams, omega, r_grid):
                 + np.conj(i_m * rot) * _profile_eval(table, y_minus)
             )
         out[far] = math.sqrt(0.5 / math.pi) * pref[far] * acc
-    # near radii: one quadrature per time, with a step sized from its own radii
+    # near radii: one quadrature per time, its step sized from the near cutoff
     near = ~np.atleast_2d(far)
     rows = np.flatnonzero(near.any(axis=-1))
     if len(rows):
@@ -674,11 +674,10 @@ def _remainder(params: WaveParams, omega, r_grid):
         radii, prefs, outs = np.atleast_2d(r_grid, pref, out)
         for i in rows:
             w, sel = float(omegas[i]), near[i]
-            r = radii[i][sel]
-            h = _moment_step(scale * (abs(w) + float(r.max())), 0)
+            h = _moment_step(scale * abs(w) + u_cut / BUMP_SUPPORT[0], 0)
             sigma = _trapezoid_indices(h) * h
             phase = np.exp(1j * scale * w * sigma) * h * bump(sigma) * sigma ** (0.5 * d)
-            outs[i, sel] = prefs[i][sel] * _kernel_sums(kernel, scale * r, sigma, phase)
+            outs[i, sel] = prefs[i][sel] * _kernel_sums(kernel, scale * radii[i][sel], sigma, phase)
     return out
 
 
@@ -704,7 +703,8 @@ def field_row_fast(params: WaveParams, t, r_grid) -> WaveFieldRow:
 
     ``t`` is one time with a 1-D grid, or n times with an (n x m) grid whose
     row i is taken at time t[i] (see ``main_terms_grid``); the result then
-    holds all n rows, (n x m) values, in one ``WaveFieldRow``.
+    holds all n rows, (n x m) values, in one ``WaveFieldRow``.  Every value
+    has the same bits whatever times and radii share its call.
     ``err_rel`` is the Hankel truncation bound of T_rem relative to the row
     maximum, a float for one row and one per row for n: 0 in d = 3 and
     d = 5, where the expansion is exact.  ``main_terms_grid`` validates t
@@ -729,14 +729,8 @@ def field_row_fast(params: WaveParams, t, r_grid) -> WaveFieldRow:
 # this many steps per unit there
 _BAND_HALFWIDTH_UNITS = 128.0
 _FINE_STEP_DIVISOR = 64.0
-# radii per block of the live spans of norm_lp's pieces.  In d = 2 and 4,
-# _remainder_term sizes its direct-quadrature step from the largest near
-# radius in the call (2^j r < 24), so a block boundary among those radii
-# would change their bits: every near radius of a piece must fall in the
-# first block of its first span, which starts at the piece's first radius.
-# Pieces start at r >= 2^(-j+2), so at the band step 2^-j / 64 that is
-# 20 * 64 radii, or 1 281 counting r = 24 2^-j, which rounding may put on
-# either side.  Each span reaches _SPAN_MARGIN radii past its live radii.
+# radii per block of the live spans of norm_lp's pieces; each span reaches
+# _SPAN_MARGIN radii past its live radii
 _NORM_BLOCK = 2**12
 _SPAN_MARGIN = 2
 
@@ -898,9 +892,9 @@ def norm_lp(params: WaveParams, t: float, p: float) -> float:
     Only the radii that can change a bit are evaluated.  A piece's field is
     exactly 0 outside its ``_live_spans`` (the radii within the table's
     reach of the cone and, in d = 2 and 4, those with a directly integrated
-    remainder, all in the first span's first block; see _NORM_BLOCK), and
-    ``_piece_norm`` walks the spans alone in blocks, so the norm keeps the
-    bits of one pass over each piece without a grid-long array of radii.
+    remainder), and ``_piece_norm`` walks the spans alone in blocks; field
+    values are elementwise, so the norm keeps the bits of one pass over each
+    piece without a grid-long array of radii.
     The inner disc, first in the sum but computed last, only where
     ``_disc_negligible`` does not show it below half an ulp of the next
     piece (at t = 0, in every case tried from j = 11 on).  That bound holds

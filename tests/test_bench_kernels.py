@@ -36,7 +36,7 @@ def test_bench_cases_run(bench, tmp_path, capsys):
     record = bench.main(["--small", "--out", str(out)])
     printed = capsys.readouterr().out.splitlines()
     assert json.loads(out.read_text()) == record
-    assert set(record) == {"context", "cases", "perfbench", "tier1"}
+    assert set(record) == {"context", "cases", "modules", "perfbench", "tier1"}
     # --small makes no perfbench runs and does not run the suite
     assert record["perfbench"] == [] and record["tier1"] is None
     assert set(record["context"]) == set(CONTEXT)
@@ -65,11 +65,32 @@ def test_bench_cases_run(bench, tmp_path, capsys):
     # the j = 22 one should stay near
     assert {"data_norm d=3 j=6 p=2.5", "data_norm d=3 j=22 p=2.5"} <= set(large)
     assert "process data_norm d=3 j=6 p=2.5" in names
+    # per process type, each package module it imports with its lines, cold
+    # compile() seconds and -X importtime self seconds, one line each and
+    # one for their sums; covering processes import no wave module
+    assert [entry["process"] for entry in record["modules"]] == [name for name, _ in bench.MODULE_PROCESSES]
+    module_printed = [line for line in printed if line.startswith("module ")]
+    assert len(module_printed) == sum(len(entry["modules"]) + 1 for entry in record["modules"])
+    for entry, must in zip(record["modules"], ({"fracsmooth.cli", "fracsmooth.spectra"}, {"fracsmooth.wave"})):
+        assert set(entry) == {"process", "argv", "runs", "modules"} and entry["runs"] == 2
+        names = [m["module"] for m in entry["modules"]]
+        assert must <= set(names) and len(set(names)) == len(names)
+        assert ("fracsmooth.wave" in names) is (entry["process"] == "wave")
+        for m in entry["modules"]:
+            assert set(m) == {"module", "lines", "compile_s", "compile_samples_s", "import_self_s",
+                              "import_self_samples_s"}, m["module"]
+            assert m["lines"] > 0
+            for key in ("compile", "import_self"):
+                assert len(m[f"{key}_samples_s"]) == 2 and all(t >= 0.0 for t in m[f"{key}_samples_s"])
+                assert m[f"{key}_s"] == statistics.median(m[f"{key}_samples_s"])
+            assert m["compile_s"] > 0.0
+        assert any(line.startswith(f"module {entry['process']} total ") for line in module_printed)
     # each case printed on one line beside the same case of the newest
     # committed record, with the ratio of the two
     old_name, old_record = bench.newest_committed()
     old_names = {case["name"] for case in old_record["cases"]} if old_record else set()
     assert old_name is None or old_name in printed[0]
+    printed = [line for line in printed if not line.startswith("module ")]
     assert len(printed) == 1 + len(record["cases"])
     for case, line in zip(record["cases"], printed[1:]):
         assert line.startswith(case["name"] + " ")

@@ -344,6 +344,15 @@ def test_wave_sim_runtime_failure_exit_code(monkeypatch, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+def test_degenerate_window_exit_code(capsys):
+    # cantor at j = 2..5 has no window of the needed length: a runtime
+    # failure (exit 3) with no rows, not a usage error
+    cantor = Path(__file__).resolve().parents[1] / "perfbench" / "sets" / "cantor.json"
+    capsys.readouterr()
+    assert cli.cli(["verify-sharpness", "--set", str(cantor), "--jmin", "2", "--jmax", "5"]) == 3
+    assert capsys.readouterr() == ("", "error: no window satisfies 2^2 |I| >= 32\n")
+
+
 def test_verify_duality_exit_codes(set_files, tmp_path):
     rc = cli.cli(["verify-duality", "--set", set_files["cantor"], "--jmin", "11", "--jmax", "12"])
     assert rc == 0

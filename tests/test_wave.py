@@ -115,6 +115,15 @@ def test_trapezoid_node_cap():
         wave.field_row_fast(wave.WaveParams(d=2, j=8), t, [2.0**-6])
     assert 2 * count(wave._moment_step(2.0**22 * 2.0, 1)) < wave._MAX_NODES
     assert len(wave._trapezoid_indices(wave._moment_step(0.0, 0))) == count(wave._moment_step(0.0, 0))
+    # a count far past the cap prints in four digits, and where 2^j |t - t_ref|
+    # overflows, the step is 0 and raises the same error
+    with pytest.raises(OutOfRangeError, match=r"needs \d\.\d{3}e\+30\d nodes"):
+        wave.propagate(params, 1e300, [0.001])
+    with pytest.raises(OutOfRangeError, match=r"step 0\.000e\+00 needs inf nodes"):
+        wave.propagate(params, 1.7e308, [0.001])
+    for t in (1.7e308, -1.7e308):
+        with pytest.raises(OutOfRangeError, match="cap"):
+            wave.norm_lp(wave.WaveParams(d=2, j=8), t, 2.5)
 
 
 def test_wave_entry_points_reject_non_finite_inputs():
@@ -640,10 +649,10 @@ def test_remainder_direct_radii_match_dense_reference(d, j):
     pref = (2 * math.pi) ** (-0.5 * d) * 2.0 ** (j * 0.5 * (d + 2)) * radii ** (-0.5 * (d - 2))
     bound = pref * (2.0**j * radii * lo) ** -1.5 * mass
     for t in (0.0, 2.0):
-        got = wave._remainder_term(params, t, radii)
+        got = wave.main_terms_grid(params, t, radii)[2]
         assert np.all(np.abs(got - _direct_remainder(params, t, radii)) <= 1e-12 * bound)
     # each radius on its own cone: n times with an (n x 1) grid
-    cone = wave._remainder_term(params, params.t_ref + radii, radii[:, None])[:, 0]
+    cone = wave.main_terms_grid(params, params.t_ref + radii, radii[:, None])[2][:, 0]
     for i, r in enumerate(radii):
         ref = _direct_remainder(params, params.t_ref + r, radii[i:i + 1])[0]
         assert abs(cone[i] - ref) <= 1e-12 * bound[i]
@@ -653,7 +662,7 @@ def test_remainder_direct_radii_match_dense_reference(d, j):
 def test_remainder_continuous_across_hankel_cutoff(d):
     params = wave.WaveParams(d=d, j=7, t_ref=1.0)
     r_cut = _hankel_cut_radius(params)
-    below, at = wave._remainder_term(params, 1.0 + r_cut, np.array([r_cut * (1 - 1e-12), r_cut]))
+    below, at = wave.main_terms_grid(params, 1.0 + r_cut, np.array([r_cut * (1 - 1e-12), r_cut]))[2]
     assert abs(below - at) <= 1e-6 * abs(at)
 
 
@@ -662,7 +671,7 @@ def test_remainder_lookups_within_truncation_bound(d):
     params = wave.WaveParams(d=d, j=7, t_ref=1.0)
     r_cut = _hankel_cut_radius(params) if d != 5 else params.min_asymptotic_r
     grid = r_cut * np.array([1.0, 1.05, 1.5, 2.0, 4.0])
-    got = wave._remainder_term(params, 1.0 + 1.2 * r_cut, grid)
+    got = wave.main_terms_grid(params, 1.0 + 1.2 * r_cut, grid)[2]
     ref = _direct_remainder(params, 1.0 + 1.2 * r_cut, grid)
     bound = wave._truncation_bound(params, grid)
     # table lookups add their own error of order 1e-9 of the largest term
@@ -713,6 +722,23 @@ def test_batched_rows_match_per_row_calls(d):
         assert row.err_rel[i] == one.err_rel and isinstance(one.err_rel, float)
     if d in (2, 4):
         assert np.all(batched[2][near] != 0.0)
+
+
+@pytest.mark.parametrize("j", [6, 8, 10])
+@pytest.mark.parametrize("d", [2, 4])
+def test_field_values_do_not_depend_on_the_radii_beside_them(d, j):
+    # a row straddling 2^j r = 24, where the remainder switches from direct
+    # quadrature to Hankel-term lookups, at t = 0, on the cone and past it:
+    # every split of the row into two calls, and one call per radius, give
+    # the bits of the whole row
+    params = wave.WaveParams(d=d, j=j, t_ref=1.0)
+    radii = 2.0**-j * np.array([4.0, 9.5, 17.0, 23.75, 24.25, 31.0])
+    for t in (0.0, params.t_ref + radii[2], params.t_ref + 2.0):
+        whole = wave.field_row_fast(params, t, radii).values
+        splits = [(radii[:k], radii[k:]) for k in range(1, len(radii))] + [radii[:, None]]
+        for parts in splits:
+            got = np.concatenate([wave.field_row_fast(params, t, part).values for part in parts])
+            np.testing.assert_array_equal(got, whole)
 
 
 def test_batched_grid_shapes_must_match():
@@ -949,10 +975,10 @@ def test_live_spans_hold_every_nonzero_radius(monkeypatch, d, j, t):
     assert checked
 
 
-@pytest.mark.parametrize("d, block", [(2, 1281), (4, 1281), (3, 100), (5, 64)])
+@pytest.mark.parametrize("d, block", [(2, 7), (4, 100), (3, 100), (5, 64)])
 def test_norm_lp_keeps_bits_in_small_blocks(monkeypatch, d, block):
-    # many block edges in every piece; in d = 2 and 4 the least block that
-    # holds every direct remainder radius of the band
+    # many block edges in every piece, in d = 2 and 4 also among the radii
+    # that integrate the remainder directly
     monkeypatch.setattr(wave, "_NORM_BLOCK", block)
     params = wave.WaveParams(d=d, j=8, t_ref=1.5)
     ps = (2.5, math.inf)
@@ -993,25 +1019,6 @@ def test_piece_norm_walks_the_linspace_grid(monkeypatch):
             assert np.array_equal(np.concatenate(seen), np.concatenate([grid[a:b] for a, b in spans]))
             assert wave._piece_norm(field, spans, lo, hi, num, math.inf, 3) == float(vals.max())
     assert moved
-
-
-def test_norm_block_holds_every_direct_remainder_radius():
-    # in d = 2 and 4 the remainder is integrated directly at 4 <= 2^j r < x_cut,
-    # one step per call; the band's step 2^-j / 64 puts the most radii
-    # there, both ends counted, since rounding may put r = x_cut 2^-j on
-    # either side
-    bound = 0
-    for d in (2, 4):
-        x_cut = wave._hankel_series(0.5 * (d - 2))[2] / wave.BUMP_SUPPORT[0]
-        bound = max(bound, round((x_cut - 4.0) * wave._FINE_STEP_DIVISOR) + 1)
-        for j in (6, 11, 20):
-            params = wave.WaveParams(d=d, j=j, t_ref=1.5)
-            h = 2.0**-j
-            hi = wave._BAND_HALFWIDTH_UNITS * h
-            band = np.linspace(params.min_asymptotic_r, hi, round((hi - 4.0 * h) / h * wave._FINE_STEP_DIVISOR) + 1)
-            assert np.count_nonzero(band / h < x_cut) <= bound
-    assert bound == 1281
-    assert wave._NORM_BLOCK >= bound
 
 
 def test_data_norm_working_memory():
